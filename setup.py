@@ -1,4 +1,7 @@
-"""Build script for the optional compiled search/pivot kernel.
+"""Build script for the optional compiled search kernel.
+
+_kernel.pyx holds the two exhaustive searches, integer k-flows and
+Z_k-flows; LP pivoting for circular flow numbers stays in simplex.py.
 
 The package is fully functional without the extension; solve.py falls back
 to the pure-Python kernel when the import fails.

@@ -194,12 +194,19 @@ def _flow_payload(fa: FlowAssignment) -> dict:
     }
 
 
-def _payload_flow(payload: dict, kind: Optional[FlowKind] = None) -> FlowAssignment:
+def _payload_flow(
+    payload: dict, num_edges: int, kind: Optional[FlowKind] = None
+) -> FlowAssignment:
     try:
         rev = frozenset(int(i) for i in payload["orientation"])
         raw = payload["values"]
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed flow payload: {exc}") from exc
+    if not isinstance(raw, list):
+        raise PreconditionError("malformed flow payload: values must be a list")
+    outside = sorted(i for i in rev if not 0 <= i < num_edges)
+    if outside:
+        raise PreconditionError(f"malformed flow payload: orientation ids {outside} out of range")
     if kind is None:
         vals = tuple(str_to_fraction(s) for s in raw)
     else:
@@ -338,7 +345,7 @@ def _verify_flow(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
 
     kind = FlowKind.parse(cert.payload["flow_kind"])
     if cert.verdict == "exists":
-        fa = _payload_flow(cert.payload, kind)
+        fa = _payload_flow(cert.payload, g.num_edges, kind)
         res = check_flow(g, fa, kind)
         if not res.ok:
             return VerifyOutcome(False, f"witness fails: {res.violation}")
@@ -364,7 +371,7 @@ def _verify_flow_number(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
     payload = cert.payload
     if "phi_i" in payload:
         k = int(payload["phi_i"])
-        fa = _payload_flow(payload["witness_phi_i"], FlowKind.integer(k))
+        fa = _payload_flow(payload["witness_phi_i"], g.num_edges, FlowKind.integer(k))
         res = check_flow(g, fa, FlowKind.integer(k))
         if not res.ok:
             return VerifyOutcome(False, f"phi_i witness fails: {res.violation}")
@@ -373,7 +380,7 @@ def _verify_flow_number(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
                 return VerifyOutcome(False, f"a {smaller}-flow exists below phi_i={k}")
     if "phi_c" in payload:
         r = str_to_fraction(payload["phi_c"])
-        fa = _payload_flow(payload["witness_phi_c"], FlowKind.circular(r))
+        fa = _payload_flow(payload["witness_phi_c"], g.num_edges, FlowKind.circular(r))
         res = check_flow(g, fa, FlowKind.circular(r))
         if not res.ok:
             return VerifyOutcome(False, f"phi_c witness fails: {res.violation}")
@@ -387,8 +394,8 @@ def _verify_conversion(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
     from .transform import ConversionState, _unwind
 
     k = int(cert.payload["k"])
-    fa_in = _payload_flow(cert.payload["input"], FlowKind.modulo(k))
-    fa_out = _payload_flow(cert.payload["output"], FlowKind.integer(k))
+    fa_in = _payload_flow(cert.payload["input"], g.num_edges, FlowKind.modulo(k))
+    fa_out = _payload_flow(cert.payload["output"], g.num_edges, FlowKind.integer(k))
     res = check_flow(g, fa_in, FlowKind.modulo(k))
     if not res.ok:
         return VerifyOutcome(False, f"input fails modulo check: {res.violation}")
@@ -419,8 +426,8 @@ def _verify_decomposition(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
     from .core import boundary
 
     k = int(cert.payload["k"])
-    fa = _payload_flow(cert.payload["input"], FlowKind.integer(k))
-    parts = [_payload_flow(p, FlowKind.integer(2)) for p in cert.payload["parts"]]
+    fa = _payload_flow(cert.payload["input"], g.num_edges, FlowKind.integer(k))
+    parts = [_payload_flow(p, g.num_edges, FlowKind.integer(2)) for p in cert.payload["parts"]]
     if len(parts) != k - 1:
         return VerifyOutcome(False, f"{len(parts)} parts for k={k}")
     res = check_flow(g, fa, FlowKind.integer(k))
@@ -471,9 +478,9 @@ def _verify_normalization(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
 
     p = int(cert.payload["p"])
     q = int(cert.payload["q"])
-    fa_in = _payload_flow(cert.payload["input"])
+    fa_in = _payload_flow(cert.payload["input"], g.num_edges)
     state = normalize_circular_flow(g, fa_in, p, q)
-    if state.flow != _payload_flow(cert.payload["final"]):
+    if state.flow != _payload_flow(cert.payload["final"], g.num_edges):
         return VerifyOutcome(False, "re-normalization reaches a different flow")
     if sorted(state.off_grid) != [int(i) for i in cert.payload["off_grid"]]:
         return VerifyOutcome(False, "off-grid set mismatch")
@@ -497,7 +504,11 @@ _VERIFIERS = {
 
 
 def verify_certificate(cert: Certificate) -> VerifyOutcome:
-    """Recompute the certificate's verdict from graph + witness alone."""
+    """Recompute the certificate's verdict from graph + witness alone.
+
+    Missing fields, wrong types and unparsable values get a rejecting
+    outcome, not an exception.
+    """
     if cert.schema_version != SCHEMA_VERSION:
         return VerifyOutcome(False, f"unsupported schema {cert.schema_version}")
     handler = _VERIFIERS.get(cert.claim)
@@ -508,3 +519,5 @@ def verify_certificate(cert: Certificate) -> VerifyOutcome:
         return handler(cert, g)
     except PreconditionError as exc:
         return VerifyOutcome(False, str(exc))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        return VerifyOutcome(False, f"malformed certificate: {type(exc).__name__}: {exc}")

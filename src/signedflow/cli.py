@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -93,10 +91,6 @@ class _Artifacts:
         (self.dir / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True))
 
 
-def _cap_arg(args) -> Optional[int]:
-    return args.cap
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -137,7 +131,7 @@ def cmd_flow(args) -> int:
     g = _load_graph(args.graph)
     out = _Artifacts(args.out)
     if args.circular:
-        numbers = solve.flow_numbers(g, k_max=args.k_max, edge_cap=args.edge_cap, cap=_cap_arg(args))
+        numbers = solve.flow_numbers(g, k_max=args.k_max, edge_cap=args.edge_cap, cap=args.cap)
         cert = certs.make_flow_number_certificate(g, numbers)
         out.write("flow-number.json", cert.to_json(), "certificate")
         out.finish("flow")
@@ -146,13 +140,13 @@ def cmd_flow(args) -> int:
     if args.modulo is not None:
         kind = FlowKind.modulo(args.modulo)
         stats: dict = {}
-        fa = solve.find_nz_zk_flow(g, args.modulo, cap=_cap_arg(args), stats=stats)
+        fa = solve.find_nz_zk_flow(g, args.modulo, cap=args.cap, stats=stats)
     else:
         if args.k is None:
             raise PreconditionError("choose one of -k, --modulo, --circular")
         kind = FlowKind.integer(args.k)
         stats = {}
-        fa = solve.find_nz_k_flow(g, args.k, cap=_cap_arg(args), stats=stats)
+        fa = solve.find_nz_k_flow(g, args.k, cap=args.cap, stats=stats)
     cert = certs.make_flow_certificate(g, kind, fa, nodes=stats.get("nodes"))
     out.write("flow-cert.json", cert.to_json(), "certificate")
     if fa is not None and out.dir is not None:
@@ -167,7 +161,7 @@ def cmd_convert(args) -> int:
     k = args.k
     fa = _load_flow(args.flow, g, FlowKind.modulo(k))
     result, state = transform.run_modflow_conversion(
-        g, fa, k, allow_even_k=args.experimental_even_k, cap=_cap_arg(args)
+        g, fa, k, allow_even_k=args.experimental_even_k, cap=args.cap
     )
     cert = certs.make_conversion_certificate(g, k, fa, result, state.journal)
     out = _Artifacts(args.out)
@@ -248,7 +242,7 @@ def cmd_verify(args) -> int:
     if args.suite == "cubic-z4":
         graphs.append(signed_petersen())
     report = verify_suites.run_suite(
-        args.suite, graphs, workers=args.workers, cap=_cap_arg(args)
+        args.suite, graphs, workers=args.workers, cap=args.cap
     )
     out = _Artifacts(args.out)
     out.write(f"suite-{args.suite}.json", report.to_json(), "suite-report")

@@ -40,7 +40,6 @@ __all__ = [
     "edge_boundary",
     "check_flow",
     "is_balanced",
-    "find_unbalanced_circuit",
     "connected_components",
     "is_eulerian",
     "find_bridges",
@@ -482,11 +481,6 @@ def is_balanced(g: SignedGraph) -> BalanceCertificate:
             path = _tree_path(parent_edge, e.u, e.v)
             return BalanceCertificate(None, tuple(path) + (eid,))
     return BalanceCertificate(tuple(potential), None)
-
-
-def find_unbalanced_circuit(g: SignedGraph) -> tuple[int, ...] | None:
-    """First unbalanced circuit of the balance scan; None when balanced."""
-    return is_balanced(g).witness
 
 
 def connected_components(g: SignedGraph) -> tuple[tuple[int, ...], ...]:

@@ -22,7 +22,12 @@ from .core import (
     check_flow,
 )
 from .errors import InvariantViolation, NotFlowAdmissibleError, PreconditionError, ResourceCapExceeded
-from .structure import SignedCircuitWitness, classify_signed_circuit, is_flow_admissible
+from .structure import (
+    SignedCircuitWitness,
+    circuit_vertices,
+    classify_signed_circuit,
+    is_flow_admissible,
+)
 from . import _solver_py
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 
@@ -378,7 +383,7 @@ def signed_circuit_flow(w: SignedCircuitWitness) -> FlowAssignment:
         place(vals)
     elif w.kind == "short-barbell":
         c1, c2 = w.circuits
-        meet = set(_circuit_vertex_set(g, c1)) & set(_circuit_vertex_set(g, c2))
+        meet = set(circuit_vertices(g, c1) & circuit_vertices(g, c2))
         if len(meet) != 1:
             raise PreconditionError("short barbell circuits must meet in one vertex")
         a = meet.pop()
@@ -395,8 +400,8 @@ def signed_circuit_flow(w: SignedCircuitWitness) -> FlowAssignment:
         c1, c2 = w.circuits
         path = w.path or ()
         pverts_first = g.edges[path[0]]
-        ends1 = set(_circuit_vertex_set(g, c1))
-        ends2 = set(_circuit_vertex_set(g, c2))
+        ends1 = circuit_vertices(g, c1)
+        ends2 = circuit_vertices(g, c2)
         a = pverts_first.u if pverts_first.u in ends1 or pverts_first.u in ends2 else pverts_first.v
         # orient the path from the circuit containing a toward the other
         if a in ends1:
@@ -422,15 +427,6 @@ def signed_circuit_flow(w: SignedCircuitWitness) -> FlowAssignment:
         place(vb_)
     _zero_boundary_or_raise(g, per_edge)
     return _positive_form(g, per_edge)
-
-
-def _circuit_vertex_set(g: SignedGraph, seq: tuple[int, ...]) -> set[int]:
-    out: set[int] = set()
-    for eid in seq:
-        e = g.edges[eid]
-        out.add(e.u)
-        out.add(e.v)
-    return out
 
 
 def _circuit_start(g: SignedGraph, seq: tuple[int, ...]) -> int:
@@ -531,7 +527,6 @@ def _orientation_coeffs(g: SignedGraph, lp_edges: list[int]):
 def circular_flow_number(
     g: SignedGraph,
     edge_cap: int = DEFAULT_EDGE_CAP_CIRCULAR,
-    shortcut: bool = True,
 ) -> FlowNumbers:
     """Exact circular flow number by orientation sweep + rational LP.
 
@@ -557,10 +552,9 @@ def circular_flow_number(
         # only positive loops (or no edges at all): every value may be 1
         fa = FlowAssignment(Orientation.reference(), (1,) * g.num_edges)
         return FlowNumbers(phi_c=Fraction(2), witnesses={"phi_c": fa})
-    if shortcut:
-        fa2 = find_nz_k_flow(g, 2)
-        if fa2 is not None:
-            return FlowNumbers(phi_c=Fraction(2), witnesses={"phi_c": fa2})
+    fa2 = find_nz_k_flow(g, 2)
+    if fa2 is not None:
+        return FlowNumbers(phi_c=Fraction(2), witnesses={"phi_c": fa2})
     ref = _orientation_coeffs(g, lp_edges)
     mlp = len(lp_edges)
     best: Optional[tuple[Fraction, tuple[int, ...], FlowAssignment]] = None

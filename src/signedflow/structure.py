@@ -15,7 +15,7 @@ The three kinds of signed circuit:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     BalanceCertificate,

@@ -33,7 +33,6 @@ from .core import (
     connected_components,
     edge_subgraph,
     is_eulerian,
-    switch,
 )
 from .errors import (
     InvariantViolation,
@@ -48,18 +47,15 @@ from .structure import (
     find_long_barbell,
     find_signed_circuit,
     is_flow_admissible,
+    is_unbalanced_circuit,
 )
 
 __all__ = [
     "TRANSFORM_SEARCH_CAP",
     "ConversionState",
-    "Tadpole",
     "EulerianDecomposition",
     "NormalizationState",
-    "minusing",
     "find_negative_ditrail",
-    "find_tadpole",
-    "modflow_to_intflow",
     "run_modflow_conversion",
     "decompose_into_2_flows",
     "eulerian_decompose",
@@ -181,35 +177,11 @@ class ConversionState:
     def minus_log(self) -> tuple[tuple[int, ...], ...]:
         return tuple(pay for op, pay in self.journal if op == "minus")
 
-    def net_switched(self) -> frozenset[int]:
-        out: set[int] = set()
-        for vs in self.switch_log:
-            out.symmetric_difference_update(vs)
-        return frozenset(out)
-
     def net_minused(self) -> frozenset[int]:
         out: set[int] = set()
         for ids in self.minus_log:
             out.symmetric_difference_update(ids)
         return frozenset(out)
-
-    @property
-    def current_graph(self) -> SignedGraph:
-        """The input graph with the net switchings applied to its signs."""
-        return switch(self.graph, self.net_switched())
-
-    @property
-    def orientation(self) -> Orientation:
-        """Current directions, expressed over the switched signature."""
-        return Orientation.from_directions(
-            self.current_graph, [tuple(d) for d in self.dirs]
-        )
-
-
-def minusing(state: ConversionState, edge_ids: Iterable[int]) -> ConversionState:
-    """Reverse every edge in the set and replace its value by k - f(e)."""
-    state.minus(edge_ids)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -280,20 +252,16 @@ def find_negative_ditrail(
     x: int,
     y: int,
     cap: Optional[int] = None,
-    avoid: Optional[frozenset[int]] = None,
 ) -> Optional[tuple[int, ...]]:
     """Edge-simple directed walk from x ending at y through an outward
     half-edge, or None when provably none exists.
 
     x == y asks for a closed negative ditrail (at least one edge).
-    ``avoid`` lists vertices the walk may never enter.  Depth-first,
-    edges tried in ascending id order; the first hit is returned.
+    Depth-first, edges tried in ascending id order; the first hit is
+    returned.
     """
     g = state.graph
     budget = _Budget(cap, "negative ditrail search")
-    banned = avoid or frozenset()
-    if x in banned or y in banned:
-        return None
     used = [False] * g.num_edges
     path: list[int] = []
     inc = g.incidence
@@ -305,8 +273,6 @@ def find_negative_ditrail(
                 continue
             budget.tick()
             w = g.edges[eid].endpoint(1 - end)
-            if w in banned:
-                continue
             arr = dirs[eid][1 - end]
             used[eid] = True
             path.append(eid)
@@ -451,57 +417,34 @@ def _all_positive_adjacency(state: ConversionState) -> list[list[tuple[int, int]
     return adj
 
 
-def _enumerate_all_positive_dipaths(
-    state: ConversionState, x: int, budget: _Budget
-) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """All vertex-simple walks from x along positive edges followed
-    outward-to-inward, the empty walk included; (edges, end, vertices)."""
-    adj = _all_positive_adjacency(state)
-    out: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [((), x, (x,))]
-    path: list[int] = []
-    verts: list[int] = [x]
-    vset = {x}
-
-    def rec(v: int) -> None:
-        for eid, w in adj[v]:
-            if w in vset:
-                continue
-            budget.tick()
-            path.append(eid)
-            verts.append(w)
-            vset.add(w)
-            out.append((tuple(path), w, tuple(verts)))
-            rec(w)
-            path.pop()
-            verts.pop()
-            vset.discard(w)
-
-    rec(x)
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    return out
-
-
 def find_tadpole(
     state: ConversionState, x: int, cap: Optional[int] = None
 ) -> Optional[Tadpole]:
-    """Tadpole with tail end x under the current directions.
+    """Tadpole with an all-positive tail from x under the current
+    directions, or None when none exists.
 
-    First tries the direct construction: walk all-positively to the
-    nearest endpoint u' of a sink edge t (a both-outward edge), find a
-    positive dipath back to the other endpoint u'', and splice the two
-    paths at the last edge they share.  Splicing can fail on multigraph
-    corner cases (the spliced head may touch the tail), so the result is
-    validated; on failure an exhaustive search over candidate tails in
-    (length, lexicographic) order takes over.  None is an exactness
-    claim up to the search cap.
+    Precondition: Y-(x) is empty, i.e. every vertex a directed walk from
+    x reaches negatively is also reached positively.  The conversion
+    switches Y-(x) away before calling this; without the precondition a
+    None may miss a tadpole.
+
+    Construction: walk all-positively to the nearest endpoint u' of a
+    sink edge t (a both-outward edge), find a positive dipath from x to
+    the other endpoint u'', and splice the two paths at the last edge
+    they share.  A spliced tadpole that fails validation raises
+    InvariantViolation.
+
+    None is exact under the precondition.  A tadpole's tail followed by
+    its head is a negative ditrail from x.  The first negative edge of
+    any negative ditrail from x is left outward at both ends, and
+    everything before that edge is an all-positive walk from x, so a
+    tadpole needs a sink edge at an all-positively reached vertex u'.
+    Then x reaches u'' negatively (through t), so with Y-(x) empty also
+    along a positive dipath, and the splice succeeds.
     """
-    budget = _Budget(cap, "tadpole search")
-    tp = _tadpole_by_splicing(state, x, budget)
-    if tp is not None and _validate_tadpole(state, tp):
-        return tp
-    tp = _tadpole_direct_search(state, x, budget)
+    tp = _tadpole_by_splicing(state, x, _Budget(cap, "tadpole search"))
     if tp is not None and not _validate_tadpole(state, tp):
-        raise InvariantViolation("direct tadpole search produced an invalid tadpole")
+        raise InvariantViolation(f"spliced tadpole at {x} fails validation: {tp}")
     return tp
 
 
@@ -561,17 +504,6 @@ def _tadpole_by_splicing(
         tuple(p_prime[cut:]) + (t_edge,) + tuple(reversed(p_second[s + 1 :]))
     )
     return Tadpole(tail, head, x, x_s)
-
-
-def _tadpole_direct_search(
-    state: ConversionState, x: int, budget: _Budget
-) -> Optional[Tadpole]:
-    for edges, v1, verts in _enumerate_all_positive_dipaths(state, x, budget):
-        avoid = frozenset(verts) - {v1}
-        head = find_negative_ditrail(state, v1, v1, cap=budget.cap - budget.spent, avoid=avoid)
-        if head is not None:
-            return Tadpole(edges, head, x, v1)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -759,29 +691,6 @@ def _unwind(state: ConversionState, fa_in: FlowAssignment) -> FlowAssignment:
     return FlowAssignment(fa_in.orientation, tuple(out))
 
 
-def modflow_to_intflow(
-    g: SignedGraph,
-    fa: FlowAssignment,
-    k: int,
-    *,
-    allow_even_k: bool = False,
-    require_barbell_free: bool = True,
-    cap: Optional[int] = None,
-) -> FlowAssignment:
-    """Integer k-flow congruent edgewise (mod k) to the given reduced
-    modulo-k flow, under the same orientation.  k must be odd (even k is
-    experimental and not guaranteed to terminate successfully)."""
-    out, _ = run_modflow_conversion(
-        g,
-        fa,
-        k,
-        allow_even_k=allow_even_k,
-        require_barbell_free=require_barbell_free,
-        cap=cap,
-    )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sum of non-negative 2-flows
 
@@ -887,7 +796,7 @@ def _decompose_rec(
             raise InvariantViolation(
                 f"support subgraph is not a modulo-{km1} flow: {ok.violation}"
             )
-        conv = modflow_to_intflow(sub, sub_fa, km1, require_barbell_free=False)
+        conv, _ = run_modflow_conversion(sub, sub_fa, km1, require_barbell_free=False)
         for j, old in enumerate(eback):
             g0[old] = int(conv.values[j])
     f1 = []
@@ -910,10 +819,6 @@ class EulerianDecomposition:
     """Edge partition into balanced circuits and short barbells."""
 
     members: tuple[SignedCircuitWitness, ...]
-
-    @property
-    def member_edges(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(w.edge_ids)) for w in self.members)
 
 
 def _peel_circuits(g: SignedGraph, edge_ids: Iterable[int]) -> list[tuple[int, ...]]:
@@ -978,10 +883,6 @@ def _circuit_vseq(g: SignedGraph, circ: Sequence[int]) -> list[int]:
     return seq
 
 
-def _neg_count(g: SignedGraph, edges: Iterable[int]) -> int:
-    return sum(1 for eid in edges if g.edges[eid].sign < 0)
-
-
 def eulerian_decompose(g: SignedGraph) -> EulerianDecomposition:
     """Partition an eulerian, flow-admissible, barbell-free signed graph
     into balanced circuits and short barbells.
@@ -1013,7 +914,7 @@ def eulerian_decompose(g: SignedGraph) -> EulerianDecomposition:
 
     def classify_new(circs: Iterable[tuple[int, ...]]) -> None:
         for c in circs:
-            if _neg_count(g, c) % 2 == 0:
+            if not is_unbalanced_circuit(g, c):
                 members.append(("balanced-circuit", c))
             else:
                 work.append(c)
@@ -1107,15 +1008,15 @@ def _recombine_pair(
     s = vj.index(x2)
     p2a = list(cjr[:s])
     p2b = list(cjr[s:])
-    n1 = _neg_count(g, p1) % 2
-    if _neg_count(g, p2a) % 2 == n1:
+    n1 = is_unbalanced_circuit(g, p1)
+    if is_unbalanced_circuit(g, p2a) == n1:
         p2, rest_j = p2a, p2b
-    elif _neg_count(g, p2b) % 2 == n1:
+    elif is_unbalanced_circuit(g, p2b) == n1:
         p2, rest_j = p2b, p2a
     else:
         raise InvariantViolation("no parity-matching subpath in the second circuit")
     balanced = tuple(p1 + p2)
-    if _neg_count(g, balanced) % 2 != 0:
+    if is_unbalanced_circuit(g, balanced):
         raise InvariantViolation("recombined circuit is not balanced")
     leftover = [e for e in ci if e not in set(p1)] + rest_j
     return balanced, leftover

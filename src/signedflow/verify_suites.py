@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 import multiprocessing
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from math import ceil
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     FlowAssignment,
@@ -41,7 +40,6 @@ __all__ = [
     "suite_conversion",
     "suite_cubic_z4",
     "suite_eulerian_decomp",
-    "suite_even_k_experimental",
     "suite_mod_int_equiv",
     "suite_phi_equality",
     "suite_six_flow",
@@ -211,7 +209,7 @@ def _conversion_item(g: SignedGraph, ks: tuple[int, ...], cap: Optional[int]):
             continue
         checked += 1
         try:
-            out = transform.modflow_to_intflow(g, zk, k, cap=cap)
+            out, _ = transform.run_modflow_conversion(g, zk, k, cap=cap)
         except InvariantViolation as exc:
             failures.append(_fail(g, f"k={k}: invariant violation: {exc}"))
             _bump(notes, "invariant-aborts")
@@ -398,45 +396,6 @@ def suite_cubic_z4(
     return _collect("cubic-z4", graphs, partial(_cubic_item, cap=cap), workers)
 
 
-def _even_k_item(g: SignedGraph, ks: tuple[int, ...], cap: Optional[int]):
-    if find_long_barbell(g) is not None:
-        return None
-    notes: dict = {}
-    checked = 0
-    for k in ks:
-        zk = solve.find_nz_zk_flow(g, k, cap=cap)
-        if zk is None:
-            continue
-        checked += 1
-        try:
-            out = transform.modflow_to_intflow(
-                g, zk, k, allow_even_k=True, cap=cap or 100_000
-            )
-        except (InvariantViolation, ResourceCapExceeded) as exc:
-            _bump(notes, f"k={k}-failed-{type(exc).__name__}")
-            continue
-        res = check_flow(g, out, FlowKind.integer(k))
-        _bump(notes, f"k={k}-converted" if res.ok else f"k={k}-invalid")
-    return {"failures": [], "notes": notes, "checked": checked}
-
-
-def suite_even_k_experimental(
-    graphs: Sequence[SignedGraph],
-    ks: tuple[int, ...] = (4, 6),
-    cap: Optional[int] = None,
-    workers: int = 1,
-) -> SuiteReport:
-    """Attempt the odd-k conversion on even k and tally the outcomes.
-
-    Purely exploratory: the theorem does not cover even k, so nothing
-    here is asserted; the report only counts conversions, aborts, and
-    cap hits.
-    """
-    return _collect(
-        "even-k-experimental", graphs, partial(_even_k_item, ks=ks, cap=cap), workers
-    )
-
-
 SUITES: dict[str, Callable[..., SuiteReport]] = {
     "six-flow": suite_six_flow,
     "mod-int-equiv": suite_mod_int_equiv,
@@ -445,7 +404,6 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
     "eulerian-decomp": suite_eulerian_decomp,
     "phi-equality": suite_phi_equality,
     "cubic-z4": suite_cubic_z4,
-    "even-k-experimental": suite_even_k_experimental,
 }
 
 

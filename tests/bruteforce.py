@@ -1,9 +1,10 @@
 """Unpruned reference enumerators used as an independent oracle.
 
 Everything here works straight off the edge list: build the half-edge
-incidence matrix, enumerate every assignment, test the boundary.  No
-code is shared with the pruned solvers on purpose — agreement between
-the two is one of the acceptance gates.
+incidence matrix, enumerate every assignment, test the boundary; the
+tadpole search likewise tries every tail and every head.  No code is
+shared with the pruned solvers on purpose — agreement between the two
+is one of the acceptance gates.
 
 Size guard: 2(k-1) choices per edge, so k=4 with 6 edges is 6^6 = 46656
 columns.  Keep inputs small.
@@ -95,3 +96,54 @@ def negative_odd_count(g, values) -> int:
     return sum(
         1 for j, e in enumerate(g.edges) if e.sign < 0 and int(values[j]) % 2 != 0
     )
+
+
+def _half_edge_moves(g, dirs):
+    """Per vertex: (edge, tau leaving here, far vertex, tau arriving there)
+    for every half-edge, both ends of a loop included."""
+    moves = [[] for _ in range(g.num_vertices)]
+    for j, e in enumerate(g.edges):
+        moves[e.u].append((j, dirs[j][0], e.v, dirs[j][1]))
+        moves[e.v].append((j, dirs[j][1], e.u, dirs[j][0]))
+    return moves
+
+
+def tadpole_exists(g, dirs, x) -> bool:
+    """Is there a tadpole with tail end x under half-edge directions dirs?
+
+    Tail: a vertex-simple walk from x along edges that leave through +1
+    and arrive through -1 (possibly empty).  Head: an edge-simple closed
+    walk at the tail's far end v that leaves v through +1, leaves every
+    vertex through the opposite of the direction it arrived by, returns
+    to v through +1, and touches no other tail vertex.  Every tail is
+    tried, every head searched to exhaustion.
+    """
+    moves = _half_edge_moves(g, dirs)
+
+    def head_from(v, banned):
+        used = set()
+
+        def rec(w, need):
+            for j, tau, far, arr in moves[w]:
+                if j in used or tau != need or far in banned:
+                    continue
+                if far == v and arr == 1:
+                    return True
+                used.add(j)
+                if rec(far, -arr):
+                    return True
+                used.discard(j)
+            return False
+
+        return rec(v, 1)
+
+    def tails(v, verts):
+        if head_from(v, verts - {v}):
+            return True
+        for j, tau, far, arr in moves[v]:
+            if tau == 1 and arr == -1 and far not in verts:
+                if tails(far, verts | {far}):
+                    return True
+        return False
+
+    return tails(x, frozenset({x}))

@@ -279,6 +279,22 @@ def test_malformed_flow_payload_detected():
     assert not out.ok and "malformed" in out.reason
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda payload: payload.pop("flow_kind"),
+        lambda payload: payload.update(flow_kind="integer:abc"),
+        lambda payload: payload.update(values=5),
+        lambda payload: payload.update(orientation=[4]),  # cycle(4) has edges 0..3
+    ],
+    ids=["missing-flow-kind", "bad-flow-kind-param", "values-not-a-list", "orientation-id-out-of-range"],
+)
+def test_malformed_certificate_rejected_not_raised(mutate):
+    out = verify_certificate(retamper(flow_exists_cert(), lambda raw: mutate(raw["payload"])))
+    assert isinstance(out, VerifyOutcome)
+    assert not out.ok and "malformed" in out.reason
+
+
 def test_wrong_schema_version_refused():
     out = verify_certificate(
         retamper(flow_exists_cert(), lambda raw: raw.update(schema_version=99))

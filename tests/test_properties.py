@@ -20,7 +20,16 @@ from signedflow.core import (
 )
 from signedflow.errors import NotFlowAdmissibleError
 from signedflow.solve import find_nz_k_flow, find_nz_zk_flow, flow_numbers
-from signedflow.transform import ConversionState, minusing, normalize_circular_flow
+from signedflow.transform import (
+    ConversionState,
+    _Budget,
+    _dipath_reach,
+    _validate_tadpole,
+    find_tadpole,
+    normalize_circular_flow,
+)
+
+from bruteforce import tadpole_exists
 
 REF = Orientation.reference()
 
@@ -111,10 +120,36 @@ def test_minusing_is_an_involution(g, data):
     vals0 = list(state.values)
     dirs0 = [list(d) for d in state.dirs]
     ids = data.draw(st.sets(st.integers(0, g.num_edges - 1)))
-    minusing(state, ids)
-    minusing(state, ids)
+    state.minus(ids)
+    state.minus(ids)
     assert state.values == vals0
     assert state.dirs == dirs0
+
+
+@st.composite
+def conversion_states(draw, max_v=6, max_e=9):
+    """A graph with arbitrary half-edge directions and a start vertex:
+    switching and minusing reach every direction pattern."""
+    g = draw(signed_graphs(max_v=max_v, max_e=max_e))
+    tau = st.sampled_from((1, -1))
+    dirs = [[draw(tau), draw(tau)] for _ in g.edges]
+    x = draw(st.integers(0, g.num_vertices - 1))
+    return ConversionState(g, 3, dirs, [1] * g.num_edges), x
+
+
+@given(conversion_states())
+@settings(deadline=None, max_examples=400)
+def test_tadpole_splice_matches_exhaustive_search(case):
+    # find_tadpole's precondition: nothing is reached from x only
+    # negatively (the conversion switches that set away first)
+    state, x = case
+    _, y_minus = _dipath_reach(state, x, _Budget(None, "test"))
+    assume(not y_minus)
+    tp = find_tadpole(state, x)
+    assert (tp is None) == (not tadpole_exists(state.graph, state.dirs, x))
+    if tp is not None:
+        assert tp.tail_end == x
+        assert _validate_tadpole(state, tp)
 
 
 @given(signed_graphs(max_v=4, max_e=5))

@@ -24,13 +24,10 @@ from signedflow.solve import find_nz_k_flow, find_nz_zk_flow
 from signedflow.transform import (
     ConversionState,
     EulerianDecomposition,
-    Tadpole,
     decompose_into_2_flows,
     eulerian_decompose,
     find_negative_ditrail,
     find_tadpole,
-    minusing,
-    modflow_to_intflow,
     normalize_circular_flow,
     run_modflow_conversion,
 )
@@ -69,7 +66,7 @@ def test_minusing_definition():
     g = SignedGraph(2, (Edge(0, 1, 1),))
     st = ConversionState.lift(g, FlowAssignment(REF, (1,)), 5)
     before = [list(d) for d in st.dirs]
-    minusing(st, [0])
+    st.minus([0])
     assert st.values == [4]
     assert st.dirs[0] == [-before[0][0], -before[0][1]]
 
@@ -78,7 +75,7 @@ def test_minusing_empty_is_noop():
     g = SignedGraph(2, (Edge(0, 1, 1),))
     st = ConversionState.lift(g, FlowAssignment(REF, (2,)), 5)
     j = len(st.journal)
-    minusing(st, [])
+    st.minus([])
     assert st.values == [2] and len(st.journal) == j
 
 
@@ -88,8 +85,8 @@ def test_minusing_involution():
     st = ConversionState.lift(g, fa, 3)
     vals0 = list(st.values)
     dirs0 = [list(d) for d in st.dirs]
-    minusing(st, [0, 4, 7])
-    minusing(st, [0, 4, 7])
+    st.minus([0, 4, 7])
+    st.minus([0, 4, 7])
     assert st.values == vals0
     assert st.dirs == dirs0
 
@@ -101,9 +98,9 @@ def test_operations_preserve_state_invariants():
     st = ConversionState.lift(g, find_nz_zk_flow(g, 3), 3)
     for op in (
         lambda: st.switch_at([1, 4]),
-        lambda: minusing(st, [2, 3]),
+        lambda: st.minus([2, 3]),
         lambda: st.switch_at([0]),
-        lambda: minusing(st, [2]),
+        lambda: st.minus([2]),
     ):
         op()
         assert all(0 < v < st.k for v in st.values)
@@ -158,13 +155,13 @@ def check_conversion(g, fa, k, out):
 def test_k33_z3_conversion():
     g = k33()
     fa = find_nz_zk_flow(g, 3)
-    out = modflow_to_intflow(g, fa, 3)
+    out, _ = run_modflow_conversion(g, fa, 3)
     check_conversion(g, fa, 3, out)
 
 
 def test_petersen_z7_conversion(petersen):
     fa = find_nz_zk_flow(petersen, 7)
-    out = modflow_to_intflow(petersen, fa, 7)
+    out, _ = run_modflow_conversion(petersen, fa, 7)
     check_conversion(petersen, fa, 7, out)
 
 
@@ -183,7 +180,7 @@ def test_even_k_needs_flag():
     g = k33()
     fa = find_nz_zk_flow(g, 4)
     with pytest.raises(PreconditionError, match="odd"):
-        modflow_to_intflow(g, fa, 4)
+        run_modflow_conversion(g, fa, 4)
 
 
 def test_barbell_guard():
@@ -191,7 +188,7 @@ def test_barbell_guard():
     fa = find_nz_zk_flow(g, 5)
     assert fa is not None
     with pytest.raises(PreconditionError, match="barbell"):
-        modflow_to_intflow(g, fa, 5)
+        run_modflow_conversion(g, fa, 5)
 
 
 def test_w5_counterexample_defeats_even_k():
@@ -205,7 +202,7 @@ def test_w5_counterexample_defeats_even_k():
     assert bad is not None
     fa = find_nz_zk_flow(bad, 4)
     with pytest.raises((InvariantViolation, ResourceCapExceeded)):
-        modflow_to_intflow(bad, fa, 4, allow_even_k=True, cap=50_000)
+        run_modflow_conversion(bad, fa, 4, allow_even_k=True, cap=50_000)
 
 
 def test_journal_replay_reproduces_final_state(petersen):
@@ -228,8 +225,8 @@ def test_journal_replay_reproduces_final_state(petersen):
 
 def test_conversion_is_deterministic(petersen):
     fa = find_nz_zk_flow(petersen, 7)
-    a = modflow_to_intflow(petersen, fa, 7)
-    b = modflow_to_intflow(petersen, fa, 7)
+    a, _ = run_modflow_conversion(petersen, fa, 7)
+    b, _ = run_modflow_conversion(petersen, fa, 7)
     assert a == b
 
 
