@@ -214,6 +214,34 @@ def _payload_flow(
     return FlowAssignment(Orientation(rev), vals)
 
 
+def _stated_verdict(claim: str, payload: dict) -> str:
+    """The verdict string a certificate's payload states."""
+    if claim == "flow":
+        return "none" if payload.get("search") == "exhaustive" else "exists"
+    if claim == "flow-number":
+        return ";".join(
+            f"{k}={payload[k]}" for k in ("phi_i", "phi_c") if k in payload
+        ) or "none"
+    if claim == "conversion":
+        return "converted"
+    if claim == "two-flow-decomposition":
+        return f"parts={len(payload['parts'])}"
+    if claim == "eulerian-decomposition":
+        return f"members={len(payload['members'])}"
+    assert claim == "normalization", claim
+    return "residual" if payload["off_grid"] else "empty"
+
+
+def _certificate(g: SignedGraph, claim: str, payload: dict) -> Certificate:
+    return Certificate(
+        claim=claim,
+        graph_text=serialize_graph(g),
+        graph_hash=graph_sha256(g),
+        verdict=_stated_verdict(claim, payload),
+        payload=payload,
+    )
+
+
 def make_flow_certificate(
     g: SignedGraph,
     kind: FlowKind,
@@ -223,20 +251,13 @@ def make_flow_certificate(
     """Existence witness or exhaustive-search nonexistence attestation."""
     payload: dict = {"flow_kind": str(kind)}
     if fa is None:
-        verdict = "none"
         payload["search"] = "exhaustive"
     else:
-        verdict = "exists"
         payload.update(_flow_payload(fa))
-    resources = {} if nodes is None else {"nodes": nodes}
-    return Certificate(
-        claim="flow",
-        graph_text=serialize_graph(g),
-        graph_hash=graph_sha256(g),
-        verdict=verdict,
-        payload=payload,
-        resources=resources,
-    )
+    cert = _certificate(g, "flow", payload)
+    if nodes is not None:
+        cert.resources["nodes"] = nodes
+    return cert
 
 
 def make_flow_number_certificate(g: SignedGraph, numbers) -> Certificate:
@@ -247,49 +268,28 @@ def make_flow_number_certificate(g: SignedGraph, numbers) -> Certificate:
         payload["phi_c"] = fraction_to_str(numbers.phi_c)
     for key, fa in numbers.witnesses.items():
         payload[f"witness_{key}"] = _flow_payload(fa)
-    verdict = ";".join(
-        f"{k}={payload[k]}" for k in ("phi_i", "phi_c") if k in payload
-    )
-    return Certificate(
-        claim="flow-number",
-        graph_text=serialize_graph(g),
-        graph_hash=graph_sha256(g),
-        verdict=verdict or "none",
-        payload=payload,
-    )
+    return _certificate(g, "flow-number", payload)
 
 
 def make_conversion_certificate(
     g: SignedGraph, k: int, modular: FlowAssignment, integer: FlowAssignment, journal
 ) -> Certificate:
-    return Certificate(
-        claim="conversion",
-        graph_text=serialize_graph(g),
-        graph_hash=graph_sha256(g),
-        verdict="converted",
-        payload={
-            "k": k,
-            "input": _flow_payload(modular),
-            "output": _flow_payload(integer),
-            "journal": [[op, sorted(items)] for op, items in journal],
-        },
-    )
+    return _certificate(g, "conversion", {
+        "k": k,
+        "input": _flow_payload(modular),
+        "output": _flow_payload(integer),
+        "journal": [[op, sorted(items)] for op, items in journal],
+    })
 
 
 def make_decomposition_certificate(
     g: SignedGraph, k: int, fa: FlowAssignment, parts
 ) -> Certificate:
-    return Certificate(
-        claim="two-flow-decomposition",
-        graph_text=serialize_graph(g),
-        graph_hash=graph_sha256(g),
-        verdict=f"parts={len(parts)}",
-        payload={
-            "k": k,
-            "input": _flow_payload(fa),
-            "parts": [_flow_payload(p) for p in parts],
-        },
-    )
+    return _certificate(g, "two-flow-decomposition", {
+        "k": k,
+        "input": _flow_payload(fa),
+        "parts": [_flow_payload(p) for p in parts],
+    })
 
 
 def make_eulerian_certificate(g: SignedGraph, decomposition) -> Certificate:
@@ -298,34 +298,22 @@ def make_eulerian_certificate(g: SignedGraph, decomposition) -> Certificate:
          "path": list(w.path) if w.path else []}
         for w in decomposition.members
     ]
-    return Certificate(
-        claim="eulerian-decomposition",
-        graph_text=serialize_graph(g),
-        graph_hash=graph_sha256(g),
-        verdict=f"members={len(members)}",
-        payload={"members": members},
-    )
+    return _certificate(g, "eulerian-decomposition", {"members": members})
 
 
 def make_normalization_certificate(
     g: SignedGraph, fa_in: FlowAssignment, state
 ) -> Certificate:
-    return Certificate(
-        claim="normalization",
-        graph_text=serialize_graph(g),
-        graph_hash=graph_sha256(g),
-        verdict="empty" if not state.off_grid else "residual",
-        payload={
-            "p": state.p,
-            "q": state.q,
-            "input": _flow_payload(fa_in),
-            "final": _flow_payload(state.flow),
-            "off_grid": sorted(state.off_grid),
-            "pushes": [
-                [list(sup), d, fraction_to_str(eps)] for sup, d, eps in state.pushes
-            ],
-        },
-    )
+    return _certificate(g, "normalization", {
+        "p": state.p,
+        "q": state.q,
+        "input": _flow_payload(fa_in),
+        "final": _flow_payload(state.flow),
+        "off_grid": sorted(state.off_grid),
+        "pushes": [
+            [list(sup), d, fraction_to_str(eps)] for sup, d, eps in state.pushes
+        ],
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +357,8 @@ def _verify_flow_number(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
     from . import solve
 
     payload = cert.payload
+    if "phi_i" not in payload and "phi_c" not in payload:
+        return VerifyOutcome(False, "flow-number certificate claims no flow number")
     if "phi_i" in payload:
         k = int(payload["phi_i"])
         fa = _payload_flow(payload["witness_phi_i"], g.num_edges, FlowKind.integer(k))
@@ -506,8 +496,9 @@ _VERIFIERS = {
 def verify_certificate(cert: Certificate) -> VerifyOutcome:
     """Recompute the certificate's verdict from graph + witness alone.
 
-    Missing fields, wrong types and unparsable values get a rejecting
-    outcome, not an exception.
+    The verdict string must be the one the payload states.  Missing
+    fields, wrong types and unparsable values get a rejecting outcome,
+    not an exception.
     """
     if cert.schema_version != SCHEMA_VERSION:
         return VerifyOutcome(False, f"unsupported schema {cert.schema_version}")
@@ -516,7 +507,12 @@ def verify_certificate(cert: Certificate) -> VerifyOutcome:
         return VerifyOutcome(False, f"unknown claim {cert.claim!r}")
     try:
         g = _verify_graph(cert)
-        return handler(cert, g)
+        outcome = handler(cert, g)
+        if outcome.ok and cert.verdict != _stated_verdict(cert.claim, cert.payload):
+            return VerifyOutcome(
+                False, f"verdict {cert.verdict!r} does not match the payload"
+            )
+        return outcome
     except PreconditionError as exc:
         return VerifyOutcome(False, str(exc))
     except (KeyError, IndexError, TypeError, ValueError) as exc:

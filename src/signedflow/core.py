@@ -52,7 +52,7 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph or flow files (includes line number)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     u: int
     v: int
@@ -108,6 +108,20 @@ class SignedGraph:
     @cached_property
     def negative_edges(self) -> tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.edges) if e.sign < 0)
+
+    @cached_property
+    def flow_admissibility(self):
+        """Cached ``structure.is_flow_admissible`` verdict."""
+        from .structure import _flow_admissibility
+
+        return _flow_admissibility(self)
+
+    @cached_property
+    def long_barbell(self):
+        """Cached ``structure.find_long_barbell`` witness, or None."""
+        from .structure import _long_barbell
+
+        return _long_barbell(self)
 
     def degree(self, v: int) -> int:
         return len(self.incidence[v])

@@ -53,15 +53,20 @@ __all__ = [
 
 
 def _resolve_cap(cap: Optional[int]) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get("SG_RESOURCE_CAP")
-    if env:
+    """The node cap: the argument, else SG_RESOURCE_CAP, else the default.
+
+    A cap below 1 is rejected; the kernels would read 0 as unlimited."""
+    if cap is None:
+        env = os.environ.get("SG_RESOURCE_CAP")
+        if not env:
+            return DEFAULT_NODE_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise PreconditionError(f"SG_RESOURCE_CAP is not an integer: {env!r}") from None
-    return DEFAULT_NODE_CAP
+    if cap < 1:
+        raise PreconditionError(f"node cap must be at least 1, got {cap}")
+    return cap
 
 
 def _pick_backend(backend: Optional[str]):

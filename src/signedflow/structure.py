@@ -304,25 +304,24 @@ def _connecting_path(
     return None
 
 
-def find_long_barbell(
-    g: SignedGraph, cap: int = DEFAULT_CIRCUIT_CAP
-) -> SignedCircuitWitness | None:
+def find_long_barbell(g: SignedGraph) -> SignedCircuitWitness | None:
     """Search for a long barbell; None is an exactness claim.
 
     Unbalanced circuits are tried shortest first; for each, the balance
     scan of the remaining graph supplies a disjoint unbalanced circuit
-    and a breadth-first search the connecting path.
+    and a breadth-first search the connecting path.  The answer is
+    computed once per graph object and cached on it.
     """
-    circuits = enumerate_circuits(g, cap=cap)
-    for c in circuits:
+    return g.long_barbell
+
+
+def _long_barbell(g: SignedGraph) -> SignedCircuitWitness | None:
+    for c in enumerate_circuits(g):
         if not is_unbalanced_circuit(g, c):
             continue
         cverts = circuit_vertices(g, c)
-        rest, vback, eback = delete_vertices(g, cverts)
-        for comp in connected_components(rest):
-            comp_sub, cvb, ceb = delete_vertices(
-                rest, [v for v in range(rest.num_vertices) if v not in comp]
-            )
+        rest, _, eback = delete_vertices(g, cverts)
+        for _, comp_sub, _, ceb in _component_subgraphs(rest):
             cert = is_balanced(comp_sub)
             if cert.witness is None:
                 continue
@@ -333,13 +332,11 @@ def find_long_barbell(
     return None
 
 
-def find_signed_circuit(
-    g: SignedGraph, cap: int = DEFAULT_CIRCUIT_CAP
-) -> SignedCircuitWitness | None:
+def find_signed_circuit(g: SignedGraph) -> SignedCircuitWitness | None:
     """First signed circuit contained in g: balanced circuits first, then
     short barbells, then long barbells.  None means g has no signed
     circuit (its components are unbalanced-circuit trees at most)."""
-    circuits = enumerate_circuits(g, cap=cap)
+    circuits = enumerate_circuits(g)
     unbalanced = []
     for c in circuits:
         if is_unbalanced_circuit(g, c):
@@ -407,8 +404,13 @@ def is_flow_admissible(g: SignedGraph) -> AdmissibilityVerdict:
 
     A connected signed graph admits a nowhere-zero flow iff it is not
     switching-equivalent to a graph with exactly one negative edge and
-    no cut edge leaves a balanced component behind.
+    no cut edge leaves a balanced component behind.  The verdict is
+    computed once per graph object and cached on it.
     """
+    return g.flow_admissibility
+
+
+def _flow_admissibility(g: SignedGraph) -> AdmissibilityVerdict:
     defects: list[ComponentDefect] = []
     for comp, sub, vback, eback in _component_subgraphs(g):
         form = _one_negative_form(sub)
@@ -428,15 +430,10 @@ def is_flow_admissible(g: SignedGraph) -> AdmissibilityVerdict:
                 sub.num_vertices,
                 tuple(e for i, e in enumerate(sub.edges) if i != b),
             )
-            bad = False
-            for side in connected_components(without):
-                side_sub, _, _ = delete_vertices(
-                    without, [v for v in range(without.num_vertices) if v not in side]
-                )
-                if is_balanced(side_sub).balanced:
-                    bad = True
-                    break
-            if bad:
+            if any(
+                is_balanced(side).balanced
+                for _, side, _, _ in _component_subgraphs(without)
+            ):
                 defects.append(
                     ComponentDefect(comp, "balanced-side-bridge", edge=eback[b])
                 )

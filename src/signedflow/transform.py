@@ -67,13 +67,21 @@ __all__ = [
 TRANSFORM_SEARCH_CAP = 10**7
 
 
+def _resolve_cap(cap: Optional[int]) -> int:
+    if cap is None:
+        return TRANSFORM_SEARCH_CAP
+    if cap < 1:
+        raise PreconditionError(f"search cap must be at least 1, got {cap}")
+    return cap
+
+
 class _Budget:
     """Shared search-step counter with a hard cap."""
 
     __slots__ = ("cap", "spent", "label")
 
     def __init__(self, cap: Optional[int], label: str):
-        self.cap = cap if cap is not None else TRANSFORM_SEARCH_CAP
+        self.cap = _resolve_cap(cap)
         self.spent = 0
         self.label = label
 
@@ -516,7 +524,6 @@ def run_modflow_conversion(
     k: int,
     *,
     allow_even_k: bool = False,
-    require_barbell_free: bool = True,
     cap: Optional[int] = None,
 ) -> tuple[FlowAssignment, ConversionState]:
     """Drive a reduced modulo-k assignment to an integer k-flow.
@@ -536,6 +543,7 @@ def run_modflow_conversion(
     """
     if not isinstance(k, int) or k < 2:
         raise PreconditionError("k must be an integer >= 2")
+    cap = _resolve_cap(cap)
     if k % 2 == 0 and not allow_even_k:
         raise PreconditionError(
             f"k = {k} is even: conversion is only guaranteed for odd k "
@@ -545,10 +553,9 @@ def run_modflow_conversion(
     res = check_flow(g, fa, FlowKind.modulo(k))
     if not res.ok:
         raise PreconditionError(f"input is not a reduced modulo-{k} flow: {res.violation}")
-    if require_barbell_free and find_long_barbell(g) is not None:
+    if find_long_barbell(g) is not None:
         raise PreconditionError(
-            "graph contains a long barbell; conversion is not guaranteed "
-            "(pass require_barbell_free=False to attempt it regardless)"
+            "graph contains a long barbell; conversion is not guaranteed"
         )
     state = ConversionState.lift(g, fa, k)
     n = g.num_vertices
@@ -699,8 +706,6 @@ def decompose_into_2_flows(
     g: SignedGraph,
     fa: FlowAssignment,
     k: Optional[int] = None,
-    *,
-    require_barbell_free: bool = True,
 ) -> list[FlowAssignment]:
     """Write a positive k-flow as exactly k-1 non-negative 2-flows.
 
@@ -718,7 +723,7 @@ def decompose_into_2_flows(
     res = check_flow(g, fa, FlowKind.integer(k))
     if not res.ok:
         raise PreconditionError(f"input is not an integer {k}-flow: {res.violation}")
-    if require_barbell_free and find_long_barbell(g) is not None:
+    if find_long_barbell(g) is not None:
         raise PreconditionError("graph contains a long barbell")
     parts = _decompose_rec(g, vals, k, fa.orientation)
     if len(parts) != k - 1:
@@ -796,7 +801,8 @@ def _decompose_rec(
             raise InvariantViolation(
                 f"support subgraph is not a modulo-{km1} flow: {ok.violation}"
             )
-        conv, _ = run_modflow_conversion(sub, sub_fa, km1, require_barbell_free=False)
+        # a subgraph of a barbell-free graph is barbell-free
+        conv, _ = run_modflow_conversion(sub, sub_fa, km1)
         for j, old in enumerate(eback):
             g0[old] = int(conv.values[j])
     f1 = []

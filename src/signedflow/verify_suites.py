@@ -37,13 +37,6 @@ __all__ = [
     "SuiteReport",
     "flow_parity_ok",
     "run_suite",
-    "suite_conversion",
-    "suite_cubic_z4",
-    "suite_eulerian_decomp",
-    "suite_mod_int_equiv",
-    "suite_phi_equality",
-    "suite_six_flow",
-    "suite_two_flow_sum",
 ]
 
 
@@ -132,10 +125,16 @@ def _admissible_barbell_free(g: SignedGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# individual suites
+# individual suites: each item function takes one graph and the node cap
+
+MOD_INT_KS = (3, 5, 6, 7)
+CONVERSION_KS = (3, 5, 7)
+TWO_FLOW_K_MAX = 6
+PHI_EDGE_CAP = 12
 
 
 def _six_flow_item(g: SignedGraph, cap: Optional[int]):
+    """Every admissible barbell-free graph admits a nowhere-zero 6-flow."""
     if not _admissible_barbell_free(g):
         return None
     failures = []
@@ -153,20 +152,14 @@ def _six_flow_item(g: SignedGraph, cap: Optional[int]):
     return {"failures": failures, "notes": notes}
 
 
-def suite_six_flow(
-    graphs: Sequence[SignedGraph], cap: Optional[int] = None, workers: int = 1
-) -> SuiteReport:
-    """Every admissible barbell-free graph admits a nowhere-zero 6-flow."""
-    return _collect("six-flow", graphs, partial(_six_flow_item, cap=cap), workers)
-
-
-def _mod_int_item(g: SignedGraph, ks: tuple[int, ...], cap: Optional[int]):
+def _mod_int_item(g: SignedGraph, cap: Optional[int]):
+    """Modulo-k and integer-k solvability agree (k = 3 or k >= 5)."""
     if not _admissible_barbell_free(g):
         return None
     failures = []
     notes: dict = {}
     checked = 0
-    for k in ks:
+    for k in MOD_INT_KS:
         zk = solve.find_nz_zk_flow(g, k, cap=cap)
         kk = solve.find_nz_k_flow(g, k, cap=cap)
         checked += 1
@@ -182,28 +175,14 @@ def _mod_int_item(g: SignedGraph, ks: tuple[int, ...], cap: Optional[int]):
     return {"failures": failures, "notes": notes, "checked": checked}
 
 
-def suite_mod_int_equiv(
-    graphs: Sequence[SignedGraph],
-    ks: tuple[int, ...] = (3, 5, 6, 7),
-    cap: Optional[int] = None,
-    workers: int = 1,
-) -> SuiteReport:
-    """Modulo-k and integer-k solvability agree (k = 3 or k >= 5)."""
-    for k in ks:
-        if k == 4 or k < 3:
-            raise PreconditionError(f"equivalence does not cover k={k}")
-    return _collect(
-        "mod-int-equiv", graphs, partial(_mod_int_item, ks=ks, cap=cap), workers
-    )
-
-
-def _conversion_item(g: SignedGraph, ks: tuple[int, ...], cap: Optional[int]):
+def _conversion_item(g: SignedGraph, cap: Optional[int]):
+    """Every modulo-k flow on a barbell-free graph converts to integer k (odd k)."""
     if find_long_barbell(g) is not None:
         return None
     failures = []
     notes: dict = {}
     checked = 0
-    for k in ks:
+    for k in CONVERSION_KS:
         zk = solve.find_nz_zk_flow(g, k, cap=cap)
         if zk is None:
             continue
@@ -229,28 +208,14 @@ def _conversion_item(g: SignedGraph, ks: tuple[int, ...], cap: Optional[int]):
     return {"failures": failures, "notes": notes, "checked": checked}
 
 
-def suite_conversion(
-    graphs: Sequence[SignedGraph],
-    ks: tuple[int, ...] = (3, 5, 7),
-    cap: Optional[int] = None,
-    workers: int = 1,
-) -> SuiteReport:
-    """Every modulo-k flow on a barbell-free graph converts to integer k (odd k)."""
-    for k in ks:
-        if k % 2 == 0:
-            raise PreconditionError("conversion suite covers odd k only")
-    return _collect(
-        "conversion", graphs, partial(_conversion_item, ks=ks, cap=cap), workers
-    )
-
-
-def _two_flow_item(g: SignedGraph, k_max: int, cap: Optional[int]):
+def _two_flow_item(g: SignedGraph, cap: Optional[int]):
+    """Positive k-flows split into k-1 nonnegative 2-flows summing exactly."""
     if not _admissible_barbell_free(g):
         return None
     failures = []
     notes: dict = {}
     checked = 0
-    for k in range(2, k_max + 1):
+    for k in range(2, TWO_FLOW_K_MAX + 1):
         fa = solve.find_nz_k_flow(g, k, cap=cap)
         if fa is None:
             continue
@@ -268,19 +233,10 @@ def _two_flow_item(g: SignedGraph, k_max: int, cap: Optional[int]):
     return {"failures": failures, "notes": notes, "checked": checked}
 
 
-def suite_two_flow_sum(
-    graphs: Sequence[SignedGraph],
-    k_max: int = 6,
-    cap: Optional[int] = None,
-    workers: int = 1,
-) -> SuiteReport:
-    """Positive k-flows split into k-1 nonnegative 2-flows summing exactly."""
-    return _collect(
-        "two-flow-sum", graphs, partial(_two_flow_item, k_max=k_max, cap=cap), workers
-    )
-
-
-def _eulerian_item(g: SignedGraph):
+def _eulerian_item(g: SignedGraph, cap: Optional[int]):
+    """Admissible eulerian barbell-free graphs with an even number of
+    negative edges split into balanced circuits and short barbells.
+    The decomposition is polynomial, so ``cap`` bounds nothing here."""
     if not bool(is_flow_admissible(g)):
         return None
     if not is_eulerian(g) or len(g.negative_edges) % 2 != 0:
@@ -306,22 +262,18 @@ def _eulerian_item(g: SignedGraph):
     return {"failures": failures, "notes": notes}
 
 
-def suite_eulerian_decomp(
-    graphs: Sequence[SignedGraph], workers: int = 1
-) -> SuiteReport:
-    """Admissible eulerian barbell-free graphs with an even number of
-    negative edges split into balanced circuits and short barbells."""
-    return _collect("eulerian-decomp", graphs, _eulerian_item, workers)
-
-
-def _phi_item(g: SignedGraph, edge_cap: int, cap: Optional[int]):
+def _phi_item(g: SignedGraph, cap: Optional[int]):
+    """ceil(circular flow number) equals the integer flow number on
+    barbell-free graphs; the gap is recorded in the notes otherwise.  The
+    circular witness is also pushed through grid normalization and the
+    terminal structure checked (empty residue when barbell-free)."""
     if not bool(is_flow_admissible(g)):
         return None
     failures = []
     notes: dict = {}
     barbell_free = find_long_barbell(g) is None
     try:
-        numbers = solve.flow_numbers(g, k_max=8, edge_cap=edge_cap, cap=cap)
+        numbers = solve.flow_numbers(g, k_max=8, edge_cap=PHI_EDGE_CAP, cap=cap)
     except ResourceCapExceeded:
         return {"failures": [], "notes": {"capped": 1}, "checked": 0}
     phi_c = numbers.phi_c
@@ -354,22 +306,8 @@ def _phi_item(g: SignedGraph, edge_cap: int, cap: Optional[int]):
     return {"failures": failures, "notes": notes, "checked": 2}
 
 
-def suite_phi_equality(
-    graphs: Sequence[SignedGraph],
-    edge_cap: int = 12,
-    cap: Optional[int] = None,
-    workers: int = 1,
-) -> SuiteReport:
-    """ceil(circular flow number) equals the integer flow number on
-    barbell-free graphs; gap distribution is recorded elsewhere.  Each
-    circular witness is also pushed through grid normalization and the
-    terminal structure checked (empty residue when barbell-free)."""
-    return _collect(
-        "phi-equality", graphs, partial(_phi_item, edge_cap=edge_cap, cap=cap), workers
-    )
-
-
 def _cubic_item(g: SignedGraph, cap: Optional[int]):
+    """On admissible barbell-free cubic graphs: Z_4-flow iff 3-edge-colorable."""
     if any(g.degree(v) != 3 for v in range(g.num_vertices)):
         return None
     if any(e.u == e.v for e in g.edges):
@@ -389,21 +327,14 @@ def _cubic_item(g: SignedGraph, cap: Optional[int]):
     return {"failures": failures, "notes": notes}
 
 
-def suite_cubic_z4(
-    graphs: Sequence[SignedGraph], cap: Optional[int] = None, workers: int = 1
-) -> SuiteReport:
-    """On admissible barbell-free cubic graphs: Z_4-flow iff 3-edge-colorable."""
-    return _collect("cubic-z4", graphs, partial(_cubic_item, cap=cap), workers)
-
-
-SUITES: dict[str, Callable[..., SuiteReport]] = {
-    "six-flow": suite_six_flow,
-    "mod-int-equiv": suite_mod_int_equiv,
-    "conversion": suite_conversion,
-    "two-flow-sum": suite_two_flow_sum,
-    "eulerian-decomp": suite_eulerian_decomp,
-    "phi-equality": suite_phi_equality,
-    "cubic-z4": suite_cubic_z4,
+SUITES: dict[str, Callable[..., Optional[dict]]] = {
+    "six-flow": _six_flow_item,
+    "mod-int-equiv": _mod_int_item,
+    "conversion": _conversion_item,
+    "two-flow-sum": _two_flow_item,
+    "eulerian-decomp": _eulerian_item,
+    "phi-equality": _phi_item,
+    "cubic-z4": _cubic_item,
 }
 
 
@@ -413,12 +344,9 @@ def run_suite(
     workers: int = 1,
     cap: Optional[int] = None,
 ) -> SuiteReport:
+    """Run the named suite's item function over every graph."""
     if name not in SUITES:
         raise PreconditionError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         )
-    fn = SUITES[name]
-    kwargs: dict = {"workers": workers}
-    if name != "eulerian-decomp":
-        kwargs["cap"] = cap
-    return fn(list(graphs), **kwargs)
+    return _collect(name, list(graphs), partial(SUITES[name], cap=cap), workers)

@@ -6,6 +6,15 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from signedflow.corpus import enumerate_signed_graphs, signed_petersen
+from signedflow.solve import solver_backend_name
+
+
+def pytest_report_header(config):
+    backend = solver_backend_name()
+    line = f"signedflow solver backend: {backend}"
+    if backend != "compiled":
+        line += " (compiled kernel not built: the parity tests in test_backends.py skip)"
+    return line
 
 
 @pytest.fixture(scope="session")

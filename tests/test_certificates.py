@@ -323,6 +323,45 @@ def test_inflated_flow_number_detected():
     assert not out.ok and "exists below" in out.reason
 
 
+def _flow_number_cert():
+    g = cycle(3)
+    return make_flow_number_certificate(g, flow_numbers(g))
+
+
+def _decomposition_cert():
+    g = k4()
+    fa = find_nz_k_flow(g, 4)
+    return make_decomposition_certificate(g, 4, fa, decompose_into_2_flows(g, fa, 4))
+
+
+def _eulerian_cert():
+    g = SignedGraph(2, (Edge(0, 1, 1), Edge(0, 1, -1), Edge(0, 1, 1), Edge(0, 1, -1)))
+    return make_eulerian_certificate(g, eulerian_decompose(g))
+
+
+@pytest.mark.parametrize(
+    "make,mutate",
+    [
+        (_flow_number_cert, lambda raw: raw.update(verdict="phi_i=5;phi_c=5")),
+        (_flow_number_cert, lambda raw: raw.update(payload={}, verdict="phi_i=7")),
+        (_flow_number_cert, lambda raw: raw.update(payload={}, verdict="none")),
+        ("conversion_cert", lambda raw: raw.update(verdict="failed")),
+        (_decomposition_cert, lambda raw: raw.update(verdict="parts=1")),
+        (_eulerian_cert, lambda raw: raw.update(verdict="members=9")),
+        ("normalization_cert", lambda raw: raw.update(verdict="residual")),
+    ],
+    ids=[
+        "flow-number-inflated", "flow-number-empty-payload", "flow-number-claims-nothing",
+        "conversion", "decomposition", "eulerian", "normalization",
+    ],
+)
+def test_verdict_must_match_payload(request, make, mutate):
+    cert = request.getfixturevalue(make) if isinstance(make, str) else make()
+    assert verify_certificate(cert).ok
+    out = verify_certificate(retamper(cert, mutate))
+    assert not out.ok
+
+
 def test_tampered_journal_detected(conversion_cert):
     def mutate(raw):
         raw["payload"]["journal"].append(["teleport", []])

@@ -159,6 +159,14 @@ def test_flow_bad_env_cap(gfile, capsys, monkeypatch):
     assert main(["flow", gfile(cycle(4)), "-k", "2"]) == 2
 
 
+@pytest.mark.parametrize("cap_args,env", [(["--cap", "0"], None), ([], "0")])
+def test_flow_cap_below_one_exits_2(gfile, capsys, monkeypatch, cap_args, env):
+    if env is not None:
+        monkeypatch.setenv("SG_RESOURCE_CAP", env)
+    assert main(["flow", gfile(signed_petersen()), "-k", "5"] + cap_args) == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # convert
 

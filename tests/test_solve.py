@@ -103,6 +103,17 @@ def test_cap_raises_never_lies(petersen):
     assert exc.value.spent > 100
 
 
+@pytest.mark.parametrize("cap,env", [(0, None), (-1, None), (None, "0")])
+def test_cap_below_one_rejected(petersen, monkeypatch, cap, env):
+    # the kernels read a cap of 0 as unlimited and a negative one as spent
+    if env is not None:
+        monkeypatch.setenv("SG_RESOURCE_CAP", env)
+    with pytest.raises(PreconditionError, match="at least 1"):
+        find_nz_k_flow(petersen, 5, cap=cap)
+    with pytest.raises(PreconditionError, match="at least 1"):
+        find_nz_zk_flow(petersen, 5, cap=cap)
+
+
 def test_monotone_in_k(corpus_3_4):
     for g in corpus_3_4[::6]:
         for k in (2, 3, 4):

@@ -2,9 +2,12 @@
 
 import pytest
 
+from signedflow import structure
 from signedflow.core import Edge, SignedGraph, find_bridges, switch
 from signedflow.errors import PreconditionError
 from signedflow.corpus import g_family, signed_petersen
+from signedflow.solve import flow_numbers
+from signedflow.verify_suites import SUITES, run_suite
 from signedflow.structure import (
     classify_signed_circuit,
     enumerate_circuits,
@@ -288,3 +291,24 @@ def test_signed_circuit_search_agrees_with_classify(corpus_3_4):
             edges = [e for c in w.circuits for e in c] + list(w.path or ())
             again = classify_signed_circuit(g, edges)
             assert again is not None and again.kind == w.kind
+
+
+def test_admissibility_and_barbell_search_computed_once_per_graph(monkeypatch):
+    # every suite, flow_numbers and the transforms they call ask both
+    # questions of the same graph object; each is answered only once
+    computed = {"_flow_admissibility": [], "_long_barbell": []}
+    for name, log in computed.items():
+        original = getattr(structure, name)
+
+        def counting(g, original=original, log=log):
+            log.append(g)
+            return original(g)
+
+        monkeypatch.setattr(structure, name, counting)
+    g = SignedGraph(4, tuple(Edge(u, v, 1) for u in range(4) for v in range(u + 1, 4)))
+    for name in SUITES:
+        report = run_suite(name, [g])
+        assert report.ok and report.skipped == (name == "eulerian-decomp"), name
+    assert flow_numbers(g).phi_i == 4
+    for name, log in computed.items():
+        assert sum(h is g for h in log) == 1, name

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from signedflow import transform
 from signedflow.core import (
     Edge,
     FlowAssignment,
@@ -205,6 +206,15 @@ def test_w5_counterexample_defeats_even_k():
         run_modflow_conversion(bad, fa, 4, allow_even_k=True, cap=50_000)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_conversion_cap_below_one_rejected(cap):
+    g = k33()
+    # the integer 3-flow is already converted: no search would spend the cap
+    for fa in (find_nz_zk_flow(g, 3), find_nz_k_flow(g, 3)):
+        with pytest.raises(PreconditionError, match="at least 1"):
+            run_modflow_conversion(g, fa, 3, cap=cap)
+
+
 def test_journal_replay_reproduces_final_state(petersen):
     fa = find_nz_zk_flow(petersen, 5)
     if fa is None:
@@ -283,7 +293,7 @@ def test_decompose_barbell_guard_and_failure():
     with pytest.raises(PreconditionError):
         decompose_into_2_flows(g, fa, 3)
     with pytest.raises(InvariantViolation):
-        decompose_into_2_flows(g, fa, 3, require_barbell_free=False)
+        transform._decompose_rec(g, [int(v) for v in fa.values], 3, fa.orientation)
 
 
 # ---------------------------------------------------------------------------
