@@ -498,8 +498,12 @@ def verify_certificate(cert: Certificate) -> VerifyOutcome:
 
     The verdict string must be the one the payload states.  Missing
     fields, wrong types and unparsable values get a rejecting outcome,
-    not an exception.
+    not an exception.  An invalid SG_RESOURCE_CAP is the caller's
+    defect, not the certificate's: it raises PreconditionError.
     """
+    from . import solve
+
+    solve._resolve_cap(None)
     if cert.schema_version != SCHEMA_VERSION:
         return VerifyOutcome(False, f"unsupported schema {cert.schema_version}")
     handler = _VERIFIERS.get(cert.claim)

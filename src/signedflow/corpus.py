@@ -328,6 +328,15 @@ def enumerate_signed_graphs(
         raise PreconditionError(f"max_v must be in 1..{MAX_ENUM_VERTICES}")
     if not (1 <= max_e <= MAX_ENUM_EDGES):
         raise PreconditionError(f"max_e must be in 1..{MAX_ENUM_EDGES}")
+    # Edge is frozen, so every graph can share one object per (u, v, sign)
+    interned: dict[tuple[int, int, int], Edge] = {}
+
+    def edge(u: int, v: int, s: int) -> Edge:
+        e = interned.get((u, v, s))
+        if e is None:
+            e = interned[u, v, s] = Edge(u, v, s)
+        return e
+
     for n in range(1, max_v + 1):
         all_pairs = [(u, v) for u in range(n) for v in range(u, n)]
         for m in range(max(1, n - 1), max_e + 1):
@@ -341,7 +350,7 @@ def enumerate_signed_graphs(
                 auts = _pair_automorphisms(n, pairs)
                 for signs in _signature_classes(n, pairs, auts):
                     yield SignedGraph(
-                        n, tuple(Edge(u, v, s) for (u, v), s in zip(pairs, signs))
+                        n, tuple(edge(u, v, s) for (u, v), s in zip(pairs, signs))
                     )
 
 

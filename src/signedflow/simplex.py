@@ -90,23 +90,29 @@ def solve_lp(
     art_cols = set(art_col.values())
     den = 1
 
-    def pivot(r_i: int, c_j: int) -> int:
+    def eliminate(rowi: list[int], ric: int, rowr: list[int], piv: int) -> list[int]:
+        # one Bareiss step on a whole row: (rowi * piv - ric * rowr) / den
+        if ric:
+            new = [a * piv - ric * b for a, b in zip(rowi, rowr)]
+        elif piv == den:
+            return rowi
+        else:
+            new = [a * piv for a in rowi]
+        if den != 1:
+            if any(a % den for a in new):
+                raise InvariantViolation("inexact division in a pivot step")
+            new = [a // den for a in new]
+        return new
+
+    def pivot(r_i: int, c_j: int) -> None:
         nonlocal den
-        piv = tab[r_i][c_j]
         rowr = tab[r_i]
-        for i in range(len(tab)):
-            if i == r_i:
-                continue
-            rowi = tab[i]
-            ric = rowi[c_j]
-            for jj in range(width):
-                q, rem = divmod(rowi[jj] * piv - ric * rowr[jj], den)
-                if rem:
-                    raise InvariantViolation("inexact division in pivot")
-                rowi[jj] = q
+        piv = rowr[c_j]
+        for i, rowi in enumerate(tab):
+            if i != r_i:
+                tab[i] = eliminate(rowi, rowi[c_j], rowr, piv)
         den = piv
         basis[r_i] = c_j
-        return piv
 
     def run_phase(obj: list[int], allowed) -> str:
         # obj is the scaled reduced-cost row; optimal when all >= 0
@@ -135,13 +141,7 @@ def solve_lp(
                 return UNBOUNDED
             piv = tab[best_i][enter]
             # update objective row with the same elimination step
-            oc = obj[enter]
-            rowr = tab[best_i]
-            for jj in range(width):
-                q, rem = divmod(obj[jj] * piv - oc * rowr[jj], den)
-                if rem:
-                    raise InvariantViolation("inexact division in objective row")
-                obj[jj] = q
+            obj[:] = eliminate(obj, obj[enter], tab[best_i], piv)
             pivot(best_i, enter)
 
     # ---- phase 1: drive artificials to zero

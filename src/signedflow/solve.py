@@ -516,7 +516,12 @@ def integer_flow_number(
 
 
 def _orientation_coeffs(g: SignedGraph, lp_edges: list[int]):
-    """Per lp-edge vertex contributions under reference and reversed lags."""
+    """Per lp-edge (vertex, coefficient) pairs under the reference orientation.
+
+    A positive edge points out of u and into v, a negative edge out of
+    both ends, and a negative loop gives its vertex 2.  Reversing an
+    edge negates its coefficients.
+    """
     ref = []
     for eid in lp_edges:
         e = g.edges[eid]
@@ -533,13 +538,29 @@ def circular_flow_number(
     g: SignedGraph,
     edge_cap: int = DEFAULT_EDGE_CAP_CIRCULAR,
 ) -> FlowNumbers:
-    """Exact circular flow number by orientation sweep + rational LP.
+    """Exact circular flow number by branch and bound over orientations.
 
-    Per orientation, minimize t s.t. boundary zero and 1 ≤ f ≤ t; the
-    flow number is 1 + min over orientations.  Negating every edge
-    leaves the optimum unchanged, so the first edge's direction is
-    pinned.  Vertices with all half-edges pointing the same way are
-    rejected without an LP call.
+    Positive loops take the value 1 and stay out of the search.  For an
+    orientation of the other edges, an exact LP minimizes t subject to
+    zero boundary and 1 ≤ f ≤ t; the flow number is 1 + the least t.
+    Negating every edge leaves the optimum unchanged, so the lowest
+    such edge stays unreversed.
+
+    The edges are oriented one at a time, depth first, in
+    `_assignment_order`.  Let S be a vertex set whose edges are all
+    oriented, and out and in its coefficients summed per edge and split
+    by sign (a positive edge inside S cancels, a negative one counts
+    twice).  Zero boundary on S with every value in [1, t] needs
+    out·t ≥ in and in·t ≥ out, so t ≥ max(out/in, in/out).  A branch is
+    cut when a vertex whose last edge was just oriented, or the set of
+    all such completed vertices, has all its weight on one side or
+    exceeds the best t found so far by this bound (the vertex-cut bound
+    of Goddyn, Tarsi and Zhang).  For signed graphs the bound is
+    necessary but not sufficient, so every orientation that survives
+    still gets its LP.  Cuts are strict, so every orientation that ties
+    the best t reaches its LP, and the result is the least pair of t and
+    reversed edge ids: the answer and witness of a sweep over every
+    orientation.
     """
     verdict = is_flow_admissible(g)
     if not verdict:
@@ -551,8 +572,6 @@ def circular_flow_number(
             "circular flow number edge cap", cap=edge_cap, spent=g.num_edges
         )
     lp_edges = [i for i, e in enumerate(g.edges) if not (e.u == e.v and e.sign > 0)]
-    in_lp = set(lp_edges)
-    pos_loops = [i for i in range(g.num_edges) if i not in in_lp]
     if not lp_edges:
         # only positive loops (or no edges at all): every value may be 1
         fa = FlowAssignment(Orientation.reference(), (1,) * g.num_edges)
@@ -562,65 +581,85 @@ def circular_flow_number(
         return FlowNumbers(phi_c=Fraction(2), witnesses={"phi_c": fa2})
     ref = _orientation_coeffs(g, lp_edges)
     mlp = len(lp_edges)
+    pos_of = {eid: pos for pos, eid in enumerate(lp_edges)}
+    order = [pos_of[eid] for eid in _assignment_order(g) if eid in pos_of]
+    at: dict[int, list[tuple[int, int]]] = {}  # vertex -> (lp edge, coefficient)
+    for pos, pairs in enumerate(ref):
+        for v, c0 in pairs:
+            at.setdefault(v, []).append((pos, c0))
+    left = {v: len(pairs) for v, pairs in at.items()}  # half-edges not yet oriented
+    weight = {v: [0, 0] for v in at}  # in and out weight of the oriented half-edges
+    set_coef = [0] * mlp  # each edge's coefficient summed over completed vertices
+    set_w = [0, 0]  # in and out weight of the completed set
+    sign = [1] * mlp
+    a_ub = [[int(j == pos) for j in range(mlp)] + [-1] for pos in range(mlp)]
+    b_ub = [0] * mlp
+    cvec = [0] * mlp + [1]
     best: Optional[tuple[Fraction, tuple[int, ...], FlowAssignment]] = None
-    for mask in range(1 << (mlp - 1)):
-        flipped = [False] * mlp
-        for b in range(mlp - 1):
-            if mask >> b & 1:
-                flipped[b + 1] = True
-        # vertex coefficient rows for this orientation
-        coef: dict[int, dict[int, int]] = {}
-        for pos in range(mlp):
-            s = -1 if flipped[pos] else 1
-            for v, c0 in ref[pos]:
-                coef.setdefault(v, {})[pos] = coef.get(v, {}).get(pos, 0) + s * c0
-        feasible = True
-        for v, row in coef.items():
-            vals = [c for c in row.values() if c != 0]
-            if vals and (all(c > 0 for c in vals) or all(c < 0 for c in vals)):
-                feasible = False
-                break
-        if not feasible:
-            continue
+    bound: Optional[tuple[int, int]] = None  # best t as numerator, denominator
+
+    def cut(w: list[int]) -> bool:
+        lo, hi = min(w), max(w)
+        if lo == 0:
+            return hi > 0
+        return bound is not None and hi * bound[1] > bound[0] * lo
+
+    def leaf() -> None:
+        nonlocal best, bound
         a_eq = []
         b_eq = []
-        for v in sorted(coef):
-            row = coef[v]
-            arow = [row.get(pos, 0) for pos in range(mlp)] + [0]
-            if all(c == 0 for c in arow):
-                continue
+        for v in sorted(at):
+            arow = [0] * (mlp + 1)
+            for pos, c0 in at[v]:
+                arow[pos] = sign[pos] * c0
             a_eq.append(arow)
-            b_eq.append(-sum(arow[:mlp]))
-        a_ub = []
-        b_ub = []
-        for pos in range(mlp):
-            row = [0] * (mlp + 1)
-            row[pos] = 1
-            row[mlp] = -1
-            a_ub.append(row)
-            b_ub.append(0)
-        cvec = [0] * mlp + [1]
+            b_eq.append(-sum(arow))
         status, x, obj = solve_lp(cvec, a_eq, b_eq, a_ub, b_ub)
         if status == INFEASIBLE:
-            continue
+            return
         if status != OPTIMAL or x is None or obj is None:
             raise InvariantViolation(f"orientation LP returned {status}")
         t = 1 + obj
-        key = tuple(lp_edges[pos] for pos in range(mlp) if flipped[pos])
+        key = tuple(eid for pos, eid in enumerate(lp_edges) if sign[pos] < 0)
         if best is None or (t, key) < (best[0], best[1]):
-            per_edge = [Fraction(0)] * g.num_edges
-            rev = set(key)
+            per_edge = [Fraction(1)] * g.num_edges  # positive loops keep 1
             for pos, eid in enumerate(lp_edges):
                 per_edge[eid] = 1 + x[pos]
-            for eid in pos_loops:
-                per_edge[eid] = Fraction(1)
-            fa = FlowAssignment(
-                Orientation(frozenset(rev)),
-                tuple(per_edge),
-            )
-            best = (t, key, fa)
-            if t == 1:
-                break
+            best = (t, key, FlowAssignment(Orientation(frozenset(key)), tuple(per_edge)))
+            bound = (t.numerator, t.denominator)
+
+    def shift(done: list[int], d: int) -> None:
+        # add (d = 1) or remove (d = -1) completed vertices from the set
+        for v in done:
+            for pos, c0 in at[v]:
+                old = set_coef[pos]
+                new = old + d * sign[pos] * c0
+                set_coef[pos] = new
+                set_w[0] += max(-new, 0) - max(-old, 0)
+                set_w[1] += max(new, 0) - max(old, 0)
+
+    def extend(i: int) -> None:
+        if i == mlp:
+            leaf()
+            return
+        pos = order[i]
+        for s in (1,) if pos == 0 else (1, -1):
+            sign[pos] = s
+            done = []
+            for v, c0 in ref[pos]:
+                weight[v][s * c0 > 0] += abs(c0)
+                left[v] -= 1
+                if not left[v]:
+                    done.append(v)
+            shift(done, 1)
+            if not (any(cut(weight[v]) for v in done) or cut(set_w)):
+                extend(i + 1)
+            shift(done, -1)
+            for v, c0 in ref[pos]:
+                weight[v][s * c0 > 0] -= abs(c0)
+                left[v] += 1
+
+    extend(0)
     if best is None:
         raise InvariantViolation("no orientation admits a flow on an admissible graph")
     t, _, fa = best

@@ -557,6 +557,14 @@ def run_modflow_conversion(
         raise PreconditionError(
             "graph contains a long barbell; conversion is not guaranteed"
         )
+    return _convert(g, fa, k, cap)
+
+
+def _convert(
+    g: SignedGraph, fa: FlowAssignment, k: int, cap: int
+) -> tuple[FlowAssignment, ConversionState]:
+    """The conversion itself, on an input that meets every precondition
+    of run_modflow_conversion; each step still checks its invariants."""
     state = ConversionState.lift(g, fa, k)
     n = g.num_vertices
     max_steps = (state.eta // (2 * k) + 2) * (4 * n + 12) + 16
@@ -801,8 +809,9 @@ def _decompose_rec(
             raise InvariantViolation(
                 f"support subgraph is not a modulo-{km1} flow: {ok.violation}"
             )
-        # a subgraph of a barbell-free graph is barbell-free
-        conv, _ = run_modflow_conversion(sub, sub_fa, km1)
+        # k - 1 is odd, the input was just checked, and a subgraph of a
+        # barbell-free graph is barbell-free
+        conv, _ = _convert(sub, sub_fa, km1, TRANSFORM_SEARCH_CAP)
         for j, old in enumerate(eback):
             g0[old] = int(conv.values[j])
     f1 = []

@@ -4,7 +4,9 @@ Everything here works straight off the edge list: build the half-edge
 incidence matrix, enumerate every assignment, test the boundary; the
 tadpole search likewise tries every tail and every head.  No code is
 shared with the pruned solvers on purpose — agreement between the two
-is one of the acceptance gates.
+is one of the acceptance gates.  The one exception is the orientation
+sweep for circular flow numbers: it calls the package's exact LP and
+2-flow search, so that its witnesses can be compared byte for byte.
 
 Size guard: 2(k-1) choices per edge, so k=4 with 6 edges is 6^6 = 46656
 columns.  Keep inputs small.
@@ -16,6 +18,10 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+
+from signedflow import simplex
+from signedflow.core import FlowAssignment, Orientation
+from signedflow.solve import find_nz_k_flow
 
 MAX_COLUMNS = 2_000_000
 
@@ -147,3 +153,50 @@ def tadpole_exists(g, dirs, x) -> bool:
         return False
 
     return tails(x, frozenset({x}))
+
+
+def circular_sweep(g):
+    """(phi_c, witness) of a flow-admissible graph by one exact LP per
+    orientation, every orientation tried.
+
+    Per orientation of the edges other than positive loops, minimize t
+    subject to zero boundary and 1 <= f <= t; phi_c is 1 + the least t,
+    and the witness is that of the least (t, reversed edge ids).  The
+    lowest such edge is never reversed, since negating every edge keeps
+    the optimum.  Orientations with a vertex whose half-edges all point
+    one way are skipped without an LP; a 2-flow, when one exists, is the
+    answer outright.
+    """
+    a = incidence(g)
+    lp_edges = [i for i, e in enumerate(g.edges) if not (e.u == e.v and e.sign > 0)]
+    if not lp_edges:
+        return Fraction(2), FlowAssignment(Orientation.reference(), (1,) * g.num_edges)
+    fa2 = find_nz_k_flow(g, 2)
+    if fa2 is not None:
+        return Fraction(2), fa2
+    mlp = len(lp_edges)
+    a_ub = [[int(j == pos) for j in range(mlp)] + [-1] for pos in range(mlp)]
+    best = None
+    for mask in range(1 << (mlp - 1)):
+        signs = [1] + [-1 if mask >> b & 1 else 1 for b in range(mlp - 1)]
+        rows = [
+            [signs[pos] * int(a[v, eid]) for pos, eid in enumerate(lp_edges)] + [0]
+            for v in range(g.num_vertices)
+        ]
+        rows = [row for row in rows if any(row)]
+        if any(all(c >= 0 for c in row) or all(c <= 0 for c in row) for row in rows):
+            continue
+        status, x, obj = simplex.solve_lp(
+            [0] * mlp + [1], rows, [-sum(row) for row in rows], a_ub, [0] * mlp
+        )
+        if status == simplex.INFEASIBLE:
+            continue
+        assert status == simplex.OPTIMAL
+        key = tuple(eid for pos, eid in enumerate(lp_edges) if signs[pos] < 0)
+        if best is None or (1 + obj, key) < best[:2]:
+            values = [Fraction(1)] * g.num_edges
+            for pos, eid in enumerate(lp_edges):
+                values[eid] = 1 + x[pos]
+            best = (1 + obj, key, FlowAssignment(Orientation(frozenset(key)), tuple(values)))
+    t, _, fa = best
+    return 1 + t, fa

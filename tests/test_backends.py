@@ -6,6 +6,7 @@ candidate ordering or pruning diverged.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,44 @@ needs_compiled = pytest.mark.skipif(
     solver_backend_name() != "compiled",
     reason="compiled kernel not built",
 )
+
+
+KERNEL = Path(__file__).resolve().parent.parent / "src" / "signedflow" / "_kernel"
+MARK = "             # <<<<<<<<<<<<<<"
+
+
+def _code_lines(source: str) -> list[str]:
+    """Non-blank lines outside comments and docstrings."""
+    out = []
+    in_doc = False
+    for line in source.splitlines():
+        text = line.strip()
+        if in_doc or text.startswith('"""'):
+            quotes = text.count('"""')
+            in_doc = in_doc != (quotes % 2 == 1)
+            continue
+        if text and not text.startswith("#"):
+            out.append(line)
+    return out
+
+
+def test_generated_kernel_quotes_current_source():
+    # Cython copies the source lines around every statement into comments
+    # " * <line>" of the .c, the statement's own line ending in MARK; a
+    # .pyx edit without regenerating the .c breaks one of these
+    pyx = KERNEL.with_suffix(".pyx").read_text()
+    quoted, marked = set(), set()
+    for line in KERNEL.with_suffix(".c").read_text().splitlines():
+        if line.startswith(" * "):
+            text = line[3:]
+            if text.endswith(MARK):
+                text = text[: -len(MARK)]
+                marked.add(text)
+            quoted.add(text)
+    code = _code_lines(pyx)
+    assert len(code) > 100
+    assert [line for line in code if line not in quoted] == []
+    assert marked - set(pyx.splitlines()) == set()
 
 
 def both(fn, g, k, **kw):

@@ -179,6 +179,14 @@ def test_flow_none_certificate_verifies():
     assert out.ok, out.reason
 
 
+@pytest.mark.parametrize("env", ["0", "-5", "lots"])
+def test_bad_env_cap_raises_not_rejects(monkeypatch, env):
+    cert = make_flow_certificate(neg_loop(), FlowKind.integer(3), None, nodes=2)
+    monkeypatch.setenv("SG_RESOURCE_CAP", env)
+    with pytest.raises(PreconditionError):
+        verify_certificate(cert)
+
+
 def test_flow_none_circular_kind_refused():
     cert = make_flow_certificate(neg_loop(), FlowKind.circular(Fraction(3)), None)
     out = verify_certificate(cert)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import bruteforce
+from signedflow import simplex, solve
 from signedflow.core import (
     Edge,
     FlowAssignment,
@@ -13,7 +15,7 @@ from signedflow.core import (
     check_flow,
     switch,
 )
-from signedflow.corpus import g_family, signed_petersen
+from signedflow.corpus import enumerate_signed_graphs, g_family, signed_petersen
 from signedflow.errors import PreconditionError, ResourceCapExceeded
 from signedflow.solve import (
     circular_flow_number,
@@ -24,7 +26,7 @@ from signedflow.solve import (
     integer_flow_number,
     signed_circuit_flow,
 )
-from signedflow.structure import classify_signed_circuit
+from signedflow.structure import classify_signed_circuit, is_flow_admissible
 
 
 def cycle(n, signs=None):
@@ -283,6 +285,52 @@ def test_circular_witness_zero_slack():
     assert all(1 <= abs(Fraction(v)) <= r - 1 for v in fa.values)
     # optimum is attained: some edge sits exactly at the upper bound
     assert any(abs(Fraction(v)) == r - 1 for v in fa.values)
+
+
+@pytest.fixture(scope="module")
+def circular_runs():
+    """Per graph: (name, sweep answer, sweep LP calls, pruned answer,
+    pruned LP calls) over Petersen, g_family(1..2) and every admissible
+    class with at most 4 vertices and 7 edges."""
+    graphs = [("petersen", signed_petersen()), ("g1", g_family(1)), ("g2", g_family(2))]
+    graphs += [
+        (f"c47:{i}", g)
+        for i, g in enumerate(enumerate_signed_graphs(4, 7))
+        if is_flow_admissible(g)
+    ]
+    calls = [0]
+    solve_lp = simplex.solve_lp
+
+    def counted(*args):
+        calls[0] += 1
+        return solve_lp(*args)
+
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bruteforce.simplex, "solve_lp", counted)
+        mp.setattr(solve, "solve_lp", counted)
+        for name, g in graphs:
+            calls[0] = 0
+            swept = bruteforce.circular_sweep(g)
+            swept_calls = calls[0]
+            calls[0] = 0
+            fn = circular_flow_number(g)
+            runs.append((name, swept, swept_calls, (fn.phi_c, fn.witnesses["phi_c"]), calls[0]))
+    return runs
+
+
+def test_circular_matches_orientation_sweep(circular_runs):
+    assert len(circular_runs) == 2080
+    for name, swept, _, pruned, _ in circular_runs:
+        assert repr(pruned) == repr(swept), name
+
+
+def test_circular_pruning_skips_lps(circular_runs):
+    by_name = {name: (sc, pc) for name, _, sc, _, pc in circular_runs}
+    assert by_name["g2"][1] < by_name["g2"][0]
+    corpus = [v for name, v in by_name.items() if name.startswith("c47:")]
+    assert sum(pc for _, pc in corpus) < sum(sc for sc, _ in corpus)
+    assert all(pc <= sc for sc, pc in by_name.values())
 
 
 def test_switching_invariance_of_numbers():
