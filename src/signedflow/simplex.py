@@ -71,13 +71,10 @@ def solve_lp(
             needs_art.append(i)
     width = total_pre_art + len(needs_art) + 1  # + rhs column
     for i in range(r):
-        row = [0] * width
         sign = -1 if rhs[i] < 0 else 1
-        for jj in range(p):
-            row[jj] = sign * rows[i][jj]
+        row = [sign * a for a in rows[i]] + [0] * (width - p - 1) + [sign * rhs[i]]
         if i in slack_col:
             row[slack_col[i]] = sign
-        row[-1] = sign * rhs[i]
         tab.append(row)
     for idx, i in enumerate(needs_art):
         col = total_pre_art + idx
@@ -114,12 +111,13 @@ def solve_lp(
         den = piv
         basis[r_i] = c_j
 
-    def run_phase(obj: list[int], allowed) -> str:
-        # obj is the scaled reduced-cost row; optimal when all >= 0
+    def run_phase(obj: list[int], limit: int) -> str:
+        # obj is the scaled reduced-cost row; optimal when its first
+        # limit entries are all >= 0
         while True:
             enter = -1
-            for jj in range(total_pre_art + len(needs_art)):
-                if jj in allowed and obj[jj] < 0:
+            for jj in range(limit):
+                if obj[jj] < 0:
                     enter = jj
                     break
             if enter < 0:
@@ -146,14 +144,10 @@ def solve_lp(
 
     # ---- phase 1: drive artificials to zero
     if needs_art:
-        obj1 = [0] * width
-        for i in art_col:
-            for jj in range(width):
-                obj1[jj] -= tab[i][jj]
+        obj1 = [-sum(col) for col in zip(*(tab[i] for i in art_col))]
         for col in art_cols:
             obj1[col] = 0
-        allowed = set(range(total_pre_art + len(needs_art)))
-        status = run_phase(obj1, allowed)
+        status = run_phase(obj1, total_pre_art + len(needs_art))
         if status != OPTIMAL:
             raise InvariantViolation("phase 1 cannot be unbounded")
         if obj1[-1] != 0:
@@ -164,23 +158,18 @@ def solve_lp(
                 for jj in range(total_pre_art):
                     if tab[i][jj] != 0:
                         if tab[i][jj] < 0:
-                            for j2 in range(width):
-                                tab[i][j2] = -tab[i][j2]
+                            tab[i] = [-a for a in tab[i]]
                         pivot(i, jj)
                         break
                 # a row that stays artificial-basic is redundant (b == 0)
 
     # ---- phase 2
-    obj2 = [0] * width
-    for jj in range(p):
-        obj2[jj] = c[jj] * den
+    obj2 = [cj * den for cj in c] + [0] * (width - p)
     for i in range(r):
         cb = c[basis[i]] if basis[i] < p else 0
         if cb:
-            for jj in range(width):
-                obj2[jj] -= cb * tab[i][jj]
-    allowed2 = set(range(total_pre_art))
-    status = run_phase(obj2, allowed2)
+            obj2 = [o - cb * a for o, a in zip(obj2, tab[i])]
+    status = run_phase(obj2, total_pre_art)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
     x = [Fraction(0)] * p

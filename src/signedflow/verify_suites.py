@@ -10,7 +10,6 @@ are byte-identical regardless of worker count or completion order.
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import dataclass, field
 from functools import partial
 from math import ceil
@@ -99,6 +98,8 @@ def _map_items(fn: Callable, graphs: Sequence[SignedGraph], workers: int):
     """Apply fn to every graph; order of results always follows input order."""
     if workers <= 1:
         return [fn(g) for g in graphs]
+    import multiprocessing  # not at module level: it adds ~1 MB to every import of signedflow
+
     jobs = [(fn, i, g) for i, g in enumerate(graphs)]
     with multiprocessing.Pool(workers) as pool:
         indexed = list(pool.imap_unordered(_pool_entry, jobs, chunksize=4))

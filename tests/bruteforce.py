@@ -7,6 +7,9 @@ shared with the pruned solvers on purpose — agreement between the two
 is one of the acceptance gates.  The one exception is the orientation
 sweep for circular flow numbers: it calls the package's exact LP and
 2-flow search, so that its witnesses can be compared byte for byte.
+The pruned integer kernel as it was before candidate jumps is kept
+here too, as search_integer_reference: the kernel must walk its tree
+node for node, so the oracle is the same search without the jumps.
 
 Size guard: 2(k-1) choices per edge, so k=4 with 6 edges is 6^6 = 46656
 columns.  Keep inputs small.
@@ -20,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from signedflow import simplex
+from signedflow._solver_py import CAPPED, EXHAUSTED, FOUND
 from signedflow.core import FlowAssignment, Orientation
 from signedflow.solve import find_nz_k_flow
 
@@ -200,3 +204,98 @@ def circular_sweep(g):
             best = (1 + obj, key, FlowAssignment(Orientation(frozenset(key)), tuple(values)))
     t, _, fa = best
     return 1 + t, fa
+
+
+def search_integer_reference(m, n, typ, va, ca, vb, cb, k, cap):
+    """The integer kernel before candidate jumps: the oracle for
+    signedflow._solver_py.search_integer, same arguments and statuses.
+
+    Every candidate 1, -1, 2, -2, ... is applied and tested in turn, one
+    node each; a branch is pruned when some touched vertex has
+    |partial boundary| larger than the largest swing its unassigned
+    edges can still produce.  Returns (status, values, nodes)."""
+    values = [0] * m
+    bnd = [0] * n
+    slack = [0] * n
+    for i in range(m):
+        t = typ[i]
+        if t == 0:
+            slack[va[i]] += k - 1
+            slack[vb[i]] += k - 1
+        elif t == 1:
+            slack[va[i]] += 2 * (k - 1)
+    num_vals = 2 * (k - 1)
+    idx = [0] * (m + 1)
+    nodes = 0
+    pos = 0
+    # slack for position pos is released on entry, restored on final backtrack
+    if m == 0:
+        return FOUND, values, 0
+    _release(slack, typ, va, ca, vb, cb, 0, k)
+    while True:
+        i = idx[pos]
+        t = typ[pos]
+        limit = 1 if t == 2 else num_vals
+        if i >= limit:
+            # undo slack release and step back
+            _restore(slack, typ, va, ca, vb, cb, pos, k)
+            idx[pos] = 0
+            pos -= 1
+            if pos < 0:
+                return EXHAUSTED, values, nodes
+            _unapply(bnd, typ, va, ca, vb, cb, pos, values)
+            idx[pos] += 1
+            continue
+        val = 1 if t == 2 else (i // 2 + 1) * (1 if i % 2 == 0 else -1)
+        nodes += 1
+        if cap and nodes > cap:
+            return CAPPED, values, nodes
+        values[pos] = val
+        ok = True
+        if t == 0:
+            a, b = va[pos], vb[pos]
+            bnd[a] += ca[pos] * val
+            bnd[b] += cb[pos] * val
+            if abs(bnd[a]) > slack[a] or abs(bnd[b]) > slack[b]:
+                ok = False
+        elif t == 1:
+            a = va[pos]
+            bnd[a] += ca[pos] * val
+            if abs(bnd[a]) > slack[a]:
+                ok = False
+        if ok:
+            pos += 1
+            if pos == m:
+                return FOUND, values, nodes
+            _release(slack, typ, va, ca, vb, cb, pos, k)
+        else:
+            _unapply(bnd, typ, va, ca, vb, cb, pos, values)
+            idx[pos] += 1
+
+
+def _release(slack, typ, va, ca, vb, cb, pos, k):
+    t = typ[pos]
+    if t == 0:
+        slack[va[pos]] -= k - 1
+        slack[vb[pos]] -= k - 1
+    elif t == 1:
+        slack[va[pos]] -= 2 * (k - 1)
+
+
+def _restore(slack, typ, va, ca, vb, cb, pos, k):
+    t = typ[pos]
+    if t == 0:
+        slack[va[pos]] += k - 1
+        slack[vb[pos]] += k - 1
+    elif t == 1:
+        slack[va[pos]] += 2 * (k - 1)
+
+
+def _unapply(bnd, typ, va, ca, vb, cb, pos, values):
+    t = typ[pos]
+    val = values[pos]
+    if t == 0:
+        bnd[va[pos]] -= ca[pos] * val
+        bnd[vb[pos]] -= cb[pos] * val
+    elif t == 1:
+        bnd[va[pos]] -= ca[pos] * val

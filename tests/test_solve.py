@@ -99,10 +99,14 @@ def test_bad_k_rejected():
 
 
 def test_cap_raises_never_lies(petersen):
-    with pytest.raises(ResourceCapExceeded) as exc:
-        find_nz_k_flow(petersen, 5, cap=100)
-    assert exc.value.cap == 100
-    assert exc.value.spent > 100
+    # both searches run past 1000 nodes on Petersen at k = 5; the count
+    # stops one node past the cap, also where a jump would cross it
+    for fn in (find_nz_k_flow, find_nz_zk_flow):
+        for cap in (1, 10, 100, 1000):
+            with pytest.raises(ResourceCapExceeded) as exc:
+                fn(petersen, 5, cap=cap, backend="python")
+            assert exc.value.cap == cap
+            assert exc.value.spent == cap + 1
 
 
 @pytest.mark.parametrize("cap,env", [(0, None), (-1, None), (None, "0")])
