@@ -359,6 +359,7 @@ def _verify_flow_number(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
     payload = cert.payload
     if "phi_i" not in payload and "phi_c" not in payload:
         return VerifyOutcome(False, "flow-number certificate claims no flow number")
+    phi_i = None
     if "phi_i" in payload:
         k = int(payload["phi_i"])
         fa = _payload_flow(payload["witness_phi_i"], g.num_edges, FlowKind.integer(k))
@@ -368,15 +369,19 @@ def _verify_flow_number(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
         for smaller in range(2, k):
             if solve.find_nz_k_flow(g, smaller) is not None:
                 return VerifyOutcome(False, f"a {smaller}-flow exists below phi_i={k}")
+        phi_i = k  # verified: a k-flow and no smaller one
     if "phi_c" in payload:
         r = str_to_fraction(payload["phi_c"])
+        # the number first, so a wrong number is named as such whatever its witness
+        redo = solve._circular_flow_number(
+            g, solve.DEFAULT_EDGE_CAP_CIRCULAR, None, phi_i
+        )
+        if redo.phi_c != r:
+            return VerifyOutcome(False, f"recomputed phi_c={redo.phi_c}, certified {r}")
         fa = _payload_flow(payload["witness_phi_c"], g.num_edges, FlowKind.circular(r))
         res = check_flow(g, fa, FlowKind.circular(r))
         if not res.ok:
             return VerifyOutcome(False, f"phi_c witness fails: {res.violation}")
-        redo = solve.circular_flow_number(g)
-        if redo.phi_c != r:
-            return VerifyOutcome(False, f"recomputed phi_c={redo.phi_c}, certified {r}")
     return VerifyOutcome(True)
 
 
@@ -493,6 +498,11 @@ _VERIFIERS = {
 }
 
 
+_FIELD_TYPES = (
+    ("claim", str), ("graph_text", str), ("graph_hash", str), ("verdict", str), ("payload", dict)
+)
+
+
 def verify_certificate(cert: Certificate) -> VerifyOutcome:
     """Recompute the certificate's verdict from graph + witness alone.
 
@@ -504,6 +514,9 @@ def verify_certificate(cert: Certificate) -> VerifyOutcome:
     from . import solve
 
     solve._resolve_cap(None)
+    for name, want in _FIELD_TYPES:
+        if not isinstance(getattr(cert, name), want):
+            return VerifyOutcome(False, f"malformed certificate: {name} is not a {want.__name__}")
     if cert.schema_version != SCHEMA_VERSION:
         return VerifyOutcome(False, f"unsupported schema {cert.schema_version}")
     handler = _VERIFIERS.get(cert.claim)

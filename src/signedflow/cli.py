@@ -130,22 +130,24 @@ def cmd_analyze(args) -> int:
 def cmd_flow(args) -> int:
     g = _load_graph(args.graph)
     out = _Artifacts(args.out)
+    stats: dict = {}
     if args.circular:
-        numbers = solve.flow_numbers(g, k_max=args.k_max, edge_cap=args.edge_cap, cap=args.cap)
+        numbers = solve.flow_numbers(
+            g, k_max=args.k_max, edge_cap=args.edge_cap, cap=args.cap, stats=stats
+        )
         cert = certs.make_flow_number_certificate(g, numbers)
+        cert.resources["lp_calls"] = stats["lp_calls"]
         out.write("flow-number.json", cert.to_json(), "certificate")
         out.finish("flow")
         print(f"verdict: {cert.verdict}", file=sys.stderr)
         return EXIT_OK
     if args.modulo is not None:
         kind = FlowKind.modulo(args.modulo)
-        stats: dict = {}
         fa = solve.find_nz_zk_flow(g, args.modulo, cap=args.cap, stats=stats)
     else:
         if args.k is None:
             raise PreconditionError("choose one of -k, --modulo, --circular")
         kind = FlowKind.integer(args.k)
-        stats = {}
         fa = solve.find_nz_k_flow(g, args.k, cap=args.cap, stats=stats)
     cert = certs.make_flow_certificate(g, kind, fa, nodes=stats.get("nodes"))
     out.write("flow-cert.json", cert.to_json(), "certificate")

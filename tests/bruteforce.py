@@ -10,6 +10,8 @@ sweep for circular flow numbers: it calls the package's exact LP and
 The pruned integer kernel as it was before candidate jumps is kept
 here too, as search_integer_reference: the kernel must walk its tree
 node for node, so the oracle is the same search without the jumps.
+subset_bound is the circular search's vertex-cut bound over all 2^n
+vertex sets, the oracle for the connected sets the search checks.
 
 Size guard: 2(k-1) choices per edge, so k=4 with 6 edges is 6^6 = 46656
 columns.  Keep inputs small.
@@ -204,6 +206,32 @@ def circular_sweep(g):
             best = (1 + obj, key, FlowAssignment(Orientation(frozenset(key)), tuple(values)))
     t, _, fa = best
     return 1 + t, fa
+
+
+def subset_bound(g, reversed_edges):
+    """The vertex-cut bound over every vertex set, for one orientation.
+
+    For each set X, sum every edge's coefficients over X (the reference
+    orientation, negated on reversed edges) and split the sums by sign
+    into out and in.  Returns whether some X has all its weight on one
+    side, and the largest max(out/in, in/out) over the other sets with
+    any weight (None when there is none).
+    """
+    a = incidence(g)
+    for j in reversed_edges:
+        a[:, j] = -a[:, j]
+    one_sided, best = False, None
+    for mask in range(1, 1 << g.num_vertices):
+        c = a[[v for v in range(g.num_vertices) if mask >> v & 1]].sum(axis=0)
+        out, into = int(c[c > 0].sum()), int(-c[c < 0].sum())
+        if not out and not into:
+            continue
+        if not out or not into:
+            one_sided = True
+            continue
+        ratio = Fraction(max(out, into), min(out, into))
+        best = ratio if best is None else max(best, ratio)
+    return one_sided, best
 
 
 def search_integer_reference(m, n, typ, va, ca, vb, cb, k, cap):

@@ -1,9 +1,11 @@
 """Certificates must round-trip through JSON and survive only untampered."""
 
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signedflow.certificates import (
     Certificate,
@@ -28,8 +30,10 @@ from signedflow.core import (
     FlowKind,
     Orientation,
     SignedGraph,
+    parse_graph,
     serialize_graph,
 )
+from signedflow.corpus import g_family
 from signedflow.errors import PreconditionError
 from signedflow.solve import find_nz_k_flow, find_nz_zk_flow, flow_numbers
 from signedflow.transform import (
@@ -331,6 +335,33 @@ def test_inflated_flow_number_detected():
     assert not out.ok and "exists below" in out.reason
 
 
+def five_negative_loops():
+    return SignedGraph(1, (Edge(0, 0, -1),) * 5)  # phi_c = 5/2
+
+
+@pytest.mark.parametrize(
+    "make", [cycle, k4, lambda: g_family(1), five_negative_loops],
+    ids=["cycle3", "k4", "g1", "five-negative-loops"],
+)
+@pytest.mark.parametrize("step", [Fraction(-1), Fraction(1), Fraction(-1, 2), Fraction(1, 2)])
+def test_moved_phi_c_rejected(make, step):
+    # the verifier's circular search starts from the phi_i it has just
+    # verified; a phi_c one step off either way must still be recomputed
+    g = make(3) if make is cycle else make()
+    numbers = flow_numbers(g)
+    cert = make_flow_number_certificate(g, numbers)
+    assert verify_certificate(cert).ok
+    moved = numbers.phi_c + step
+
+    def mutate(raw):
+        raw["payload"]["phi_c"] = fraction_to_str(moved)
+        raw["verdict"] = f"phi_i={numbers.phi_i};phi_c={fraction_to_str(moved)}"
+
+    out = verify_certificate(retamper(cert, mutate))
+    assert not out.ok
+    assert out.reason == f"recomputed phi_c={numbers.phi_c}, certified {moved}"
+
+
 def _flow_number_cert():
     g = cycle(3)
     return make_flow_number_certificate(g, flow_numbers(g))
@@ -412,3 +443,92 @@ def test_tampered_eulerian_kind_detected():
 def test_graph_hash_is_canonical():
     g = cycle(4)
     assert graph_sha256(g) == graph_sha256(SignedGraph(g.num_vertices, g.edges))
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: a hostile certificate gets an outcome, never a traceback
+
+
+def _fuzz_bases():
+    """One certificate of each claim kind, on graphs of at most 4 vertices."""
+    square = SignedGraph(4, (Edge(0, 1, -1), Edge(0, 2, -1), Edge(1, 3, -1), Edge(2, 3, -1)))
+    zk = find_nz_zk_flow(square, 3)
+    converted, state = run_modflow_conversion(square, zk, 3)
+    g = k4()
+    fa4 = find_nz_k_flow(g, 4)
+    tri = cycle(3)
+    third = FlowAssignment(Orientation.reference(), (Fraction(4, 3),) * 3)
+    digon = SignedGraph(2, (Edge(0, 1, 1), Edge(0, 1, -1), Edge(0, 1, 1), Edge(0, 1, -1)))
+    return [
+        make_flow_certificate(g, FlowKind.integer(4), fa4),
+        make_flow_certificate(g, FlowKind.integer(3), None),
+        make_flow_number_certificate(g, flow_numbers(g)),
+        make_conversion_certificate(square, 3, zk, converted, state.journal),
+        make_decomposition_certificate(g, 4, fa4, decompose_into_2_flows(g, fa4, 4)),
+        make_eulerian_certificate(digon, eulerian_decompose(digon)),
+        make_normalization_certificate(tri, third, normalize_circular_flow(tri, third, 2, 1)),
+    ]
+
+
+FUZZ_BASES = [json.loads(c.to_json()) for c in _fuzz_bases()]
+
+
+def _json_paths(node, prefix=()):
+    """Every key/index path below the root of a JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+_any_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_certificates(draw):
+    raw = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    num_edges = parse_graph(raw["graph"]).num_edges
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_json_paths(raw))
+        kind = draw(st.sampled_from(["delete", "swap", "edge-id", "verdict"]))
+        if kind == "verdict":
+            raw["verdict"] = draw(st.sampled_from(
+                ["exists", "none", "converted", "empty", "residual", "parts=3", "members=2",
+                 "phi_i=4;phi_c=4", "phi_i=3", ""]
+            ) | st.text(max_size=8))
+            edits.append(kind)
+            continue
+        path = draw(st.sampled_from(paths))
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "delete":
+            del parent[path[-1]]
+        elif kind == "swap":
+            parent[path[-1]] = draw(_any_json)
+        else:
+            parent[path[-1]] = draw(st.sampled_from(
+                [num_edges, num_edges + 1, -1, -num_edges - 1, 10**12]
+            ))
+        edits.append(kind)
+    return raw, edits
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_certificates())
+def test_fuzzed_certificate_gets_an_outcome(case):
+    raw, edits = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("SG_RESOURCE_CAP", raising=False)
+        try:
+            cert = Certificate.from_json(json.dumps(raw))
+        except PreconditionError:
+            return  # a required top-level field is gone; from_json names it
+        out = verify_certificate(cert)
+    assert isinstance(out, VerifyOutcome)
+    assert isinstance(out.reason, str)

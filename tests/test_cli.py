@@ -138,6 +138,17 @@ def test_flow_circular_numbers(gfile, capsys):
     assert verify_certificate(cert).ok
 
 
+def test_flow_circular_records_lp_calls(gfile, capsys):
+    assert main(["flow", gfile(k4()), "--circular"]) == 0
+    raw = json.loads(capsys.readouterr().out)
+    stats = {}
+    solve.flow_numbers(k4(), stats=stats)
+    assert raw["resources"] == {"lp_calls": stats["lp_calls"]}
+    # a resource count is a report, not a claim: the verifier ignores it
+    raw["resources"]["lp_calls"] = -1
+    assert verify_certificate(Certificate.from_json(json.dumps(raw))).ok
+
+
 def test_flow_requires_a_mode(gfile, capsys):
     assert main(["flow", gfile(cycle(4))]) == 2
     assert "precondition" in capsys.readouterr().err

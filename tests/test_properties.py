@@ -18,6 +18,7 @@ from signedflow.core import (
     switch,
     switch_orientation,
 )
+from signedflow import solve
 from signedflow.errors import NotFlowAdmissibleError
 from signedflow.solve import find_nz_k_flow, find_nz_zk_flow, flow_numbers
 from signedflow.transform import (
@@ -29,7 +30,7 @@ from signedflow.transform import (
     normalize_circular_flow,
 )
 
-from bruteforce import tadpole_exists
+from bruteforce import incidence, subset_bound, tadpole_exists
 
 REF = Orientation.reference()
 
@@ -177,3 +178,32 @@ def test_normalization_lands_on_grid_within_band(g):
             assert (2 * q * value).numerator % 2 == 1
         else:
             assert (q * value).denominator == 1
+
+
+@settings(max_examples=500)
+@given(signed_graphs(max_v=6, max_e=10), st.data())
+def test_connected_sets_carry_the_subset_bound(g, data):
+    # the circular search checks connected vertex sets only, with T from
+    # the degrees and D summed per vertex; over all sets the bound is the same
+    rev = data.draw(st.sets(st.integers(0, g.num_edges - 1)))
+    lp_edges = [j for j, e in enumerate(g.edges) if not (e.u == e.v and e.sign > 0)]
+    a = incidence(g)
+    d = [
+        sum((1 if j in rev else -1) * int(a[v, j]) for j in range(g.num_edges))
+        for v in range(g.num_vertices)
+    ]
+    one_sided, best = False, None
+    for mask in solve._connected_sets(g, lp_edges, g.num_vertices):
+        total = solve._set_weight(g, lp_edges, mask)
+        dx = abs(sum(d[v] for v in range(g.num_vertices) if mask >> v & 1))
+        if not total:
+            continue
+        if dx == total:
+            one_sided = True
+            continue
+        ratio = Fraction(total + dx, total - dx)
+        best = ratio if best is None else max(best, ratio)
+    brute_one_sided, brute_best = subset_bound(g, rev)
+    assert one_sided == brute_one_sided
+    if not one_sided:
+        assert best == brute_best

@@ -16,7 +16,7 @@ from signedflow.core import (
     switch,
 )
 from signedflow.corpus import enumerate_signed_graphs, g_family, signed_petersen
-from signedflow.errors import PreconditionError, ResourceCapExceeded
+from signedflow.errors import InvariantViolation, PreconditionError, ResourceCapExceeded
 from signedflow.solve import (
     circular_flow_number,
     find_2_flow_on_even_graph,
@@ -292,10 +292,12 @@ def test_circular_witness_zero_slack():
 
 
 @pytest.fixture(scope="module")
-def circular_runs():
+def circular_oracle():
     """Per graph: (name, sweep answer, sweep LP calls, pruned answer,
-    pruned LP calls) over Petersen, g_family(1..2) and every admissible
-    class with at most 4 vertices and 7 edges."""
+    pruned LP calls, seeded answer, seeded LP calls) over Petersen,
+    g_family(1..2) and every admissible class with at most 4 vertices and
+    7 edges.  Pruned is circular_flow_number, seeded is flow_numbers,
+    which starts the same search from phi_i - 1."""
     graphs = [("petersen", signed_petersen()), ("g1", g_family(1)), ("g2", g_family(2))]
     graphs += [
         (f"c47:{i}", g)
@@ -309,6 +311,9 @@ def circular_runs():
         calls[0] += 1
         return solve_lp(*args)
 
+    def answer(fn):
+        return fn.phi_c, fn.witnesses["phi_c"]
+
     runs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bruteforce.simplex, "solve_lp", counted)
@@ -318,9 +323,18 @@ def circular_runs():
             swept = bruteforce.circular_sweep(g)
             swept_calls = calls[0]
             calls[0] = 0
-            fn = circular_flow_number(g)
-            runs.append((name, swept, swept_calls, (fn.phi_c, fn.witnesses["phi_c"]), calls[0]))
+            pruned = answer(circular_flow_number(g))
+            pruned_calls = calls[0]
+            calls[0] = 0
+            seeded = answer(flow_numbers(g))
+            runs.append((name, swept, swept_calls, pruned, pruned_calls, seeded, calls[0]))
     return runs
+
+
+@pytest.fixture(scope="module")
+def circular_runs(circular_oracle):
+    """The sweep and circular_flow_number columns of circular_oracle."""
+    return [run[:5] for run in circular_oracle]
 
 
 def test_circular_matches_orientation_sweep(circular_runs):
@@ -335,6 +349,57 @@ def test_circular_pruning_skips_lps(circular_runs):
     corpus = [v for name, v in by_name.items() if name.startswith("c47:")]
     assert sum(pc for _, pc in corpus) < sum(sc for sc, _ in corpus)
     assert all(pc <= sc for sc, pc in by_name.values())
+
+
+def test_seeded_search_matches_orientation_sweep(circular_oracle):
+    assert len(circular_oracle) == 2080
+    for name, swept, _, _, _, seeded, _ in circular_oracle:
+        assert repr(seeded) == repr(swept), name
+
+
+# LP calls of flow_numbers before the subset cut, the tie-key skip and
+# the phi_i - 1 seed; every one of them may only fall
+PARENT_LP_CALLS = {"petersen": 838, "g1": 3, "g2": 146, "g3": 2802, "c47": 12671}
+
+
+def test_lp_calls_below_parent_ceilings(circular_oracle):
+    calls = {name: lps for name, *_, lps in circular_oracle if not name.startswith("c47:")}
+    calls["c47"] = sum(lps for name, *_, lps in circular_oracle if name.startswith("c47:"))
+    stats = {}
+    flow_numbers(g_family(3), stats=stats)
+    calls["g3"] = stats["lp_calls"]
+    for name, ceiling in PARENT_LP_CALLS.items():
+        assert calls[name] <= ceiling, name
+    for name in ("petersen", "g2", "g3", "c47"):
+        assert calls[name] < PARENT_LP_CALLS[name], name
+
+
+@pytest.mark.parametrize("entry", [circular_flow_number, flow_numbers])
+@pytest.mark.parametrize("g", [k4(), g_family(2), signed_petersen()], ids=["k4", "g2", "petersen"])
+def test_stats_count_lp_calls(monkeypatch, entry, g):
+    calls = [0]
+    solve_lp = simplex.solve_lp
+
+    def counted(*args):
+        calls[0] += 1
+        return solve_lp(*args)
+
+    monkeypatch.setattr(solve, "solve_lp", counted)
+    stats = {}
+    entry(g, stats=stats)
+    assert stats["lp_calls"] == calls[0]
+
+
+def test_stats_on_two_flow_shortcut():
+    stats = {}
+    circular_flow_number(cycle(4), stats=stats)
+    assert stats == {"lp_calls": 0, "tie_skips": 0}
+
+
+def test_seed_contradiction_raises():
+    # phi_c(K4) = 4: a claimed phi_i of 3 sets a bound no orientation meets
+    with pytest.raises(InvariantViolation, match="phi_i=3"):
+        solve._circular_flow_number(k4(), solve.DEFAULT_EDGE_CAP_CIRCULAR, None, 3)
 
 
 def test_switching_invariance_of_numbers():
