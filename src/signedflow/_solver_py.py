@@ -1,8 +1,11 @@
-"""Pure-Python backtracking kernels for nowhere-zero flow search.
+"""Backtracking kernels for nowhere-zero flow search.
 
-Both kernels run over plain arrays prepared by solve.py so the compiled
-twin (_kernel.pyx) can share the exact argument layout.  Edge positions
-follow the caller's assignment order; per position the arrays give
+These are the package's only search kernels.  Both run over plain arrays
+prepared by solve.py; the layout is fixed because the reference kernel
+in tests/bruteforce.py takes the same arguments, and the benchmark
+tracer wraps these functions by name and reads their returned tuple.
+Edge positions follow the caller's assignment order; per position the
+arrays give
 
   typ: 0 ordinary edge, 1 negative loop, 2 positive loop
   va, ca: first affected vertex and its boundary coefficient
@@ -16,9 +19,9 @@ Node accounting: each candidate value tried at a position is one node,
 kept or refused.  search_integer solves for the kept candidates in
 closed form and jumps over the refused ones, counting a node for each,
 so its count (and its tree and witness) equal those of trying every
-candidate in turn, which the compiled twin still does.  A nonzero cap
-ends a search with status 2 and nodes == cap + 1 as soon as the count
-passes the cap, within a jump too; a cap of 0 means none.
+candidate in turn, as its reference does.  A nonzero cap ends a search
+with status 2 and nodes == cap + 1 as soon as the count passes the cap,
+within a jump too; a cap of 0 means none.
 
 Statuses: 0 witness found, 1 search space exhausted (an exactness
 claim), 2 node cap hit before either.
@@ -41,9 +44,11 @@ def search_integer(m, n, typ, va, ca, vb, cb, k, cap):
 
     Boundary and slack at a position's ends stay fixed while its
     candidates are tried, so the kept values form one interval [lo, hi],
-    solved on entry from the coefficients _kernel_arrays guarantees:
-    ca = 1 and cb = +-1 on an ordinary edge, ca = 2 on a negative loop
-    (|B + 2 val| <= S gives lo = -((S + B) // 2), hi = (S - B) // 2).
+    solved on entry from the coefficients solve._kernel_arrays
+    guarantees, in the layout the reference kernel in tests/bruteforce.py
+    shares: ca = 1 and cb = +-1 on an ordinary edge, ca = 2 on a
+    negative loop (|B + 2 val| <= S gives lo = -((S + B) // 2),
+    hi = (S - B) // 2).
     The search jumps straight to the next candidate inside the interval
     and counts one node for every candidate jumped over, as though it
     had been tried and refused, so the search tree, the witness and the

@@ -1,8 +1,9 @@
 """Exact existence solvers: k-flows, Z_k-flows, flow numbers.
 
-Search kernels live in _kernel (compiled) with _solver_py as the always
-available fallback; both consume identical argument arrays, so results
-(including node counts) are byte-for-byte the same across backends.
+The k-flow and Z_k-flow searches run the backtracking kernels of
+_solver_py over plain per-position arrays built here; a None from either
+is an exactness claim, and tests/bruteforce.py holds the oracles they
+are checked against.
 """
 
 from __future__ import annotations
@@ -30,11 +31,6 @@ from .structure import (
 )
 from . import _solver_py
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
-
-try:  # compiled twin; optional
-    from . import _kernel  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - depends on build environment
-    _kernel = None
 
 DEFAULT_NODE_CAP = 50_000_000
 DEFAULT_EDGE_CAP_CIRCULAR = 20
@@ -69,23 +65,13 @@ def _resolve_cap(cap: Optional[int]) -> int:
     return cap
 
 
-def _pick_backend(backend: Optional[str]):
-    if backend in (None, "auto"):
-        mod = _kernel if _kernel is not None else _solver_py
-    elif backend == "compiled":
-        if _kernel is None:
-            raise PreconditionError("compiled kernel not available")
-        mod = _kernel
-    elif backend == "python":
-        mod = _solver_py
-    else:
-        raise PreconditionError(f"unknown backend {backend!r}")
-    return mod
-
-
 def solver_backend_name(backend: Optional[str] = None) -> str:
-    mod = _pick_backend(backend)
-    return "compiled" if mod is _kernel and _kernel is not None else "python"
+    """Name of the only search kernel, "python"; any other name is refused.
+
+    The benchmark harness records the name and probes for other kernels."""
+    if backend not in (None, "python"):
+        raise PreconditionError(f"unknown backend {backend!r}")
+    return "python"
 
 
 def _assignment_order(g: SignedGraph) -> list[int]:
@@ -155,38 +141,42 @@ def _positive_form(g: SignedGraph, per_edge: list[int]) -> FlowAssignment:
     return FlowAssignment(Orientation(rev), tuple(abs(v) for v in per_edge))
 
 
+def _search(
+    g: SignedGraph, k: int, cap: Optional[int], stats: Optional[dict], kernel, what: str
+) -> Optional[list[int]]:
+    """Run one kernel over g's arrays; per-edge values under the reference
+    orientation, or None when the search space is exhausted."""
+    if not (isinstance(k, int) and k >= 2):
+        raise PreconditionError("k must be an integer >= 2")
+    cap = _resolve_cap(cap)
+    order = _assignment_order(g)
+    typ, va, ca, vb, cb = _kernel_arrays(g, order)
+    status, vals, nodes = kernel(len(order), g.num_vertices, typ, va, ca, vb, cb, k, cap)
+    if stats is not None:
+        stats["nodes"] = nodes
+    if status == _solver_py.CAPPED:
+        raise ResourceCapExceeded(what, cap=cap, spent=nodes)
+    if status == _solver_py.EXHAUSTED:
+        return None
+    per_edge = [0] * g.num_edges
+    for pos, eid in enumerate(order):
+        per_edge[eid] = vals[pos]
+    return per_edge
+
+
 def find_nz_k_flow(
     g: SignedGraph,
     k: int,
     cap: Optional[int] = None,
     stats: Optional[dict] = None,
-    backend: Optional[str] = None,
 ) -> Optional[FlowAssignment]:
     """Nowhere-zero integer k-flow, or None when provably none exists.
 
     None is an exactness claim (the pruned search exhausted the whole
     value space); hitting the node cap raises ResourceCapExceeded.
     """
-    if not (isinstance(k, int) and k >= 2):
-        raise PreconditionError("k must be an integer >= 2")
-    cap = _resolve_cap(cap)
-    mod = _pick_backend(backend)
-    order = _assignment_order(g)
-    typ, va, ca, vb, cb = _kernel_arrays(g, order)
-    status, vals, nodes = mod.search_integer(
-        len(order), g.num_vertices, typ, va, ca, vb, cb, k, cap
-    )
-    if stats is not None:
-        stats["nodes"] = nodes
-        stats["backend"] = solver_backend_name(backend)
-    if status == _solver_py.CAPPED:
-        raise ResourceCapExceeded("k-flow search", cap=cap, spent=nodes)
-    if status == _solver_py.EXHAUSTED:
-        return None
-    per_edge = [0] * g.num_edges
-    for pos, eid in enumerate(order):
-        per_edge[eid] = vals[pos]
-    return _positive_form(g, per_edge)
+    per_edge = _search(g, k, cap, stats, _solver_py.search_integer, "k-flow search")
+    return None if per_edge is None else _positive_form(g, per_edge)
 
 
 def find_nz_zk_flow(
@@ -194,29 +184,10 @@ def find_nz_zk_flow(
     k: int,
     cap: Optional[int] = None,
     stats: Optional[dict] = None,
-    backend: Optional[str] = None,
 ) -> Optional[FlowAssignment]:
     """Nowhere-zero modulo-k flow with values in 1..k-1, or None (exact)."""
-    if not (isinstance(k, int) and k >= 2):
-        raise PreconditionError("k must be an integer >= 2")
-    cap = _resolve_cap(cap)
-    mod = _pick_backend(backend)
-    order = _assignment_order(g)
-    typ, va, ca, vb, cb = _kernel_arrays(g, order)
-    status, vals, nodes = mod.search_modulo(
-        len(order), g.num_vertices, typ, va, ca, vb, cb, k, cap
-    )
-    if stats is not None:
-        stats["nodes"] = nodes
-        stats["backend"] = solver_backend_name(backend)
-    if status == _solver_py.CAPPED:
-        raise ResourceCapExceeded("Z_k-flow search", cap=cap, spent=nodes)
-    if status == _solver_py.EXHAUSTED:
-        return None
-    per_edge = [0] * g.num_edges
-    for pos, eid in enumerate(order):
-        per_edge[eid] = vals[pos]
-    return FlowAssignment(Orientation.reference(), tuple(per_edge))
+    per_edge = _search(g, k, cap, stats, _solver_py.search_modulo, "Z_k-flow search")
+    return None if per_edge is None else FlowAssignment(Orientation.reference(), tuple(per_edge))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +465,6 @@ def integer_flow_number(
     g: SignedGraph,
     k_max: int = 8,
     cap: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> FlowNumbers:
     """Smallest k ≤ k_max admitting a nowhere-zero k-flow, with witness.
 
@@ -509,7 +479,7 @@ def integer_flow_number(
             f"graph is not flow-admissible: {verdict.defects[0].kind}"
         )
     for k in range(2, k_max + 1):
-        fa = find_nz_k_flow(g, k, cap=cap, backend=backend)
+        fa = find_nz_k_flow(g, k, cap=cap)
         if fa is not None:
             return FlowNumbers(phi_i=k, witnesses={"phi_i": fa})
     return FlowNumbers(phi_i=None)

@@ -1,17 +1,21 @@
-"""The pure-Python integer kernel against its jump-free reference.
+"""The search kernels against their references.
 
 search_integer jumps over the candidates its closed-form interval
 refuses and counts them as nodes.  It must walk the same tree as the
 reference that tries each candidate in turn: same status, same node
 count (the cap included), and the same witness when it finds a flow.
+search_modulo has no node-for-node reference yet, so its statuses and
+node counts on Petersen and g_family(3) are pinned.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from signedflow import _solver_py
+from signedflow.core import FlowKind, check_flow
 from signedflow.corpus import g_family, random_signed_graph
-from signedflow.solve import _assignment_order, _kernel_arrays
+from signedflow.errors import ResourceCapExceeded
+from signedflow.solve import _assignment_order, _kernel_arrays, find_nz_zk_flow
 
 from bruteforce import search_integer_reference
 
@@ -68,3 +72,30 @@ def test_kernel_matches_reference_on_random_graphs(seed, num_vertices, extra, k,
     # edges beyond a spanning tree land on any pair, loops included
     g = random_signed_graph(seed, num_vertices, max(num_vertices - 1, 1) + extra)
     _agree(g, k, cap)
+
+
+@pytest.mark.parametrize(
+    "name,k,found,nodes",
+    [
+        ("petersen", 2, False, 2),
+        ("petersen", 3, False, 30),
+        ("petersen", 4, False, 798),
+        ("petersen", 5, False, 9_972),
+        ("petersen", 6, True, 41),
+        ("g3", 2, False, 8),
+        ("g3", 3, False, 674),
+        ("g3", 4, True, 20),
+        ("g3", 5, True, 110),
+        ("g3", 6, True, 310),
+    ],
+)
+def test_modulo_kernel_pinned(petersen, name, k, found, nodes):
+    g = petersen if name == "petersen" else g_family(3)
+    stats = {}
+    za = find_nz_zk_flow(g, k, stats=stats)
+    assert (za is not None, stats["nodes"]) == (found, nodes)
+    if found:
+        assert check_flow(g, za, FlowKind.modulo(k)).ok
+    with pytest.raises(ResourceCapExceeded) as exc:
+        find_nz_zk_flow(g, k, cap=nodes - 1)
+    assert exc.value.spent == nodes
