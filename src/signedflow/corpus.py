@@ -210,7 +210,7 @@ def _degree_sorting_orders(n: int, deg: list[int]) -> Iterator[tuple[int, ...]]:
 
 
 def _relabel_pairs(
-    pairs: tuple[tuple[int, int], ...], pos: dict[int, int]
+    pairs: tuple[tuple[int, int], ...], pos: list[int]
 ) -> tuple[tuple[int, int], ...]:
     out = []
     for u, v in pairs:
@@ -220,98 +220,68 @@ def _relabel_pairs(
     return tuple(out)
 
 
-def _canonical_pairs(n: int, pairs: tuple[tuple[int, int], ...]):
+def _canonical_pairs(n: int, pairs: tuple[tuple[int, int], ...], deg: list[int]):
     """Lex-least relabeling among degree-sorted orders, plus its automorphisms.
 
-    Returns (canonical pair tuple, list of vertex->position maps fixing it).
+    Returns (canonical pair tuple, list of vertex->position maps reaching
+    it).  When the canonical tuple is ``pairs`` itself, those maps are
+    exactly the automorphisms of the pair multiset.
     """
-    deg = [0] * n
-    for u, v in pairs:
-        deg[u] += 1
-        deg[v] += 1
     best: Optional[tuple[tuple[int, int], ...]] = None
-    maps: list[dict[int, int]] = []
+    maps: list[tuple[int, ...]] = []
     for order in _degree_sorting_orders(n, deg):
-        pos = {v: i for i, v in enumerate(order)}
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
         cand = _relabel_pairs(pairs, pos)
         if best is None or cand < best:
             best = cand
-            maps = [pos]
+            maps = [tuple(pos)]
         elif cand == best:
-            maps.append(pos)
+            maps.append(tuple(pos))
     assert best is not None
     return best, maps
-
-
-def _pair_automorphisms(n: int, pairs: tuple[tuple[int, int], ...]) -> list[tuple[int, ...]]:
-    """Vertex permutations (as position tuples) preserving the pair multiset."""
-    deg = [0] * n
-    for u, v in pairs:
-        deg[u] += 1
-        deg[v] += 1
-    auts = []
-    for order in _degree_sorting_orders(n, deg):
-        pos = {v: i for i, v in enumerate(order)}
-        if _relabel_pairs(pairs, pos) == pairs:
-            auts.append(tuple(pos[v] for v in range(n)))
-    return auts
-
-
-def _signature_normal_form(
-    pairs: tuple[tuple[int, int], ...], signs: tuple[int, ...]
-) -> tuple[tuple[int, int, int], ...]:
-    return tuple(sorted((u, v, s) for (u, v), s in zip(pairs, signs)))
-
-
-def _signature_orbit(
-    n: int,
-    pairs: tuple[tuple[int, int], ...],
-    nf: tuple[tuple[int, int, int], ...],
-    auts: list[tuple[int, ...]],
-) -> Iterator[tuple[tuple[int, int, int], ...]]:
-    subsets = [
-        frozenset(s)
-        for r in range(n)
-        for s in itertools.combinations(range(1, n), r)
-    ]
-    for aut in auts:
-        for sub in subsets:
-            out = []
-            for u, v, s in nf:
-                if u != v and ((u in sub) != (v in sub)):
-                    s = -s
-                a, b = aut[u], aut[v]
-                if a > b:
-                    a, b = b, a
-                out.append((a, b, s))
-            out.sort()
-            yield tuple(out)
 
 
 def _signature_classes(
     n: int, pairs: tuple[tuple[int, int], ...], auts: list[tuple[int, ...]]
 ) -> Iterator[tuple[int, ...]]:
-    """One sign vector per switching x automorphism class, lex-first."""
-    per_class: list[list[tuple[int, ...]]] = []
-    start = 0
-    while start < len(pairs):
-        stop = start
-        while stop < len(pairs) and pairs[stop] == pairs[start]:
-            stop += 1
-        size = stop - start
-        opts = [(-1,) * j + (1,) * (size - j) for j in range(size, -1, -1)]
-        opts.sort()
-        per_class.append(opts)
-        start = stop
-    seen: set[tuple[tuple[int, int, int], ...]] = set()
-    for combo in itertools.product(*per_class):
-        signs = tuple(s for part in combo for s in part)
-        nf = _signature_normal_form(pairs, signs)
-        if nf in seen:
+    """One sign vector per switching x automorphism class, lex-first.
+
+    Parallel edges are interchangeable, so a signature is held as the
+    number of negative edges on each distinct pair.  Candidates run in
+    lex order of sign vectors (negative first): per pair, from all of
+    its edges negative down to none.
+    """
+    groups = sorted(set(pairs))
+    mult = [pairs.count(p) for p in groups]
+    index = {p: j for j, p in enumerate(groups)}
+    # one move per automorphism x switching of a subset of {1..n-1}:
+    # entry t is (j, base, sign), and the image's count on pair t is
+    # base + sign * (count on pair j), i.e. complemented when pair j
+    # crosses the cut.  The orbit is a set, so equal moves are kept once.
+    moves: set[tuple[tuple[int, int, int], ...]] = set()
+    for r in range(n):
+        for sub in itertools.combinations(range(1, n), r):
+            cut = frozenset(sub)
+            for aut in auts:
+                move = [(0, 0, 0)] * len(groups)
+                for j, (u, v) in enumerate(groups):
+                    a, b = aut[u], aut[v]
+                    flip = u != v and ((u in cut) != (v in cut))
+                    move[index[(a, b) if a <= b else (b, a)]] = (
+                        j, mult[j] if flip else 0, -1 if flip else 1
+                    )
+                moves.add(tuple(move))
+    seen: set[tuple[int, ...]] = set()
+    for negs in itertools.product(*(range(c, -1, -1) for c in mult)):
+        if negs in seen:
             continue
-        for img in _signature_orbit(n, pairs, nf, auts):
-            seen.add(img)
-        yield signs
+        for move in moves:
+            seen.add(tuple([base + sign * negs[j] for j, base, sign in move]))
+        yield tuple(
+            s for k, c in zip(negs, mult) for s in (-1,) * k + (1,) * (c - k)
+        )
 
 
 def enumerate_signed_graphs(
@@ -323,6 +293,11 @@ def enumerate_signed_graphs(
     Underlying multigraphs stream in (vertex count, edge count, edge
     list) order; signatures per graph stream lex-first.  Loops and
     parallel edges are included; the edgeless one-vertex graph is not.
+
+    An edge list is kept only if it is its own canonical form, and a
+    canonical form lists vertex degrees (a loop counting 2) in
+    nondecreasing order, so every edge list failing that is dropped
+    before the connectivity and canonical-form tests.
     """
     if not (1 <= max_v <= MAX_ENUM_VERTICES):
         raise PreconditionError(f"max_v must be in 1..{MAX_ENUM_VERTICES}")
@@ -340,14 +315,16 @@ def enumerate_signed_graphs(
     for n in range(1, max_v + 1):
         all_pairs = [(u, v) for u in range(n) for v in range(u, n)]
         for m in range(max(1, n - 1), max_e + 1):
-            for combo in itertools.combinations_with_replacement(all_pairs, m):
-                pairs = tuple(combo)
-                if not _connected_spanning(n, pairs):
+            for pairs in itertools.combinations_with_replacement(all_pairs, m):
+                deg = [0] * n
+                for u, v in pairs:
+                    deg[u] += 1
+                    deg[v] += 1
+                if deg != sorted(deg) or not _connected_spanning(n, pairs):
                     continue
-                canon, _maps = _canonical_pairs(n, pairs)
+                canon, auts = _canonical_pairs(n, pairs, deg)
                 if canon != pairs:
                     continue
-                auts = _pair_automorphisms(n, pairs)
                 for signs in _signature_classes(n, pairs, auts):
                     yield SignedGraph(
                         n, tuple(edge(u, v, s) for (u, v), s in zip(pairs, signs))
@@ -407,10 +384,18 @@ class CorpusSpec:
         "enumerate",
         "random",
     )
+    # sizes, counts and seeds: int() would silently truncate a float
+    _INT_PARAMS = frozenset(
+        {"max_v", "max_e", "t", "seed", "v", "num_vertices", "e", "num_edges", "count"}
+    )
 
     def __post_init__(self) -> None:
         if self.family not in self._FAMILIES:
             raise PreconditionError(f"unknown corpus family {self.family!r}")
+        for key, val in self.params:
+            if key in self._INT_PARAMS and not isinstance(val, int):
+                raise PreconditionError(
+                    f"corpus parameter {key!r} must be an integer, got {val!r}")
         object.__setattr__(self, "params", tuple(sorted(self.params)))
 
     @classmethod
@@ -423,7 +408,14 @@ class CorpusSpec:
                 key, eq, val = item.partition("=")
                 if not eq:
                     raise PreconditionError(f"bad corpus parameter {item!r}")
-                num = float(val) if "." in val else int(val)
+                try:
+                    num = int(val)
+                except ValueError:
+                    try:
+                        num = float(val)
+                    except ValueError:
+                        raise PreconditionError(
+                            f"corpus parameter {item!r} is not a number") from None
                 params.append((key.strip(), num))
         return cls(family.strip(), tuple(params))
 
@@ -448,19 +440,19 @@ class CorpusSpec:
         if self.family == "petersen-fig1":
             return [signed_petersen()]
         if self.family == "g-family":
-            return [g_family(int(self._get("t")))]
+            return [g_family(self._get("t"))]
         if self.family == "w5-all-signatures":
             return w5_all_signatures()
         if self.family == "enumerate":
-            max_v = int(self._get("max_v", default=MAX_ENUM_VERTICES))
-            max_e = int(self._get("max_e", default=MAX_ENUM_EDGES))
+            max_v = self._get("max_v", default=MAX_ENUM_VERTICES)
+            max_e = self._get("max_e", default=MAX_ENUM_EDGES)
             return list(enumerate_signed_graphs(max_v, max_e))
         if self.family == "random":
-            seed = int(self._get("seed"))
-            nv = int(self._get("v", "num_vertices"))
-            ne = int(self._get("e", "num_edges"))
+            seed = self._get("seed")
+            nv = self._get("v", "num_vertices")
+            ne = self._get("e", "num_edges")
             prob = float(self._get("neg_prob", default=0.5))
-            count = int(self._get("count", default=1))
+            count = self._get("count", default=1)
             if count < 1:
                 raise PreconditionError("count must be >= 1")
             return [

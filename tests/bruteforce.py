@@ -12,6 +12,10 @@ here too, as search_integer_reference: the kernel must walk its tree
 node for node, so the oracle is the same search without the jumps.
 subset_bound is the circular search's vertex-cut bound over all 2^n
 vertex sets, the oracle for the connected sets the search checks.
+enumerate_signed_graphs_reference is the corpus enumerator as it was
+before the degree-order prefilter, with its own connectivity,
+canonical-form, automorphism and orbit code: the package's corpus must
+stream exactly the same graphs.
 
 Size guard: 2(k-1) choices per edge, so k=4 with 6 edges is 6^6 = 46656
 columns.  Keep inputs small.
@@ -21,12 +25,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Iterator, Optional
 
 import numpy as np
 
 from signedflow import simplex
 from signedflow._solver_py import CAPPED, EXHAUSTED, FOUND
-from signedflow.core import FlowAssignment, Orientation
+from signedflow.core import Edge, FlowAssignment, Orientation, SignedGraph
 from signedflow.solve import find_nz_k_flow
 
 MAX_COLUMNS = 2_000_000
@@ -327,3 +332,187 @@ def _unapply(bnd, typ, va, ca, vb, cb, pos, values):
         bnd[vb[pos]] -= cb[pos] * val
     elif t == 1:
         bnd[va[pos]] -= ca[pos] * val
+
+
+# ---------------------------------------------------------------------------
+# reference corpus enumeration
+
+
+def _connected_spanning(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    touched = [False] * n
+    for u, v in pairs:
+        touched[u] = touched[v] = True
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    if not all(touched):
+        return False
+    root = find(0)
+    return all(find(v) == root for v in range(n))
+
+
+def _degree_sorting_orders(n: int, deg: list[int]) -> Iterator[tuple[int, ...]]:
+    """Vertex orders listing degrees nondecreasingly (all tie rearrangements)."""
+    by_deg = sorted(range(n), key=lambda v: (deg[v], v))
+    blocks: list[list[int]] = []
+    for v in by_deg:
+        if blocks and deg[blocks[-1][0]] == deg[v]:
+            blocks[-1].append(v)
+        else:
+            blocks.append([v])
+    for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        yield tuple(v for blk in choice for v in blk)
+
+
+def _relabel_pairs(
+    pairs: tuple[tuple[int, int], ...], pos: dict[int, int]
+) -> tuple[tuple[int, int], ...]:
+    out = []
+    for u, v in pairs:
+        a, b = pos[u], pos[v]
+        out.append((a, b) if a <= b else (b, a))
+    out.sort()
+    return tuple(out)
+
+
+def _canonical_pairs(n: int, pairs: tuple[tuple[int, int], ...]):
+    """Lex-least relabeling among degree-sorted orders, plus its automorphisms.
+
+    Returns (canonical pair tuple, list of vertex->position maps fixing it).
+    """
+    deg = [0] * n
+    for u, v in pairs:
+        deg[u] += 1
+        deg[v] += 1
+    best: Optional[tuple[tuple[int, int], ...]] = None
+    maps: list[dict[int, int]] = []
+    for order in _degree_sorting_orders(n, deg):
+        pos = {v: i for i, v in enumerate(order)}
+        cand = _relabel_pairs(pairs, pos)
+        if best is None or cand < best:
+            best = cand
+            maps = [pos]
+        elif cand == best:
+            maps.append(pos)
+    assert best is not None
+    return best, maps
+
+
+def _pair_automorphisms(n: int, pairs: tuple[tuple[int, int], ...]) -> list[tuple[int, ...]]:
+    """Vertex permutations (as position tuples) preserving the pair multiset."""
+    deg = [0] * n
+    for u, v in pairs:
+        deg[u] += 1
+        deg[v] += 1
+    auts = []
+    for order in _degree_sorting_orders(n, deg):
+        pos = {v: i for i, v in enumerate(order)}
+        if _relabel_pairs(pairs, pos) == pairs:
+            auts.append(tuple(pos[v] for v in range(n)))
+    return auts
+
+
+def _signature_normal_form(
+    pairs: tuple[tuple[int, int], ...], signs: tuple[int, ...]
+) -> tuple[tuple[int, int, int], ...]:
+    return tuple(sorted((u, v, s) for (u, v), s in zip(pairs, signs)))
+
+
+def _signature_orbit(
+    n: int,
+    pairs: tuple[tuple[int, int], ...],
+    nf: tuple[tuple[int, int, int], ...],
+    auts: list[tuple[int, ...]],
+) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    subsets = [
+        frozenset(s)
+        for r in range(n)
+        for s in itertools.combinations(range(1, n), r)
+    ]
+    for aut in auts:
+        for sub in subsets:
+            out = []
+            for u, v, s in nf:
+                if u != v and ((u in sub) != (v in sub)):
+                    s = -s
+                a, b = aut[u], aut[v]
+                if a > b:
+                    a, b = b, a
+                out.append((a, b, s))
+            out.sort()
+            yield tuple(out)
+
+
+def _signature_classes(
+    n: int, pairs: tuple[tuple[int, int], ...], auts: list[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """One sign vector per switching x automorphism class, lex-first."""
+    per_class: list[list[tuple[int, ...]]] = []
+    start = 0
+    while start < len(pairs):
+        stop = start
+        while stop < len(pairs) and pairs[stop] == pairs[start]:
+            stop += 1
+        size = stop - start
+        opts = [(-1,) * j + (1,) * (size - j) for j in range(size, -1, -1)]
+        opts.sort()
+        per_class.append(opts)
+        start = stop
+    seen: set[tuple[tuple[int, int, int], ...]] = set()
+    for combo in itertools.product(*per_class):
+        signs = tuple(s for part in combo for s in part)
+        nf = _signature_normal_form(pairs, signs)
+        if nf in seen:
+            continue
+        for img in _signature_orbit(n, pairs, nf, auts):
+            seen.add(img)
+        yield signs
+
+
+def enumerate_signed_graphs_reference(max_v: int, max_e: int) -> Iterator[SignedGraph]:
+    """All connected signed multigraphs within bounds, one per class.
+
+    The enumerator as it was before the degree-order prefilter and the
+    negative-count signature classes: every edge multiset is tested for
+    connectivity and canonicity, and signature orbits are built from
+    sorted (u, v, sign) normal forms.  The oracle for
+    signedflow.corpus.enumerate_signed_graphs, whose stream must equal
+    this one graph for graph.
+
+    Classes are taken under vertex relabeling and switching together.
+    Underlying multigraphs stream in (vertex count, edge count, edge
+    list) order; signatures per graph stream lex-first.  Loops and
+    parallel edges are included; the edgeless one-vertex graph is not.
+    """
+    # Edge is frozen, so every graph can share one object per (u, v, sign)
+    interned: dict[tuple[int, int, int], Edge] = {}
+
+    def edge(u: int, v: int, s: int) -> Edge:
+        e = interned.get((u, v, s))
+        if e is None:
+            e = interned[u, v, s] = Edge(u, v, s)
+        return e
+
+    for n in range(1, max_v + 1):
+        all_pairs = [(u, v) for u in range(n) for v in range(u, n)]
+        for m in range(max(1, n - 1), max_e + 1):
+            for combo in itertools.combinations_with_replacement(all_pairs, m):
+                pairs = tuple(combo)
+                if not _connected_spanning(n, pairs):
+                    continue
+                canon, _maps = _canonical_pairs(n, pairs)
+                if canon != pairs:
+                    continue
+                auts = _pair_automorphisms(n, pairs)
+                for signs in _signature_classes(n, pairs, auts):
+                    yield SignedGraph(
+                        n, tuple(edge(u, v, s) for (u, v), s in zip(pairs, signs))
+                    )

@@ -311,6 +311,23 @@ def test_generate_bad_spec(tmp_path, capsys):
     assert main(["generate", "nope", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "enumerate:max_v=abc",
+        "enumerate:max_e=1e3",
+        "enumerate:max_v=2.5",
+        "random:count=x,num_edges=6,num_vertices=4,seed=3",
+    ],
+)
+def test_generate_bad_number_exits_2(spec, tmp_path, capsys):
+    # a non-number, or a float where an integer is due, writes no corpus
+    out = tmp_path / "x"
+    assert main(["generate", spec, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "precondition" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -4,8 +4,11 @@ import itertools
 
 import pytest
 
-from signedflow.core import Edge, SignedGraph, serialize_graph, switch
+from bruteforce import enumerate_signed_graphs_reference
+from signedflow.core import Edge, SignedGraph, connected_components, serialize_graph, switch
 from signedflow.corpus import (
+    MAX_ENUM_EDGES,
+    MAX_ENUM_VERTICES,
     CorpusSpec,
     enumerate_signed_graphs,
     g_family,
@@ -87,12 +90,44 @@ FROZEN_COUNTS = [
     (3, 4, 106),
     (3, 5, 311),
     (4, 6, 1623),
+    (4, 7, 5674),
+    (5, 8, 35330),
 ]
 
 
 @pytest.mark.parametrize("mv,me,count", FROZEN_COUNTS)
-def test_enumeration_counts(mv, me, count):
-    assert sum(1 for _ in enumerate_signed_graphs(mv, me)) == count
+def test_enumeration_counts(mv, me, count, request):
+    if (mv, me) == (MAX_ENUM_VERTICES, MAX_ENUM_EDGES):
+        graphs = request.getfixturevalue("corpus_full")
+    else:
+        graphs = enumerate_signed_graphs(mv, me)
+    assert sum(1 for _ in graphs) == count
+
+
+@pytest.fixture(scope="module")
+def full_stream(corpus_full):
+    return [(g.num_vertices, g.num_edges, serialize_graph(g)) for g in corpus_full]
+
+
+def test_full_stream_matches_reference(full_stream):
+    reference = enumerate_signed_graphs_reference(MAX_ENUM_VERTICES, MAX_ENUM_EDGES)
+    assert [text for _, _, text in full_stream] == [serialize_graph(g) for g in reference]
+
+
+@pytest.mark.parametrize(
+    "mv,me",
+    [
+        (mv, me)
+        for mv in range(1, MAX_ENUM_VERTICES + 1)
+        for me in range(1, MAX_ENUM_EDGES + 1)
+        if (mv, me) != (MAX_ENUM_VERTICES, MAX_ENUM_EDGES)
+    ],
+)
+def test_smaller_bounds_filter_the_full_stream(mv, me, full_stream):
+    # the stream runs in (vertex count, edge count, edge list) order, so
+    # a smaller bound must give exactly the matching part of the 5/8 one
+    want = [text for n, m, text in full_stream if n <= mv and m <= me]
+    assert [serialize_graph(g) for g in enumerate_signed_graphs(mv, me)] == want
 
 
 def test_two_vertex_classes_by_hand():
@@ -131,38 +166,57 @@ def test_enumeration_bounds_checked():
         list(enumerate_signed_graphs(0, 2))
 
 
-def test_no_two_classes_switching_equivalent():
-    # brute-check the dedup on the smallest slice: reps must stay
-    # inequivalent under permutation + switching
-    graphs = [g for g in enumerate_signed_graphs(2, 2)]
+def _class_forms(g):
+    """Every sorted (u, v, sign) edge list of g under permutation x switching."""
+    n = g.num_vertices
+    forms = set()
+    for r in range(n + 1):
+        for sub in itertools.combinations(range(n), r):
+            s = switch(g, sub)
+            for perm in itertools.permutations(range(n)):
+                forms.add((n, tuple(sorted(
+                    (min(perm[e.u], perm[e.v]), max(perm[e.u], perm[e.v]), e.sign)
+                    for e in s.edges
+                ))))
+    return forms
 
-    def canon(g):
-        forms = set()
-        for perm in itertools.permutations(range(g.num_vertices)):
-            base = tuple(
-                sorted(
-                    (min(perm[e.u], perm[e.v]), max(perm[e.u], perm[e.v]))
-                    for e in g.edges
-                )
-            )
-            for r in range(g.num_vertices + 1):
-                for sub in itertools.combinations(range(g.num_vertices), r):
-                    s = switch(g, sub)
-                    form = tuple(
-                        sorted(
-                            (min(perm[e.u], perm[e.v]), max(perm[e.u], perm[e.v]), e.sign)
-                            for e in s.edges
-                        )
-                    )
-                    forms.add((base, form))
-        return frozenset(forms)
 
-    seen = []
-    for g in graphs:
-        c = canon(g)
-        for other in seen:
-            assert not (c & other), "two representatives are equivalent"
-        seen.append(c)
+def _class_index(graphs):
+    """Map every form of every representative to its index; a form reached
+    from two representatives means they are equivalent."""
+    index = {}
+    for i, g in enumerate(graphs):
+        for form in _class_forms(g):
+            assert index.setdefault(form, i) == i, "two representatives are equivalent"
+    return index
+
+
+@pytest.mark.parametrize("mv,me", [(2, 2), (3, 4)])
+def test_no_two_classes_switching_equivalent(mv, me):
+    # brute-check the dedup: reps must stay inequivalent under
+    # permutation + switching
+    _class_index(list(enumerate_signed_graphs(mv, me)))
+
+
+def test_every_small_signed_multigraph_has_one_representative():
+    # completeness at 3/4: every connected signed multigraph, built
+    # straight from all edge multisets and sign vectors, is equivalent to
+    # a representative, and to only one since the classes are disjoint
+    reps = list(enumerate_signed_graphs(3, 4))
+    index = _class_index(reps)
+    reached = set()
+    for n in range(1, 4):
+        pairs = [(u, v) for u in range(n) for v in range(u, n)]
+        for m in range(1, 5):
+            for combo in itertools.combinations_with_replacement(pairs, m):
+                for signs in itertools.product((1, -1), repeat=m):
+                    g = SignedGraph(n, tuple(Edge(u, v, s) for (u, v), s in zip(combo, signs)))
+                    if len(connected_components(g)) != 1:
+                        continue
+                    form = (n, tuple(sorted((e.u, e.v, e.sign) for e in g.edges)))
+                    assert form in index, f"no representative for {form}"
+                    reached.add(index[form])
+    assert reached == set(range(len(reps)))
 
 
 def test_random_graph_reproducible():
@@ -203,3 +257,32 @@ def test_corpus_spec_builds():
 def test_corpus_spec_rejects_unknown():
     with pytest.raises(PreconditionError):
         CorpusSpec.parse("complete-graphs:n=9")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "enumerate:max_v=abc",
+        "enumerate:max_e=1e3",
+        "enumerate:max_v=2.5",
+        "enumerate:max_v=",
+        "random:count=x,num_edges=6,num_vertices=4,seed=3",
+        "random:neg_prob=half,num_edges=6,num_vertices=4,seed=3",
+    ]
+    + [f"random:{key}=2.5" for key in ("t", "seed", "v", "num_vertices", "e", "num_edges", "count")]
+    + [f"enumerate:{key}=2.0" for key in ("max_v", "max_e")],
+)
+def test_corpus_spec_rejects_bad_numbers(text):
+    with pytest.raises(PreconditionError):
+        CorpusSpec.parse(text)
+
+
+def test_corpus_spec_rejects_float_for_integer_parameter():
+    with pytest.raises(PreconditionError):
+        CorpusSpec("enumerate", (("max_v", 2.5),))
+
+
+def test_corpus_spec_float_parameter_accepts_exponent():
+    spec = CorpusSpec.parse("random:neg_prob=1e-1,num_edges=6,num_vertices=4,seed=3")
+    assert dict(spec.params)["neg_prob"] == 0.1
+    assert len(spec.build()) == 1
