@@ -12,6 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import getitem, mul
 from typing import Iterator, Optional
 
 from .core import Edge, FlowAssignment, FlowKind, Orientation, SignedGraph, check_flow
@@ -243,45 +244,104 @@ def _canonical_pairs(n: int, pairs: tuple[tuple[int, int], ...], deg: list[int])
     return best, maps
 
 
+def _degree_sorted_multisets(n: int, m: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Multisets of m vertex pairs on n vertices whose degrees are sorted.
+
+    Yields the tuples of ``combinations_with_replacement`` over the
+    lex-ordered pairs (loops included) that list vertex degrees, a loop
+    counting 2, in nondecreasing order, in the same order, but grows them
+    depth first and never builds the others.  Pairs come in lex order, so
+    no later pair touches a vertex below the last pair's first endpoint:
+    those degrees are final and must already be sorted.  The remaining r
+    pairs bring 2r degree units, so the shortfall of the other vertices
+    below the running maximum of the degrees before them must be at most
+    2r.
+    """
+    all_pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    deg = [0] * n
+    chosen: list[tuple[int, int]] = []
+
+    def extend(start: int, r: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        if r == 0:
+            yield tuple(chosen)
+            return
+        r -= 1
+        for i in range(start, len(all_pairs)):
+            u, v = pair = all_pairs[i]
+            deg[u] += 1
+            deg[v] += 1
+            top = short = 0
+            for w, d in enumerate(deg):
+                if d >= top:
+                    top = d
+                elif w < u:
+                    # a final degree is out of order, and a later pair
+                    # has a first endpoint >= u, so none can repair it
+                    deg[u] -= 1
+                    deg[v] -= 1
+                    return
+                else:
+                    short += top - d
+            if short <= 2 * r:
+                chosen.append(pair)
+                yield from extend(i, r)
+                chosen.pop()
+            deg[u] -= 1
+            deg[v] -= 1
+
+    return extend(0, m)
+
+
 def _signature_classes(
     n: int, pairs: tuple[tuple[int, int], ...], auts: list[tuple[int, ...]]
 ) -> Iterator[tuple[int, ...]]:
     """One sign vector per switching x automorphism class, lex-first.
 
     Parallel edges are interchangeable, so a signature is held as the
-    number of negative edges on each distinct pair.  Candidates run in
-    lex order of sign vectors (negative first): per pair, from all of
-    its edges negative down to none.
+    number of positive edges on each distinct pair, read as the digits
+    of a mixed-radix index with the first pair most significant.
+    Increasing index is lex order of sign vectors (negative first), the
+    order in which candidates are tried, and orbits are marked in a flat
+    table over that index.
     """
     groups = sorted(set(pairs))
     mult = [pairs.count(p) for p in groups]
     index = {p: j for j, p in enumerate(groups)}
-    # one move per automorphism x switching of a subset of {1..n-1}:
-    # entry t is (j, base, sign), and the image's count on pair t is
-    # base + sign * (count on pair j), i.e. complemented when pair j
-    # crosses the cut.  The orbit is a set, so equal moves are kept once.
-    moves: set[tuple[tuple[int, int, int], ...]] = set()
-    for r in range(n):
-        for sub in itertools.combinations(range(1, n), r):
-            cut = frozenset(sub)
-            for aut in auts:
-                move = [(0, 0, 0)] * len(groups)
-                for j, (u, v) in enumerate(groups):
-                    a, b = aut[u], aut[v]
-                    flip = u != v and ((u in cut) != (v in cut))
-                    move[index[(a, b) if a <= b else (b, a)]] = (
-                        j, mult[j] if flip else 0, -1 if flip else 1
-                    )
-                moves.add(tuple(move))
-    seen: set[tuple[int, ...]] = set()
-    for negs in itertools.product(*(range(c, -1, -1) for c in mult)):
-        if negs in seen:
+    place = [1] * len(groups)
+    for j in range(len(groups) - 1, 0, -1):
+        place[j - 1] = place[j] * (mult[j] + 1)
+    # A move (switching at a subset of {1..n-1}, then an automorphism)
+    # takes the digit d_j of pair j to the pair aut(j), complemented to
+    # mult_j - d_j when pair j crosses the cut.  So the image's index is
+    # affine in the digits: const + sum_j weight_j * d_j, with weight_j
+    # the place of aut(j), negated when j crosses, and const the sum of
+    # place * mult over the crossing pairs.  The orbit is a set, so
+    # equal moves are kept once.
+    targets = []
+    for aut in auts:
+        tp = []
+        for u, v in groups:
+            a, b = aut[u], aut[v]
+            tp.append(place[index[(a, b) if a <= b else (b, a)]])
+        targets.append(tp)
+    flips = []
+    # even masks are the subsets of {1..n-1}
+    for cut in range(0, 1 << n, 2):
+        crossing = [(cut >> u ^ cut >> v) & 1 for u, v in groups]
+        flips.append((crossing, [1 - 2 * f for f in crossing]))
+    moves: set[tuple[int, tuple[int, ...]]] = set()
+    for tp in targets:
+        full = list(map(mul, tp, mult))
+        for crossing, sign in flips:
+            moves.add((sum(map(mul, full, crossing)), tuple(map(mul, tp, sign))))
+    per_pair = [[(-1,) * (c - d) + (1,) * d for d in range(c + 1)] for c in mult]
+    seen = bytearray(place[0] * (mult[0] + 1))
+    for i, digits in enumerate(itertools.product(*(range(c + 1) for c in mult))):
+        if seen[i]:
             continue
-        for move in moves:
-            seen.add(tuple([base + sign * negs[j] for j, base, sign in move]))
-        yield tuple(
-            s for k, c in zip(negs, mult) for s in (-1,) * k + (1,) * (c - k)
-        )
+        for const, weight in moves:
+            seen[const + sum(map(mul, weight, digits))] = 1
+        yield sum(map(getitem, per_pair, digits), ())
 
 
 def enumerate_signed_graphs(
@@ -296,8 +356,11 @@ def enumerate_signed_graphs(
 
     An edge list is kept only if it is its own canonical form, and a
     canonical form lists vertex degrees (a loop counting 2) in
-    nondecreasing order, so every edge list failing that is dropped
-    before the connectivity and canonical-form tests.
+    nondecreasing order, so an edge list that does not is never
+    generated: edge lists grow pair by pair in lex order, and a prefix
+    is extended only while the degrees no later pair can change are
+    sorted and the pairs still to come can lift the rest into order
+    (``_degree_sorted_multisets``).
     """
     if not (1 <= max_v <= MAX_ENUM_VERTICES):
         raise PreconditionError(f"max_v must be in 1..{MAX_ENUM_VERTICES}")
@@ -313,22 +376,20 @@ def enumerate_signed_graphs(
         return e
 
     for n in range(1, max_v + 1):
-        all_pairs = [(u, v) for u in range(n) for v in range(u, n)]
         for m in range(max(1, n - 1), max_e + 1):
-            for pairs in itertools.combinations_with_replacement(all_pairs, m):
+            for pairs in _degree_sorted_multisets(n, m):
+                if not _connected_spanning(n, pairs):
+                    continue
                 deg = [0] * n
                 for u, v in pairs:
                     deg[u] += 1
                     deg[v] += 1
-                if deg != sorted(deg) or not _connected_spanning(n, pairs):
-                    continue
                 canon, auts = _canonical_pairs(n, pairs, deg)
                 if canon != pairs:
                     continue
+                by_sign = [{1: edge(u, v, 1), -1: edge(u, v, -1)} for u, v in pairs]
                 for signs in _signature_classes(n, pairs, auts):
-                    yield SignedGraph(
-                        n, tuple(edge(u, v, s) for (u, v), s in zip(pairs, signs))
-                    )
+                    yield SignedGraph(n, tuple(map(getitem, by_sign, signs)))
 
 
 def random_signed_graph(
@@ -371,28 +432,46 @@ class CorpusSpec:
     """Deterministic description of a generated corpus.
 
     family: petersen-fig1 | g-family | w5-all-signatures | enumerate | random
-    params: family-specific integers/floats, sorted by key.
+    params: family-specific integers/floats, sorted by key; a key the
+    family does not take, or one parameter given twice, is refused.
     """
 
     family: str
     params: tuple[tuple[str, float], ...] = field(default=())
 
-    _FAMILIES = (
-        "petersen-fig1",
-        "g-family",
-        "w5-all-signatures",
-        "enumerate",
-        "random",
-    )
+    # the parameters each family takes, each as its accepted spellings
+    _KEYS = {
+        "petersen-fig1": (),
+        "g-family": (("t",),),
+        "w5-all-signatures": (),
+        "enumerate": (("max_v",), ("max_e",)),
+        "random": (
+            ("seed",),
+            ("v", "num_vertices"),
+            ("e", "num_edges"),
+            ("neg_prob",),
+            ("count",),
+        ),
+    }
     # sizes, counts and seeds: int() would silently truncate a float
     _INT_PARAMS = frozenset(
         {"max_v", "max_e", "t", "seed", "v", "num_vertices", "e", "num_edges", "count"}
     )
 
     def __post_init__(self) -> None:
-        if self.family not in self._FAMILIES:
+        if self.family not in self._KEYS:
             raise PreconditionError(f"unknown corpus family {self.family!r}")
+        spellings = {key: names for names in self._KEYS[self.family] for key in names}
+        given: set[tuple[str, ...]] = set()
         for key, val in self.params:
+            names = spellings.get(key)
+            if names is None:
+                raise PreconditionError(
+                    f"corpus family {self.family!r} takes no parameter {key!r}")
+            if names in given:
+                raise PreconditionError(
+                    f"corpus parameter {'/'.join(names)!r} given more than once")
+            given.add(names)
             if key in self._INT_PARAMS and not isinstance(val, int):
                 raise PreconditionError(
                     f"corpus parameter {key!r} must be an integer, got {val!r}")

@@ -16,6 +16,8 @@ enumerate_signed_graphs_reference is the corpus enumerator as it was
 before the degree-order prefilter, with its own connectivity,
 canonical-form, automorphism and orbit code: the package's corpus must
 stream exactly the same graphs.
+degree_sorted_multisets_reference is the degree-order prefilter over
+every edge multiset that the corpus's pruned generator replaced.
 
 Size guard: 2(k-1) choices per edge, so k=4 with 6 edges is 6^6 = 46656
 columns.  Keep inputs small.
@@ -475,6 +477,24 @@ def _signature_classes(
         for img in _signature_orbit(n, pairs, nf, auts):
             seen.add(img)
         yield signs
+
+
+def degree_sorted_multisets_reference(n: int, m: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every multiset of m vertex pairs on n vertices, filtered by degree order.
+
+    The walk the corpus enumerator made before it generated only the
+    multisets whose vertex degrees (a loop counting 2) are nondecreasing:
+    the oracle for signedflow.corpus._degree_sorted_multisets, which must
+    give the same tuples in the same order.
+    """
+    all_pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    for pairs in itertools.combinations_with_replacement(all_pairs, m):
+        deg = [0] * n
+        for u, v in pairs:
+            deg[u] += 1
+            deg[v] += 1
+        if deg == sorted(deg):
+            yield pairs
 
 
 def enumerate_signed_graphs_reference(max_v: int, max_e: int) -> Iterator[SignedGraph]:

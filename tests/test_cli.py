@@ -328,6 +328,23 @@ def test_generate_bad_number_exits_2(spec, tmp_path, capsys):
     assert "precondition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "enumerate:maxv=2,max_e=2",
+        "petersen-fig1:t=3",
+        "enumerate:max_v=2,max_v=5",
+        "random:e=6,seed=3,v=3,v=4",
+    ],
+)
+def test_generate_bad_key_exits_2(spec, tmp_path, capsys):
+    # a key the family does not take, or one given twice, writes no corpus
+    out = tmp_path / "x"
+    assert main(["generate", spec, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "precondition" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

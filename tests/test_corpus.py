@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 
-from bruteforce import enumerate_signed_graphs_reference
+from bruteforce import degree_sorted_multisets_reference, enumerate_signed_graphs_reference
 from signedflow.core import Edge, SignedGraph, connected_components, serialize_graph, switch
 from signedflow.corpus import (
     MAX_ENUM_EDGES,
     MAX_ENUM_VERTICES,
     CorpusSpec,
+    _degree_sorted_multisets,
     enumerate_signed_graphs,
     g_family,
     g_family_circular_witness,
@@ -128,6 +129,16 @@ def test_smaller_bounds_filter_the_full_stream(mv, me, full_stream):
     # a smaller bound must give exactly the matching part of the 5/8 one
     want = [text for n, m, text in full_stream if n <= mv and m <= me]
     assert [serialize_graph(g) for g in enumerate_signed_graphs(mv, me)] == want
+
+
+@pytest.mark.parametrize(
+    "n,m",
+    [(n, m) for n in range(1, 6) for m in range(1, 9)] + [(6, m) for m in range(1, 7)],
+)
+def test_degree_sorted_multisets_match_filter(n, m):
+    # the pruned generator gives exactly the multisets the filter keeps,
+    # in the same order; n = 6, m = 6 alone walks 230,230 multisets
+    assert list(_degree_sorted_multisets(n, m)) == list(degree_sorted_multisets_reference(n, m))
 
 
 def test_two_vertex_classes_by_hand():
@@ -252,6 +263,7 @@ def test_corpus_spec_builds():
     assert len(CorpusSpec.parse("w5-all-signatures").build()) == 32
     assert len(CorpusSpec.parse("enumerate:max_e=2,max_v=2").build()) == 10
     assert len(CorpusSpec.parse("random:count=4,num_edges=6,num_vertices=4,seed=3").build()) == 4
+    assert len(CorpusSpec.parse("random:count=2,e=6,seed=3,v=4").build()) == 2
 
 
 def test_corpus_spec_rejects_unknown():
@@ -273,6 +285,29 @@ def test_corpus_spec_rejects_unknown():
     + [f"enumerate:{key}=2.0" for key in ("max_v", "max_e")],
 )
 def test_corpus_spec_rejects_bad_numbers(text):
+    with pytest.raises(PreconditionError):
+        CorpusSpec.parse(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "enumerate:maxv=2,max_e=2",
+        "enumerate:max_e=2,t=2",
+        "petersen-fig1:t=3",
+        "w5-all-signatures:count=2",
+        "g-family:max_v=3,t=2",
+        "random:e=6,max_v=4,seed=3,v=4",
+        "enumerate:max_v=2,max_v=5",
+        "g-family:t=1,t=2",
+        "random:e=6,seed=3,v=3,v=4",
+        "random:e=6,num_vertices=4,seed=3,v=4",
+        "random:e=6,num_edges=6,seed=3,v=4",
+    ],
+)
+def test_corpus_spec_rejects_bad_keys(text):
+    # a key the family does not take, a repeated key, or both spellings
+    # of one key would otherwise build some other corpus without a word
     with pytest.raises(PreconditionError):
         CorpusSpec.parse(text)
 
