@@ -3,7 +3,8 @@
 Exit codes: 0 success (a mathematical "no" is a success with the verdict
 in the payload), 2 precondition violation, 3 resource cap, 4 invariant
 violation (a theorem breach or broken certificate), 5 I/O or parse
-error.  `SG_RESOURCE_CAP` overrides the default search cap globally.
+error.  `SG_RESOURCE_CAP` overrides the default search cap of every
+command that takes `--cap`.
 """
 
 from __future__ import annotations
@@ -270,17 +271,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cap=True):
+    def common(p, cap=None):
         p.add_argument("--out", help="directory for artifacts (index.json manifest)")
         if cap:
             p.add_argument(
                 "--cap", type=int, default=None,
-                help="search node cap (default from SG_RESOURCE_CAP or built-in)",
+                help=f"{cap} (default from SG_RESOURCE_CAP or built-in)",
             )
 
     p = sub.add_parser("analyze", help="structural report for a graph file")
     p.add_argument("graph")
-    common(p, cap=False)
+    common(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("flow", help="find a nowhere-zero flow or flow numbers")
@@ -290,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circular", action="store_true", help="both flow numbers")
     p.add_argument("--k-max", type=int, default=8, help="integer sweep bound for --circular")
     p.add_argument("--edge-cap", type=int, default=solve.DEFAULT_EDGE_CAP_CIRCULAR)
-    common(p)
+    common(p, cap="cap on search nodes")
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("convert", help="modulo-k flow to integer k-flow")
@@ -301,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--experimental-even-k", action="store_true",
         help="attempt even k (outside the theorem; may abort)",
     )
-    common(p)
+    common(p, cap="cap on negative-ditrail and tadpole search steps")
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("decompose", help="sum-of-2-flows or eulerian decomposition")
@@ -309,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flow", help="positive integer k-flow file")
     p.add_argument("-k", type=int)
     p.add_argument("--eulerian", action="store_true")
-    common(p, cap=False)
+    common(p)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("normalize", help="push a circular flow onto the 1/q grid")
@@ -317,12 +318,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("flow")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
-    common(p, cap=False)
+    common(p)
     p.set_defaults(fn=cmd_normalize)
 
     p = sub.add_parser("generate", help="write a corpus to --out")
     p.add_argument("spec", help="e.g. petersen-fig1, g-family:t=2, enumerate:max_v=3,max_e=4")
-    common(p, cap=False)
+    common(p)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("verify", help="run a theorem suite over the corpus")
@@ -330,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-v", type=int, default=5)
     p.add_argument("--max-e", type=int, default=8)
     p.add_argument("--workers", type=int, default=1)
-    common(p)
+    common(p, cap="cap on search nodes, and on conversion search steps")
     p.set_defaults(fn=cmd_verify)
 
     return parser

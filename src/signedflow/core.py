@@ -126,9 +126,6 @@ class SignedGraph:
     def degree(self, v: int) -> int:
         return len(self.incidence[v])
 
-    def is_loop(self, edge_id: int) -> bool:
-        return self.edges[edge_id].is_loop
-
 
 def parse_graph(text: str) -> SignedGraph:
     """Parse the plain-text graph format.
@@ -279,9 +276,6 @@ class FlowAssignment:
 
     orientation: Orientation
     values: tuple[Value, ...]
-
-    def value(self, edge_id: int) -> Value:
-        return self.values[edge_id]
 
 
 def boundary(g: SignedGraph, fa: FlowAssignment) -> tuple[Value, ...]:

@@ -21,10 +21,12 @@ from .core import (
     SignedGraph,
     boundary,
     check_flow,
+    is_eulerian,
 )
 from .errors import InvariantViolation, NotFlowAdmissibleError, PreconditionError, ResourceCapExceeded
 from .structure import (
     SignedCircuitWitness,
+    _circuit_walk,
     circuit_vertices,
     classify_signed_circuit,
     is_flow_admissible,
@@ -48,20 +50,21 @@ __all__ = [
 ]
 
 
-def _resolve_cap(cap: Optional[int]) -> int:
-    """The node cap: the argument, else SG_RESOURCE_CAP, else the default.
+def _resolve_cap(cap: Optional[int], default: int = DEFAULT_NODE_CAP) -> int:
+    """A search cap: the argument, else SG_RESOURCE_CAP, else ``default``
+    (kernel nodes here, ditrail and tadpole steps for conversion).
 
     A cap below 1 is rejected; the kernels would read 0 as unlimited."""
     if cap is None:
         env = os.environ.get("SG_RESOURCE_CAP")
         if not env:
-            return DEFAULT_NODE_CAP
+            return default
         try:
             cap = int(env)
         except ValueError:
             raise PreconditionError(f"SG_RESOURCE_CAP is not an integer: {env!r}") from None
     if cap < 1:
-        raise PreconditionError(f"node cap must be at least 1, got {cap}")
+        raise PreconditionError(f"search cap must be at least 1, got {cap}")
     return cap
 
 
@@ -268,11 +271,7 @@ def find_2_flow_on_even_graph(g: SignedGraph) -> Optional[FlowAssignment]:
     edge flips the running polarity, so the circuit closes consistently
     exactly when the negative count is even.  None is definitive.
     """
-    deg = [0] * g.num_vertices
-    for e in g.edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
-    if any(d % 2 for d in deg):
+    if not is_eulerian(g):
         return None
     used = [False] * g.num_edges
     per_edge = [0] * g.num_edges
@@ -352,7 +351,7 @@ def signed_circuit_flow(w: SignedCircuitWitness) -> FlowAssignment:
 
     if w.kind == "balanced-circuit":
         seq = w.circuits[0]
-        walk, _ = _walk_with_ends(g, seq, _circuit_start(g, seq))
+        walk, _ = _walk_with_ends(g, seq, _circuit_walk(g, seq)[0])
         vals, dep, p_last = _chain_values(g, walk, 1)
         if dep + p_last != 0:
             raise InvariantViolation("balanced circuit failed to close")
@@ -405,42 +404,13 @@ def signed_circuit_flow(w: SignedCircuitWitness) -> FlowAssignment:
     return _positive_form(g, per_edge)
 
 
-def _circuit_start(g: SignedGraph, seq: tuple[int, ...]) -> int:
-    """A vertex from which the circuit's edge sequence walks consecutively.
-
-    The start of edge 0 is its endpoint not shared with edge 1; for
-    digons and loops both choices work.
-    """
-    e0 = g.edges[seq[0]]
-    if len(seq) == 1:
-        return e0.u
-    nxt = g.edges[seq[1]]
-    shared = {e0.u, e0.v} & {nxt.u, nxt.v}
-    if not shared:
-        raise PreconditionError("circuit edges not consecutive")
-    return e0.u if e0.v in shared else e0.v
-
-
 def _rotate_to(g: SignedGraph, seq: tuple[int, ...], v: int) -> tuple[int, ...]:
     """Rotate a circuit's edge sequence so it starts and ends at v."""
-    n = len(seq)
-    s0 = _circuit_start(g, seq)
-    if n == 1:
-        if s0 != v:
-            raise PreconditionError("loop circuit does not touch rotation vertex")
-        return seq
-    verts = [s0]
-    cur = s0
-    for eid in seq:
-        e = g.edges[eid]
-        cur = e.v if cur == e.u else e.u
-        verts.append(cur)
-    if verts[-1] != s0:
-        raise PreconditionError("edge sequence is not a closed circuit")
-    for i in range(n):
-        if verts[i] == v:
-            return seq[i:] + seq[:i]
-    raise PreconditionError("rotation vertex not on circuit")
+    walk = _circuit_walk(g, seq)
+    if v not in walk:
+        raise PreconditionError("rotation vertex not on circuit")
+    i = walk.index(v)
+    return seq[i:] + seq[:i]
 
 
 # ---------------------------------------------------------------------------

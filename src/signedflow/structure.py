@@ -5,6 +5,12 @@ its edge ids in traversal order (a loop is a circuit of length one, a
 pair of parallel edges one of length two).  A circuit is unbalanced when
 it carries an odd number of negative edges.
 
+This module owns circuit tracing for the whole package: the vertex walk
+of a circuit (``_circuit_walk``), the split of an even edge set into
+circuits (``_peel_circuits``) and the negative-edge parity of each
+connected component (``_component_negative_parities``).  The solvers and
+transforms call these instead of walking circuits themselves.
+
 The three kinds of signed circuit:
   * balanced circuit,
   * short barbell: two unbalanced circuits meeting in exactly one vertex,
@@ -15,7 +21,7 @@ The three kinds of signed circuit:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     BalanceCertificate,
@@ -105,6 +111,88 @@ def circuit_vertices(g: SignedGraph, circuit: Sequence[int]) -> frozenset[int]:
 
 def is_unbalanced_circuit(g: SignedGraph, circuit: Sequence[int]) -> bool:
     return sum(1 for eid in circuit if g.edges[eid].sign < 0) % 2 == 1
+
+
+def _circuit_walk(g: SignedGraph, circuit: Sequence[int]) -> list[int]:
+    """Vertices v0, v1, ..., v0 met walking a circuit's edge sequence.
+
+    The walk starts at the end of the first edge that the second edge
+    does not share (at u for loops and digons).  Raises PreconditionError
+    when the edges are not listed in walking order or do not close.
+    """
+    first = g.edges[circuit[0]]
+    start = first.u
+    if len(circuit) > 1:
+        second = g.edges[circuit[1]]
+        if first.v not in (second.u, second.v):
+            start = first.v
+    walk = [start]
+    v = start
+    for eid in circuit:
+        e = g.edges[eid]
+        if v == e.u:
+            v = e.v
+        elif v == e.v:
+            v = e.u
+        else:
+            raise PreconditionError("circuit edges are not in walking order")
+        walk.append(v)
+    if v != start:
+        raise PreconditionError("circuit edge sequence does not close")
+    return walk
+
+
+def _peel_circuits(g: SignedGraph, edge_ids: Iterable[int]) -> list[tuple[int, ...]]:
+    """Split an even edge set into edge-disjoint circuits.
+
+    Walks greedily from the smallest unused half-edge, extracting a
+    circuit every time the walk revisits a vertex on its stack.  On a
+    2-regular edge set the circuits are its components.
+    """
+    unused = set(edge_ids)
+    circuits: list[tuple[int, ...]] = []
+    while unused:
+        v = g.edges[min(unused)].u
+        path_v = [v]
+        path_e: list[int] = []
+        pos = {v: 0}
+        while True:
+            nxt = next(((eid, end) for eid, end in g.incidence[v] if eid in unused), None)
+            if nxt is None:
+                if path_e:
+                    raise InvariantViolation("circuit peel stuck mid-walk (odd degrees?)")
+                break
+            eid, end = nxt
+            unused.discard(eid)
+            w = g.edges[eid].endpoint(1 - end)
+            if w in pos:
+                i = pos[w]
+                circuits.append(tuple(path_e[i:] + [eid]))
+                for vv in path_v[i + 1 :]:
+                    del pos[vv]
+                path_v = path_v[: i + 1]
+                path_e = path_e[:i]
+            else:
+                path_e.append(eid)
+                path_v.append(w)
+                pos[w] = len(path_v) - 1
+            v = w
+    return circuits
+
+
+def _component_negative_parities(g: SignedGraph) -> list[int]:
+    """Number of negative edges mod 2 in each connected component, in
+    the order of ``connected_components``."""
+    comp_of = [0] * g.num_vertices
+    comps = connected_components(g)
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    parity = [0] * len(comps)
+    for e in g.edges:
+        if e.sign < 0:
+            parity[comp_of[e.u]] ^= 1
+    return parity
 
 
 def enumerate_circuits(g: SignedGraph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[tuple[int, ...]]:
@@ -596,40 +684,10 @@ def find_antibalanced_2_factor(
     _require_cubic(g)
     for matching in _perfect_matchings(g, cap):
         rest = [i for i in range(g.num_edges) if i not in set(matching)]
-        circuits = _decompose_two_regular(g, rest)
-        if circuits is None:
-            raise InvariantViolation("2-factor complement not 2-regular")
+        circuits = sorted(_peel_circuits(g, rest), key=lambda c: (len(c), c))
         if all(
             sum(1 for eid in c if g.edges[eid].sign > 0) % 2 == 0 for c in circuits
         ):
             return tuple(circuits)
     return None
 
-
-def _decompose_two_regular(
-    g: SignedGraph, edge_ids: Sequence[int]
-) -> list[tuple[int, ...]] | None:
-    """Split a 2-regular edge set into its circuits; None if not 2-regular."""
-    remaining = set(edge_ids)
-    out: list[tuple[int, ...]] = []
-    while remaining:
-        e0 = min(remaining)
-        remaining.discard(e0)
-        if g.edges[e0].is_loop:
-            out.append((e0,))
-            continue
-        start, x = g.edges[e0].u, g.edges[e0].v
-        seq = [e0]
-        while x != start:
-            cand = {eid for eid, _ in g.incidence[x] if eid in remaining}
-            if len(cand) != 1:
-                return None
-            eid = cand.pop()
-            if g.edges[eid].is_loop:
-                return None
-            seq.append(eid)
-            remaining.discard(eid)
-            x = g.edges[eid].other(x)
-        out.append(tuple(seq))
-    out.sort(key=lambda c: (len(c), c))
-    return out

@@ -40,9 +40,13 @@ from .errors import (
     PreconditionError,
     ResourceCapExceeded,
 )
-from .solve import find_2_flow_on_even_graph, signed_circuit_flow
+from .solve import _resolve_cap, find_2_flow_on_even_graph, signed_circuit_flow
 from .structure import (
     SignedCircuitWitness,
+    _circuit_walk,
+    _component_negative_parities,
+    _peel_circuits,
+    circuit_vertices,
     classify_signed_circuit,
     find_long_barbell,
     find_signed_circuit,
@@ -67,21 +71,13 @@ __all__ = [
 TRANSFORM_SEARCH_CAP = 10**7
 
 
-def _resolve_cap(cap: Optional[int]) -> int:
-    if cap is None:
-        return TRANSFORM_SEARCH_CAP
-    if cap < 1:
-        raise PreconditionError(f"search cap must be at least 1, got {cap}")
-    return cap
-
-
 class _Budget:
     """Shared search-step counter with a hard cap."""
 
     __slots__ = ("cap", "spent", "label")
 
     def __init__(self, cap: Optional[int], label: str):
-        self.cap = _resolve_cap(cap)
+        self.cap = _resolve_cap(cap, TRANSFORM_SEARCH_CAP)
         self.spent = 0
         self.label = label
 
@@ -543,7 +539,7 @@ def run_modflow_conversion(
     """
     if not isinstance(k, int) or k < 2:
         raise PreconditionError("k must be an integer >= 2")
-    cap = _resolve_cap(cap)
+    cap = _resolve_cap(cap, TRANSFORM_SEARCH_CAP)
     if k % 2 == 0 and not allow_even_k:
         raise PreconditionError(
             f"k = {k} is even: conversion is only guaranteed for odd k "
@@ -768,17 +764,6 @@ def _decompose_rec(
         g0 = [0] * m
         if odd_ids:
             sub, _vb, eback = edge_subgraph(g, odd_ids)
-            for comp in connected_components(sub):
-                cneg = sum(
-                    1
-                    for j, e in enumerate(sub.edges)
-                    if e.sign < 0 and e.u in comp
-                )
-                if cneg % 2 != 0:
-                    raise InvariantViolation(
-                        "odd-value subgraph has a component with an odd "
-                        "number of negative edges"
-                    )
             two = find_2_flow_on_even_graph(sub)
             if two is None:
                 raise InvariantViolation("odd-value subgraph admits no 2-flow")
@@ -836,68 +821,6 @@ class EulerianDecomposition:
     members: tuple[SignedCircuitWitness, ...]
 
 
-def _peel_circuits(g: SignedGraph, edge_ids: Iterable[int]) -> list[tuple[int, ...]]:
-    """Split an even edge set into edge-disjoint circuits.
-
-    Walks greedily from the smallest unused half-edge, extracting a
-    circuit every time the walk revisits a vertex on its stack.
-    """
-    unused = set(edge_ids)
-    # per-vertex incident lists restricted to the working edge set
-    circuits: list[tuple[int, ...]] = []
-    while unused:
-        e0 = min(unused)
-        v = g.edges[e0].u
-        path_v = [v]
-        path_e: list[int] = []
-        pos = {v: 0}
-        while True:
-            nxt = None
-            for eid, end in g.incidence[v]:
-                if eid in unused and g.edges[eid].endpoint(end) == v:
-                    nxt = (eid, end)
-                    break
-            if nxt is None:
-                if path_e:
-                    raise InvariantViolation("circuit peel stuck mid-walk (odd degrees?)")
-                break
-            eid, end = nxt
-            unused.discard(eid)
-            w = g.edges[eid].endpoint(1 - end)
-            if w in pos:
-                i = pos[w]
-                circuits.append(tuple(path_e[i:] + [eid]))
-                for vv in path_v[i + 1 :]:
-                    del pos[vv]
-                path_v = path_v[: i + 1]
-                path_e = path_e[:i]
-                v = w
-            else:
-                path_e.append(eid)
-                path_v.append(w)
-                pos[w] = len(path_v) - 1
-                v = w
-    return circuits
-
-
-def _circuit_vseq(g: SignedGraph, circ: Sequence[int]) -> list[int]:
-    """Vertex sequence v0..v0 of a vertex-simple circuit edge sequence."""
-    if len(circ) == 1:
-        u = g.edges[circ[0]].u
-        return [u, u]
-    e0, e1 = g.edges[circ[0]], g.edges[circ[1]]
-    shared = {e0.u, e0.v} & {e1.u, e1.v}
-    start = e0.u if e0.v in shared else e0.v
-    seq = [start]
-    v = start
-    for eid in circ:
-        v = g.edges[eid].other(v)
-        seq.append(v)
-    if seq[-1] != start:
-        raise InvariantViolation("circuit edge sequence does not close")
-    return seq
-
-
 def eulerian_decompose(g: SignedGraph) -> EulerianDecomposition:
     """Partition an eulerian, flow-admissible, barbell-free signed graph
     into balanced circuits and short barbells.
@@ -912,15 +835,10 @@ def eulerian_decompose(g: SignedGraph) -> EulerianDecomposition:
         raise NotFlowAdmissibleError("graph is not flow-admissible")
     if not is_eulerian(g):
         raise PreconditionError("graph is not eulerian (some degree is odd)")
-    if len(g.negative_edges) % 2 != 0:
-        raise PreconditionError("number of negative edges must be even")
-    for comp in connected_components(g):
-        cs = set(comp)
-        cneg = sum(1 for e in g.edges if e.sign < 0 and e.u in cs)
-        if cneg % 2 != 0:
-            raise PreconditionError(
-                "a connected component has an odd number of negative edges"
-            )
+    if any(_component_negative_parities(g)):
+        raise PreconditionError(
+            "a connected component has an odd number of negative edges"
+        )
     if find_long_barbell(g) is not None:
         raise PreconditionError("graph contains a long barbell")
 
@@ -948,9 +866,9 @@ def eulerian_decompose(g: SignedGraph) -> EulerianDecomposition:
         pair = None
         single = None
         for i in range(len(work)):
-            vi = set(_circuit_vseq(g, work[i]))
+            vi = circuit_vertices(g, work[i])
             for j in range(i + 1, len(work)):
-                common = vi & set(_circuit_vseq(g, work[j]))
+                common = vi & circuit_vertices(g, work[j])
                 if len(common) >= 2 and pair is None:
                     pair = (i, j)
                 elif len(common) == 1 and single is None:
@@ -997,8 +915,8 @@ def _recombine_pair(
 ) -> tuple[tuple[int, ...], list[int]]:
     """Balanced circuit assembled from two unbalanced circuits with >= 2
     common vertices, plus the leftover edge list."""
-    vi = _circuit_vseq(g, ci)[:-1]
-    cj_verts = set(_circuit_vseq(g, cj))
+    vi = _circuit_walk(g, ci)[:-1]
+    cj_verts = circuit_vertices(g, cj)
     L = len(vi)
     marks = [t for t in range(L) if vi[t] in cj_verts]
     arc = None
@@ -1016,7 +934,7 @@ def _recombine_pair(
     p1 = [ci[t % L] for t in range(t0, t1)]
     x1, x2 = vi[t0], vi[t1 % L]
     # split the second circuit at x1, x2
-    vj = _circuit_vseq(g, cj)[:-1]
+    vj = _circuit_walk(g, cj)[:-1]
     r = vj.index(x1)
     vj = vj[r:] + vj[:r]
     cjr = cj[r:] + cj[:r]
@@ -1186,33 +1104,17 @@ def _check_terminal_off_grid(
                 f"terminal off-grid edge {e} has 2*q*value = {twice}, expected odd"
             )
     sub, _vb, _eb = edge_subgraph(g, sorted(final))
-    deg = [0] * sub.num_vertices
-    for e in sub.edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
-    if any(d != 2 for d in deg):
+    if any(sub.degree(v) != 2 for v in range(sub.num_vertices)):
         raise InvariantViolation("terminal off-grid subgraph is not 2-regular")
-    for comp in connected_components(sub):
-        cs = set(comp)
-        ids = [j for j, e in enumerate(sub.edges) if e.u in cs]
-        neg = sum(1 for j in ids if sub.edges[j].sign < 0)
-        if neg % 2 == 0:
-            raise InvariantViolation(
-                "terminal off-grid component has an even number of negative "
-                "edges, so it cannot be an unbalanced circuit"
-            )
-        if _trace_ok(sub, ids) is False:
-            raise InvariantViolation(
-                "terminal off-grid component is not a single circuit"
-            )
+    # each component of a 2-regular graph is one circuit
+    if not all(_component_negative_parities(sub)):
+        raise InvariantViolation(
+            "terminal off-grid component has an even number of negative "
+            "edges, so it cannot be an unbalanced circuit"
+        )
     if len(connected_components(g)) == 1 and find_long_barbell(g) is None:
         raise InvariantViolation(
             "connected barbell-free graph ended with a non-empty off-grid "
             "set; the grid theorem forbids this"
         )
 
-
-def _trace_ok(g: SignedGraph, ids: list[int]) -> bool:
-    """True when the edge set is one vertex-simple closed circuit."""
-    circs = _peel_circuits(g, ids)
-    return len(circs) == 1 and len(circs[0]) == len(ids)

@@ -18,6 +18,8 @@ canonical-form, automorphism and orbit code: the package's corpus must
 stream exactly the same graphs.
 degree_sorted_multisets_reference is the degree-order prefilter over
 every edge multiset that the corpus's pruned generator replaced.
+decompose_two_regular_reference is the 2-factor splitter the cubic tools
+used before they shared the package's circuit peel.
 
 Size guard: 2(k-1) choices per edge, so k=4 with 6 edges is 6^6 = 46656
 columns.  Keep inputs small.
@@ -536,3 +538,36 @@ def enumerate_signed_graphs_reference(max_v: int, max_e: int) -> Iterator[Signed
                     yield SignedGraph(
                         n, tuple(edge(u, v, s) for (u, v), s in zip(pairs, signs))
                     )
+
+
+def decompose_two_regular_reference(
+    g: SignedGraph, edge_ids
+) -> Optional[list[tuple[int, ...]]]:
+    """Split a 2-regular edge set into its circuits; None if not 2-regular.
+
+    Each circuit starts at the smallest remaining edge, traversed from its
+    stored u; the circuits come sorted shortest first, then by edge ids.
+    The oracle for structure._peel_circuits on the edge sets it accepts."""
+    remaining = set(edge_ids)
+    out: list[tuple[int, ...]] = []
+    while remaining:
+        e0 = min(remaining)
+        remaining.discard(e0)
+        if g.edges[e0].is_loop:
+            out.append((e0,))
+            continue
+        start, x = g.edges[e0].u, g.edges[e0].v
+        seq = [e0]
+        while x != start:
+            cand = {eid for eid, _ in g.incidence[x] if eid in remaining}
+            if len(cand) != 1:
+                return None
+            eid = cand.pop()
+            if g.edges[eid].is_loop:
+                return None
+            seq.append(eid)
+            remaining.discard(eid)
+            x = g.edges[eid].other(x)
+        out.append(tuple(seq))
+    out.sort(key=lambda c: (len(c), c))
+    return out

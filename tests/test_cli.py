@@ -212,6 +212,14 @@ def test_convert_even_k_opt_in(gfile, ffile):
     assert code == 0
 
 
+@pytest.mark.parametrize("env,code", [("1", 3), ("lots", 2), ("0", 2)])
+def test_convert_reads_env_cap(gfile, ffile, monkeypatch, env, code):
+    g = signed_petersen()
+    mod = find_nz_zk_flow(g, 7)
+    monkeypatch.setenv("SG_RESOURCE_CAP", env)
+    assert main(["convert", gfile(g), ffile(mod), "-k", "7"]) == code
+
+
 # ---------------------------------------------------------------------------
 # decompose
 

@@ -26,7 +26,7 @@ from signedflow.solve import (
     integer_flow_number,
     signed_circuit_flow,
 )
-from signedflow.structure import classify_signed_circuit, is_flow_admissible
+from signedflow.structure import SignedCircuitWitness, classify_signed_circuit, is_flow_admissible
 
 
 def cycle(n, signs=None):
@@ -218,6 +218,27 @@ def test_circuit_flow_support_only_witness_edges():
     fa = signed_circuit_flow(w)
     assert fa.values[2] == 0 and fa.values[3] == 0
     assert abs(fa.values[0]) == 1 and abs(fa.values[1]) == 1
+
+
+def _barbell_4_cycle_and_loop():
+    # the 4-cycle 0-1-2-3 is unbalanced through edge 0; the loop 4 meets it at 0
+    edges = tuple(Edge(i, (i + 1) % 4, -1 if i == 0 else 1) for i in range(4))
+    return SignedGraph(4, edges + (Edge(0, 0, -1),))
+
+
+@pytest.mark.parametrize(
+    "g,kind,circuits",
+    [
+        (cycle(4), "balanced-circuit", ((0, 2, 1, 3),)),
+        (_barbell_4_cycle_and_loop(), "short-barbell", ((0, 2, 1, 3), (4,))),
+        (_barbell_4_cycle_and_loop(), "short-barbell", ((1, 3, 0, 2), (4,))),
+        (_barbell_4_cycle_and_loop(), "short-barbell", ((0, 1, 3, 2), (4,))),
+    ],
+)
+def test_circuit_flow_refuses_edges_out_of_walking_order(g, kind, circuits):
+    w = SignedCircuitWitness(kind, circuits, graph=g)
+    with pytest.raises(PreconditionError):
+        signed_circuit_flow(w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,78 @@
+"""Golden digests of the constructive witnesses.
+
+Each digest is the sha256 of one output per graph, newline-terminated, over
+a fixed slice of the corpus.  Together they pin the eulerian decomposition,
+the antibalanced 2-factor and grid normalization byte for byte, so a change
+to the circuit walks underneath them cannot move a witness unnoticed.  A
+mismatch prints the recomputed digest.
+"""
+
+import hashlib
+
+from signedflow.certificates import make_eulerian_certificate, make_normalization_certificate
+from signedflow.core import is_eulerian
+from signedflow.solve import flow_numbers
+from signedflow.structure import (
+    find_antibalanced_2_factor,
+    find_long_barbell,
+    is_flow_admissible,
+)
+from signedflow.transform import eulerian_decompose, normalize_circular_flow
+
+EULERIAN_DIGEST = "45a5c44b4641ae3d6cdbab328ff2af7c123dda9157005bb123e08708e2ca3a2a"
+TWO_FACTOR_DIGEST = "2ff7e296f07e48b124c21b0368d4848fb16f6c5cf80113dabec024b334144c67"
+NORMALIZATION_DIGEST = "bb8b0813bdf9fe6757229a86c187e54e481cd3e9f5636738ed712de84b47d23d"
+
+
+def _digest(lines) -> tuple[str, int]:
+    h = hashlib.sha256()
+    count = 0
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+        count += 1
+    return h.hexdigest(), count
+
+
+def test_eulerian_certificates_digest(corpus_full):
+    graphs = [
+        g
+        for g in corpus_full
+        if is_eulerian(g)
+        and len(g.negative_edges) % 2 == 0
+        and is_flow_admissible(g)
+        and find_long_barbell(g) is None
+    ]
+    digest, count = _digest(
+        make_eulerian_certificate(g, eulerian_decompose(g)).to_json() for g in graphs
+    )
+    assert count == 1239
+    assert digest == EULERIAN_DIGEST, f"recomputed eulerian digest {digest}"
+
+
+def test_antibalanced_2_factor_digest(corpus_full, petersen):
+    cubic = [
+        g
+        for g in corpus_full
+        if not any(e.is_loop for e in g.edges)
+        and all(g.degree(v) == 3 for v in range(g.num_vertices))
+    ]
+    digest, count = _digest(repr(find_antibalanced_2_factor(g)) for g in cubic + [petersen])
+    assert count == 10
+    assert digest == TWO_FACTOR_DIGEST, f"recomputed 2-factor digest {digest}"
+
+
+def test_normalization_certificates_digest(corpus_4_6):
+    def certificates():
+        for g in corpus_4_6:
+            if not is_flow_admissible(g):
+                continue
+            numbers = flow_numbers(g)
+            band = numbers.phi_c - 1
+            fa = numbers.witnesses["phi_c"]
+            state = normalize_circular_flow(g, fa, band.numerator, band.denominator)
+            yield make_normalization_certificate(g, fa, state).to_json()
+
+    digest, count = _digest(certificates())
+    assert count == 515
+    assert digest == NORMALIZATION_DIGEST, f"recomputed normalization digest {digest}"
