@@ -110,7 +110,13 @@ def cmd_analyze(args) -> int:
         "balanced": balance.balanced,
         "flow_admissible": bool(verdict),
         "admissibility_defects": [
-            {"kind": d.kind, "component": sorted(d.component)} for d in verdict.defects
+            {
+                "kind": d.kind,
+                "component": sorted(d.component),
+                "edge": d.edge,
+                "switch_set": None if d.switch_set is None else sorted(d.switch_set),
+            }
+            for d in verdict.defects
         ],
         "bridges": sorted(find_bridges(g)),
         "long_barbell": None

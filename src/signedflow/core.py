@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Value = Union[int, Fraction]
 
@@ -427,15 +427,62 @@ class BalanceCertificate:
         return self.balanced
 
 
-def _tree_path(parent_edge: dict[int, tuple[int, int]], u: int, v: int) -> list[int]:
+def _spread_potential(
+    g: SignedGraph, root: int, potential: list[int], tree_edge: list[int], flip: int = -1
+) -> list[int]:
+    """Spread a switching potential from ``root`` (value 1) along a
+    spanning tree of its component, reading edge ``flip`` with its sign
+    negated.
+
+    ``potential`` holds 0 at every vertex not yet reached; ``tree_edge[y]``
+    receives the id of the tree edge that reached y.  The tree depends on
+    the incidence lists only, never on the signs.  Returns the
+    component's vertices in the order they were reached, so every vertex
+    comes after its tree parent.
+    """
+    edges = g.edges
+    incidence = g.incidence
+    potential[root] = 1
+    reached = [root]
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        px = potential[x]
+        for eid, _ in incidence[x]:
+            e = edges[eid]
+            y = e.v if x == e.u else e.u
+            if not potential[y]:
+                potential[y] = -px * e.sign if eid == flip else px * e.sign
+                tree_edge[y] = eid
+                reached.append(y)
+                stack.append(y)
+    return reached
+
+
+def _inconsistent_edges(
+    g: SignedGraph, edge_ids: Iterable[int], potential: list[int], flip: int = -1
+) -> Iterator[int]:
+    """The edges whose sign (negated for ``flip``) differs from p(u)*p(v),
+    in the order given.  The tree edges of a potential spread with the
+    same ``flip`` never qualify; a loop qualifies exactly when its sign
+    is negative."""
+    edges = g.edges
+    for eid in edge_ids:
+        e = edges[eid]
+        sign = -e.sign if eid == flip else e.sign
+        if sign != potential[e.u] * potential[e.v]:
+            yield eid
+
+
+def _tree_path(g: SignedGraph, tree_edge: list[int], u: int, v: int) -> list[int]:
     """Edge ids along the spanning-tree path from u to v."""
 
     def chain_to_root(x: int) -> list[int]:
         out = []
-        while x in parent_edge:
-            eid, p = parent_edge[x]
+        while tree_edge[x] >= 0:
+            eid = tree_edge[x]
             out.append(eid)
-            x = p
+            x = g.edges[eid].other(x)
         return out
 
     cu, cv = chain_to_root(u), chain_to_root(v)
@@ -448,46 +495,18 @@ def _tree_path(parent_edge: dict[int, tuple[int, int]], u: int, v: int) -> list[
 def is_balanced(g: SignedGraph) -> BalanceCertificate:
     """Spanning-tree potential propagation, per connected component.
 
-    Scans non-tree edges (loops included) in ascending id order within
-    each component; the first inconsistent one closes the witness circuit
+    Scans the edges (loops included) in ascending id order; the first
+    one inconsistent with the tree potential closes the witness circuit
     through the tree.
     """
-    potential: list[int] = [0] * g.num_vertices
-    parent_edge: dict[int, tuple[int, int]] = {}
-    comp_order: list[list[int]] = []
-    seen = [False] * g.num_vertices
+    potential = [0] * g.num_vertices
+    tree_edge = [-1] * g.num_vertices
     for root in range(g.num_vertices):
-        if seen[root]:
-            continue
-        seen[root] = True
-        potential[root] = 1
-        comp = [root]
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for eid, end in g.incidence[x]:
-                e = g.edges[eid]
-                if e.is_loop:
-                    continue
-                y = e.other(x)
-                if not seen[y]:
-                    seen[y] = True
-                    potential[y] = potential[x] * e.sign
-                    parent_edge[y] = (eid, x)
-                    comp.append(y)
-                    stack.append(y)
-        comp_order.append(comp)
-    tree_ids = {eid for eid, _ in parent_edge.values()}
-    for eid, e in enumerate(g.edges):
-        if eid in tree_ids:
-            continue
-        if e.is_loop:
-            if e.sign < 0:
-                return BalanceCertificate(None, (eid,))
-            continue
-        if e.sign != potential[e.u] * potential[e.v]:
-            path = _tree_path(parent_edge, e.u, e.v)
-            return BalanceCertificate(None, tuple(path) + (eid,))
+        if not potential[root]:
+            _spread_potential(g, root, potential, tree_edge)
+    for eid in _inconsistent_edges(g, range(g.num_edges), potential):
+        e = g.edges[eid]
+        return BalanceCertificate(None, tuple(_tree_path(g, tree_edge, e.u, e.v)) + (eid,))
     return BalanceCertificate(tuple(potential), None)
 
 

@@ -26,6 +26,9 @@ from typing import Iterable, Sequence
 from .core import (
     BalanceCertificate,
     SignedGraph,
+    _inconsistent_edges,
+    _spread_potential,
+    _tree_path,
     connected_components,
     delete_vertices,
     edge_subgraph,
@@ -464,69 +467,93 @@ def _component_subgraphs(g: SignedGraph):
         yield comp, sub, vback, eback
 
 
-def _one_negative_form(
-    sub: SignedGraph,
-) -> tuple[int, tuple[int, ...]] | None:
-    """If the connected graph is switching-equivalent to a signature with
-    exactly one negative edge, return (that edge, the switch set).
-
-    Test: flipping the sign of edge e yields a balanced graph iff some
-    member of the switching class is negative exactly on e.
-    """
-    from .core import Edge
-
-    for i, e in enumerate(sub.edges):
-        flipped = SignedGraph(
-            sub.num_vertices,
-            sub.edges[:i] + (Edge(e.u, e.v, -e.sign),) + sub.edges[i + 1 :],
-        )
-        cert = is_balanced(flipped)
-        if cert.balanced:
-            sw = tuple(v for v, p in enumerate(cert.potential) if p < 0)
-            return i, sw
-    return None
-
-
 def is_flow_admissible(g: SignedGraph) -> AdmissibilityVerdict:
-    """Flow admissibility check, per connected component.
+    """Flow admissibility check, per connected component (Bouchet 1983).
 
     A connected signed graph admits a nowhere-zero flow iff it is not
     switching-equivalent to a graph with exactly one negative edge and
     no cut edge leaves a balanced component behind.  The verdict is
     computed once per graph object and cached on it.
+
+    Each component is read in place, with one spanning tree carrying its
+    switching potential.  Flipping the sign of edge e balances the
+    component exactly when some member of its switching class is
+    negative on e alone, and that needs e on every unbalanced circuit.
+    So the candidate edges are those of one unbalanced circuit (the tree
+    path of the first inconsistent edge, closed by that edge) in an
+    unbalanced component, and the bridges, the edges on no circuit, in a
+    balanced one.  They are flipped in ascending id order, and the first
+    one whose flipped potential is consistent is the defect's edge; the
+    switch set is where that potential, +1 at the smallest vertex, is -1.
+
+    Every spanning tree contains every bridge, and a tree with an edge
+    removed spans both sides of it.  So a side of a bridge is balanced
+    exactly when none of the component's inconsistent edges (negative
+    loops included) lies in it, and one count of those edges per tree
+    subtree judges every bridge without building a graph.
     """
     return g.flow_admissibility
 
 
 def _flow_admissibility(g: SignedGraph) -> AdmissibilityVerdict:
+    edges = g.edges
+    n = g.num_vertices
+    potential = [0] * n
+    tree_edge = [-1] * n
+    bridges: tuple[int, ...] | None = None
     defects: list[ComponentDefect] = []
-    for comp, sub, vback, eback in _component_subgraphs(g):
-        form = _one_negative_form(sub)
-        if form is not None:
-            eid, sw = form
-            defects.append(
-                ComponentDefect(
-                    comp,
-                    "one-negative-edge",
-                    edge=eback[eid],
-                    switch_set=tuple(sorted(vback[v] for v in sw)),
-                )
-            )
+    for root in range(n):
+        if potential[root]:
             continue
-        for b in find_bridges(sub):
-            without = SignedGraph(
-                sub.num_vertices,
-                tuple(e for i, e in enumerate(sub.edges) if i != b),
-            )
-            if any(
-                is_balanced(side).balanced
-                for _, side, _, _ in _component_subgraphs(without)
-            ):
-                defects.append(
-                    ComponentDefect(comp, "balanced-side-bridge", edge=eback[b])
-                )
-                break
+        reached = _spread_potential(g, root, potential, tree_edge)
+        comp = tuple(sorted(reached))
+        comp_edges: Sequence[int] = (
+            range(g.num_edges)
+            if len(reached) == n
+            else sorted(eid for x in reached for eid, end in g.incidence[x] if end == 0)
+        )
+        bad = list(_inconsistent_edges(g, comp_edges, potential))
+        defect = None
+        if bad:
+            e = edges[bad[0]]
+            circuit = sorted(_tree_path(g, tree_edge, e.u, e.v) + [bad[0]])
+            defect = _one_negative_edge(g, comp, comp_edges, circuit)
+        if defect is None:
+            if bridges is None:
+                bridges = find_bridges(g)
+            comp_bridges = sorted(set(bridges).intersection(comp_edges))
+            if not bad:
+                defect = _one_negative_edge(g, comp, comp_edges, comp_bridges)
+            elif comp_bridges:
+                # inconsistent edges per tree subtree; `reached` lists every
+                # vertex after its tree parent
+                below = [0] * n
+                for eid in bad:
+                    below[edges[eid].u] += 1
+                for y in reversed(reached[1:]):
+                    below[edges[tree_edge[y]].other(y)] += below[y]
+                for b in comp_bridges:
+                    e = edges[b]
+                    if below[e.u if tree_edge[e.u] == b else e.v] in (0, len(bad)):
+                        defect = ComponentDefect(comp, "balanced-side-bridge", edge=b)
+                        break
+        if defect is not None:
+            defects.append(defect)
     return AdmissibilityVerdict(not defects, tuple(defects))
+
+
+def _one_negative_edge(
+    g: SignedGraph, comp: tuple[int, ...], comp_edges: Sequence[int], candidates: Sequence[int]
+) -> ComponentDefect | None:
+    """The one-negative-edge defect of a component at the first candidate
+    edge whose flip leaves a consistent potential, or None."""
+    for eid in candidates:
+        flipped = [0] * g.num_vertices
+        _spread_potential(g, comp[0], flipped, [-1] * g.num_vertices, flip=eid)
+        if next(_inconsistent_edges(g, comp_edges, flipped, flip=eid), None) is None:
+            switch_set = tuple(v for v in comp if flipped[v] < 0)
+            return ComponentDefect(comp, "one-negative-edge", edge=eid, switch_set=switch_set)
+    return None
 
 
 def has_star_cut(g: SignedGraph) -> StarCut | None:

@@ -20,6 +20,11 @@ degree_sorted_multisets_reference is the degree-order prefilter over
 every edge multiset that the corpus's pruned generator replaced.
 decompose_two_regular_reference is the 2-factor splitter the cubic tools
 used before they shared the package's circuit peel.
+flow_admissibility_reference is the admissibility check as it was
+before it flipped only candidate edges and counted inconsistent edges
+per tree subtree: it rebuilds a graph for every edge flip and every edge
+deletion, with its own component split and its own balance scan
+(is_balanced_reference, the scan before it shared its potential spread).
 
 Size guard: 2(k-1) choices per edge, so k=4 with 6 edges is 6^6 = 46656
 columns.  Keep inputs small.
@@ -571,3 +576,115 @@ def decompose_two_regular_reference(
         out.append(tuple(seq))
     out.sort(key=lambda c: (len(c), c))
     return out
+
+
+def is_balanced_reference(g: SignedGraph) -> tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
+    """(potential, witness) by the balance scan as it was before it shared
+    its potential spread with the admissibility check: one spanning tree
+    per component, then the first inconsistent non-tree edge in id order
+    closes the witness circuit through the tree."""
+    potential = [0] * g.num_vertices
+    parent: dict[int, tuple[int, int]] = {}
+    for root in range(g.num_vertices):
+        if potential[root]:
+            continue
+        potential[root] = 1
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for eid, _ in g.incidence[x]:
+                e = g.edges[eid]
+                if e.is_loop:
+                    continue
+                y = e.other(x)
+                if not potential[y]:
+                    potential[y] = potential[x] * e.sign
+                    parent[y] = (eid, x)
+                    stack.append(y)
+
+    def chain_to_root(x: int) -> list[int]:
+        out = []
+        while x in parent:
+            eid, x = parent[x]
+            out.append(eid)
+        return out
+
+    tree_ids = {eid for eid, _ in parent.values()}
+    for eid, e in enumerate(g.edges):
+        if eid in tree_ids:
+            continue
+        if e.is_loop:
+            if e.sign < 0:
+                return None, (eid,)
+            continue
+        if e.sign != potential[e.u] * potential[e.v]:
+            cu, cv = chain_to_root(e.u), chain_to_root(e.v)
+            while cu and cv and cu[-1] == cv[-1]:
+                cu.pop()
+                cv.pop()
+            return None, tuple(cu + cv[::-1]) + (eid,)
+    return tuple(potential), None
+
+
+def _component_graphs(g: SignedGraph):
+    """(component, graph on it, vertex back map, edge back map) per
+    connected component, vertices and edges renumbered in id order."""
+    comp_of = list(range(g.num_vertices))
+
+    def find(x: int) -> int:
+        while comp_of[x] != x:
+            comp_of[x] = comp_of[comp_of[x]]
+            x = comp_of[x]
+        return x
+
+    for e in g.edges:
+        a, b = find(e.u), find(e.v)
+        if a != b:
+            comp_of[max(a, b)] = min(a, b)
+    comps: dict[int, list[int]] = {}
+    for v in range(g.num_vertices):
+        comps.setdefault(find(v), []).append(v)
+    for comp in comps.values():
+        vmap = {v: i for i, v in enumerate(comp)}
+        eback = tuple(i for i, e in enumerate(g.edges) if e.u in vmap)
+        sub = SignedGraph(
+            len(comp),
+            tuple(Edge(vmap[g.edges[i].u], vmap[g.edges[i].v], g.edges[i].sign) for i in eback),
+        )
+        yield tuple(comp), sub, tuple(comp), eback
+
+
+def flow_admissibility_reference(g: SignedGraph):
+    """The admissibility verdict by Bouchet's characterization, read off
+    literally: per component, flip every edge in turn and rebuild the
+    graph to test balance (the first flip that balances it gives the
+    one-negative-edge defect and its switch set), else delete every edge
+    in turn and, where that splits the component (a bridge), test both
+    sides for balance.  The oracle for structure._flow_admissibility."""
+    from signedflow.structure import AdmissibilityVerdict, ComponentDefect
+
+    defects = []
+    for comp, sub, vback, eback in _component_graphs(g):
+        for i, e in enumerate(sub.edges):
+            flipped = SignedGraph(
+                sub.num_vertices, sub.edges[:i] + (Edge(e.u, e.v, -e.sign),) + sub.edges[i + 1 :]
+            )
+            potential, _ = is_balanced_reference(flipped)
+            if potential is not None:
+                sw = tuple(sorted(vback[v] for v, p in enumerate(potential) if p < 0))
+                defects.append(
+                    ComponentDefect(comp, "one-negative-edge", edge=eback[i], switch_set=sw)
+                )
+                break
+        else:
+            for b in range(sub.num_edges):
+                without = SignedGraph(
+                    sub.num_vertices, tuple(e for i, e in enumerate(sub.edges) if i != b)
+                )
+                sides = list(_component_graphs(without))
+                if len(sides) > 1 and any(
+                    is_balanced_reference(side)[0] is not None for _, side, _, _ in sides
+                ):
+                    defects.append(ComponentDefect(comp, "balanced-side-bridge", edge=eback[b]))
+                    break
+    return AdmissibilityVerdict(not defects, tuple(defects))

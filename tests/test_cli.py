@@ -97,6 +97,29 @@ def test_analyze_reports_defects(gfile, capsys):
     assert report["admissibility_defects"][0]["kind"] == "one-negative-edge"
 
 
+def test_analyze_reports_defect_witnesses(gfile, capsys):
+    # a 4-cycle with three negative edges, which switching at {1, 3}
+    # leaves negative on edge 0 alone; a balanced triangle hung by the
+    # bridge 6-7 (edge 7) on two unbalanced digons in series; an
+    # isolated vertex
+    g = SignedGraph(
+        11,
+        (
+            Edge(0, 1, 1), Edge(1, 2, -1), Edge(2, 3, -1), Edge(3, 0, -1),
+            Edge(4, 5, 1), Edge(5, 6, 1), Edge(6, 4, 1), Edge(6, 7, 1),
+            Edge(7, 8, 1), Edge(7, 8, -1), Edge(8, 9, 1), Edge(8, 9, -1),
+        ),
+    )
+    assert main(["analyze", gfile(g)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["admissibility_defects"] == [
+        {"kind": "one-negative-edge", "component": [0, 1, 2, 3], "edge": 0, "switch_set": [1, 3]},
+        {"kind": "balanced-side-bridge", "component": [4, 5, 6, 7, 8, 9], "edge": 7,
+         "switch_set": None},
+    ]
+    assert report["bridges"] == [7]
+
+
 # ---------------------------------------------------------------------------
 # flow
 

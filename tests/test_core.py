@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import bruteforce
 from signedflow.core import (
     Edge,
     FlowAssignment,
@@ -245,6 +246,12 @@ def test_balance_certificate_verifies(corpus_3_4):
         else:
             negs = sum(1 for i in cert.witness if g.edges[i].sign < 0)
             assert negs % 2 == 1
+
+
+def test_balance_matches_reference_on_full_corpus(corpus_full):
+    for g in corpus_full:
+        cert = is_balanced(g)
+        assert (cert.potential, cert.witness) == bruteforce.is_balanced_reference(g), g
 
 
 def test_eulerian_degrees():

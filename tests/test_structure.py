@@ -1,13 +1,14 @@
 """Signed circuits, barbells, admissibility, star cuts, cubic operations."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from signedflow import structure
-from signedflow.core import Edge, SignedGraph, find_bridges, switch
+from signedflow.core import Edge, SignedGraph, find_bridges, is_balanced, switch
 from signedflow.errors import PreconditionError
-from signedflow.corpus import g_family, signed_petersen
-from signedflow.solve import flow_numbers
+from signedflow.corpus import enumerate_signed_graphs, g_family, signed_petersen
+from signedflow.solve import find_nz_k_flow, flow_numbers
 from signedflow.verify_suites import SUITES, run_suite
 from signedflow.structure import (
     classify_signed_circuit,
@@ -178,6 +179,72 @@ def test_switching_set_verifies():
     d = v.defects[0]
     flipped = switch(g, d.switch_set)
     assert len(flipped.negative_edges) == 1
+
+
+def test_admissibility_matches_reference_on_full_corpus(corpus_full):
+    for g in corpus_full:
+        assert structure._flow_admissibility(g) == bruteforce.flow_admissibility_reference(g), g
+
+
+@st.composite
+def multi_component_graphs(draw):
+    """Graphs made of up to three blocks of random edges (loops and
+    parallel edges included), plus isolated vertices, with vertex and
+    edge ids shuffled so that no component is a contiguous id range."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 6)), min_size=1, max_size=3))
+    n = sum(size for size, _ in blocks) + draw(st.integers(0, 2))
+    label = draw(st.permutations(range(n)))
+    sign = st.sampled_from((1, -1))
+    edges = []
+    first = 0
+    for size, m in blocks:
+        vert = st.integers(first, first + size - 1)
+        edges += [Edge(label[draw(vert)], label[draw(vert)], draw(sign)) for _ in range(m)]
+        first += size
+    return SignedGraph(n, tuple(draw(st.permutations(edges))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(multi_component_graphs())
+def test_admissibility_matches_reference_on_multi_component_graphs(g):
+    assert structure._flow_admissibility(g) == bruteforce.flow_admissibility_reference(g)
+
+
+def test_admissibility_is_having_a_nowhere_zero_11_flow():
+    # a signed graph with a nowhere-zero flow has a nowhere-zero 11-flow
+    # (DeVos, Li, Lu, Luo, Zhang and Zhang), so admissibility must agree
+    # with the exhaustive 11-flow search on every class
+    graphs = list(enumerate_signed_graphs(5, 5))
+    assert len(graphs) == 491
+    for g in graphs:
+        assert bool(is_flow_admissible(g)) == (find_nz_k_flow(g, 11) is not None), g
+
+
+def test_admissibility_defect_witnesses_check_out():
+    seen = {"one-negative-edge": 0, "balanced-side-bridge": 0}
+    for g in enumerate_signed_graphs(4, 7):
+        bridges = find_bridges(g)
+        for d in is_flow_admissible(g).defects:
+            seen[d.kind] += 1
+            comp = set(d.component)
+            e = g.edges[d.edge]
+            assert e.u in comp, (g, d)
+            if d.kind == "one-negative-edge":
+                switched = switch(g, d.switch_set)
+                negative = [i for i in switched.negative_edges if switched.edges[i].u in comp]
+                assert negative == [d.edge], (g, d)
+            else:
+                assert d.edge in bridges, (g, d)
+                without = SignedGraph(
+                    g.num_vertices, tuple(f for i, f in enumerate(g.edges) if i != d.edge)
+                )
+                sides = [
+                    side
+                    for verts, side, _, _ in bruteforce._component_graphs(without)
+                    if e.u in verts or e.v in verts
+                ]
+                assert len(sides) == 2 and any(is_balanced(s).balanced for s in sides), (g, d)
+    assert min(seen.values()) > 0, seen
 
 
 def test_admissible_barbell_free_is_bridgeless(corpus_4_6):
