@@ -19,9 +19,14 @@ Node accounting: each candidate value tried at a position is one node,
 kept or refused.  search_integer solves for the kept candidates in
 closed form and jumps over the refused ones, counting a node for each,
 so its count (and its tree and witness) equal those of trying every
-candidate in turn, as its reference does.  A nonzero cap ends a search
-with status 2 and nodes == cap + 1 as soon as the count passes the cap,
-within a jump too; a cap of 0 means none.
+candidate in turn, as its reference does.  At its root, the first
+position that is not a positive loop, it tries only the positive values
+1..k-1, one node each: negating every value of a flow gives a flow, so
+the subtree under -c mirrors the one under +c, and an exhausted search
+counts N' = p + (N - p) / 2 nodes, where N is the count with both signs
+tried and p the positive loops pinned before the root.  A nonzero cap
+ends a search with status 2 and nodes == cap + 1 as soon as the count
+passes the cap, within a jump too; a cap of 0 means none.
 
 Statuses: 0 witness found, 1 search space exhausted (an exactness
 claim), 2 node cap hit before either.
@@ -40,6 +45,16 @@ def search_integer(m, n, typ, va, ca, vb, cb, k, cap):
     Candidates at a position are tried in the order 1, -1, 2, -2, ...;
     one is kept when every touched vertex has |partial boundary| at most
     its slack, the largest swing its unassigned edges can still produce.
+    The root, the first position that is not a positive loop, tries
+    only 1, 2, ..., k-1.  This is exact: the negation of a flow whose
+    root value is -c is a flow with root value +c, and the pruning test
+    |boundary| <= slack is the same for both, so the subtree under -c
+    mirrors the one under +c.  So the status and the first witness are
+    those of trying both signs (a witness under -c has a mirror under
+    +c, tried earlier), and an exhausted search counts p + (N - p) / 2
+    nodes for the N of trying both signs, p the positive loops before
+    the root.  The root's boundary is zero, so its window is symmetric
+    and its first candidate is 1, as before.
     Returns (status, values, nodes).
 
     Boundary and slack at a position's ends stay fixed while its
@@ -75,6 +90,9 @@ def search_integer(m, n, typ, va, ca, vb, cb, k, cap):
         cap = 1 << 62 if cap == 0 else 0  # none, or passed by the first node
     top = 2 * (k - 1)  # candidate index i has value i // 2 + 1, negated for odd i
     win = [None] * m  # per position: even and odd index bounds of [lo, hi]
+    root = 0  # the first branching position
+    while root < m and typ[root] == 2:
+        root += 1
     nodes = 0
     pos = 0
     while True:
@@ -141,6 +159,13 @@ def search_integer(m, n, typ, va, ca, vb, cb, k, cap):
                 if pos == m:
                     return FOUND, values, nodes
                 break
+            if pos == root:
+                # the root's untried candidates are its positive values from
+                # index i on, one node each
+                nodes += (top - i) >> 1
+                if nodes > cap:
+                    return CAPPED, values, cap + 1
+                return EXHAUSTED, values, nodes
             nodes += top - i
             if nodes > cap:
                 return CAPPED, values, cap + 1
@@ -148,10 +173,8 @@ def search_integer(m, n, typ, va, ca, vb, cb, k, cap):
             if t == 0:
                 slack[b] += r
             pos -= 1
-            while pos >= 0 and typ[pos] == 2:
+            while typ[pos] == 2:  # stops at the root at the latest
                 pos -= 1
-            if pos < 0:
-                return EXHAUSTED, values, nodes
             t = typ[pos]
             a = va[pos]
             r = rel[pos]
@@ -162,6 +185,12 @@ def search_integer(m, n, typ, va, ca, vb, cb, k, cap):
                 bnd[b] -= cb[pos] * val
             else:
                 bnd[a] -= val
+            if pos == root:
+                # the next root candidate is val + 1, at index 2 * val; the
+                # root's even indices run from 0 to ehi
+                i = 2 * val
+                j = i if i <= win[pos][1] else top
+                continue
             i = 2 * val - 1 if val > 0 else -2 * val  # one past val's index
             elo, ehi, olo, ohi = win[pos]
             # the next candidate from i on inside [lo, hi], else top

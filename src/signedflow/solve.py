@@ -176,7 +176,12 @@ def find_nz_k_flow(
     """Nowhere-zero integer k-flow, or None when provably none exists.
 
     None is an exactness claim (the pruned search exhausted the whole
-    value space); hitting the node cap raises ResourceCapExceeded.
+    value space); hitting the node cap raises ResourceCapExceeded.  The
+    search tries only positive values on the first edge it branches on,
+    since negating a flow gives a flow: the answer and the witness are
+    those of trying both signs, and an exhausted search walks
+    (N + p) / 2 of that search's N nodes, p the positive loops pinned
+    before that edge.  ``stats["nodes"]`` and the cap count this tree.
     """
     per_edge = _search(g, k, cap, stats, _solver_py.search_integer, "k-flow search")
     return None if per_edge is None else _positive_form(g, per_edge)

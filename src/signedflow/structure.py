@@ -490,7 +490,9 @@ def is_flow_admissible(g: SignedGraph) -> AdmissibilityVerdict:
     removed spans both sides of it.  So a side of a bridge is balanced
     exactly when none of the component's inconsistent edges (negative
     loops included) lies in it, and one count of those edges per tree
-    subtree judges every bridge without building a graph.
+    subtree judges every bridge without building a graph.  The bridges
+    come from the same tree: they are its edges that no other edge's
+    tree path covers.
     """
     return g.flow_admissibility
 
@@ -500,7 +502,6 @@ def _flow_admissibility(g: SignedGraph) -> AdmissibilityVerdict:
     n = g.num_vertices
     potential = [0] * n
     tree_edge = [-1] * n
-    bridges: tuple[int, ...] | None = None
     defects: list[ComponentDefect] = []
     for root in range(n):
         if potential[root]:
@@ -519,9 +520,7 @@ def _flow_admissibility(g: SignedGraph) -> AdmissibilityVerdict:
             circuit = sorted(_tree_path(g, tree_edge, e.u, e.v) + [bad[0]])
             defect = _one_negative_edge(g, comp, comp_edges, circuit)
         if defect is None:
-            if bridges is None:
-                bridges = find_bridges(g)
-            comp_bridges = sorted(set(bridges).intersection(comp_edges))
+            comp_bridges = _tree_bridges(g, reached, tree_edge, comp_edges)
             if not bad:
                 defect = _one_negative_edge(g, comp, comp_edges, comp_bridges)
             elif comp_bridges:
@@ -540,6 +539,34 @@ def _flow_admissibility(g: SignedGraph) -> AdmissibilityVerdict:
         if defect is not None:
             defects.append(defect)
     return AdmissibilityVerdict(not defects, tuple(defects))
+
+
+def _tree_bridges(
+    g: SignedGraph, reached: list[int], tree_edge: list[int], comp_edges: Sequence[int]
+) -> list[int]:
+    """The bridges of a component, ascending, from the spanning tree that
+    reached it (``reached`` lists every vertex after its tree parent):
+    the tree edges on no non-tree edge's tree path.  A circuit through a
+    tree edge is the sum of the fundamental circuits of its non-tree
+    edges, so one of those covers the tree edge."""
+    edges = g.edges
+    up = [0] * g.num_vertices  # tree parent
+    depth = [0] * g.num_vertices
+    for y in reached[1:]:
+        x = edges[tree_edge[y]].other(y)
+        up[y] = x
+        depth[y] = depth[x] + 1
+    covered = set()  # y stands for the tree edge that reached y
+    for eid in comp_edges:
+        x, y = edges[eid].u, edges[eid].v
+        if tree_edge[x] == eid or tree_edge[y] == eid:
+            continue
+        while x != y:
+            if depth[x] < depth[y]:
+                x, y = y, x
+            covered.add(x)
+            x = up[x]
+    return sorted(tree_edge[y] for y in reached[1:] if y not in covered)
 
 
 def _one_negative_edge(

@@ -248,14 +248,16 @@ def subset_bound(g, reversed_edges):
     return one_sided, best
 
 
-def search_integer_reference(m, n, typ, va, ca, vb, cb, k, cap):
+def search_integer_reference(m, n, typ, va, ca, vb, cb, k, cap, root_positive=False):
     """The integer kernel before candidate jumps: the oracle for
     signedflow._solver_py.search_integer, same arguments and statuses.
 
     Every candidate 1, -1, 2, -2, ... is applied and tested in turn, one
     node each; a branch is pruned when some touched vertex has
     |partial boundary| larger than the largest swing its unassigned
-    edges can still produce.  Returns (status, values, nodes)."""
+    edges can still produce.  With root_positive the first position
+    that is not a positive loop tries only 1, 2, ..., k-1, the rule
+    search_integer follows.  Returns (status, values, nodes)."""
     values = [0] * m
     bnd = [0] * n
     slack = [0] * n
@@ -267,6 +269,7 @@ def search_integer_reference(m, n, typ, va, ca, vb, cb, k, cap):
         elif t == 1:
             slack[va[i]] += 2 * (k - 1)
     num_vals = 2 * (k - 1)
+    root = next((pos for pos in range(m) if typ[pos] != 2), m) if root_positive else m
     idx = [0] * (m + 1)
     nodes = 0
     pos = 0
@@ -277,7 +280,7 @@ def search_integer_reference(m, n, typ, va, ca, vb, cb, k, cap):
     while True:
         i = idx[pos]
         t = typ[pos]
-        limit = 1 if t == 2 else num_vals
+        limit = 1 if t == 2 else k - 1 if pos == root else num_vals
         if i >= limit:
             # undo slack release and step back
             _restore(slack, typ, va, ca, vb, cb, pos, k)
@@ -288,7 +291,12 @@ def search_integer_reference(m, n, typ, va, ca, vb, cb, k, cap):
             _unapply(bnd, typ, va, ca, vb, cb, pos, values)
             idx[pos] += 1
             continue
-        val = 1 if t == 2 else (i // 2 + 1) * (1 if i % 2 == 0 else -1)
+        if t == 2:
+            val = 1
+        elif pos == root:
+            val = i + 1
+        else:
+            val = (i // 2 + 1) * (1 if i % 2 == 0 else -1)
         nodes += 1
         if cap and nodes > cap:
             return CAPPED, values, nodes

@@ -1,9 +1,13 @@
 """The search kernels against their references.
 
 search_integer jumps over the candidates its closed-form interval
-refuses and counts them as nodes.  It must walk the same tree as the
-reference that tries each candidate in turn: same status, same node
-count (the cap included), and the same witness when it finds a flow.
+refuses and counts them as nodes, and tries only positive values at the
+root (the first position that is not a positive loop).  It must walk the
+same tree as the reference that tries each candidate in turn under the
+same root rule: same status, same node count (the cap included), and the
+same witness when it finds a flow.  The reference's two modes, with and
+without the root rule, must give the same status and witness, and an
+exhausted search without the rule walks twice the root's subtrees.
 search_modulo has no node-for-node reference yet, so its statuses and
 node counts on Petersen and g_family(3) are pinned.
 """
@@ -12,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from signedflow import _solver_py
-from signedflow.core import FlowKind, check_flow
+from signedflow.core import Edge, FlowKind, SignedGraph, check_flow
 from signedflow.corpus import g_family, random_signed_graph
 from signedflow.errors import ResourceCapExceeded
 from signedflow.solve import _assignment_order, _kernel_arrays, find_nz_zk_flow
@@ -27,7 +31,7 @@ def _arrays(g):
 
 def _agree(g, k, cap):
     args = _arrays(g)
-    want = search_integer_reference(*args, k, cap)
+    want = search_integer_reference(*args, k, cap, root_positive=True)
     got = _solver_py.search_integer(*args, k, cap)
     assert got[0] == want[0] and got[2] == want[2], (g.edges, k, cap, got, want)
     if want[0] == _solver_py.FOUND:
@@ -35,29 +39,105 @@ def _agree(g, k, cap):
     return got
 
 
+def _mirror_identity(g, k):
+    """Negating a flow keeps it a flow, and the root's subtree under -c
+    mirrors the one under +c: the root rule keeps the status and the
+    first witness, and an exhausted search without it counts
+    N = 2 N' - p nodes, p the positive loops pinned before the root."""
+    args = _arrays(g)
+    full = search_integer_reference(*args, k, 0)
+    half = search_integer_reference(*args, k, 0, root_positive=True)
+    assert half[0] == full[0], (g.edges, k)
+    if full[0] == _solver_py.FOUND:
+        assert half[1] == full[1] and half[2] <= full[2], (g.edges, k)
+    else:
+        p = next((pos for pos, t in enumerate(args[2]) if t != 2), args[0])
+        assert full[2] == 2 * half[2] - p, (g.edges, k, full[2], half[2])
+    return full
+
+
 def test_kernel_matches_reference_on_corpus(corpus_4_6):
     statuses = set()
     for g in corpus_4_6:
         for k in (2, 3, 4, 5):
+            _mirror_identity(g, k)
             for cap in (1, 7, 50_000_000):
                 statuses.add(_agree(g, k, cap)[0])
     assert statuses == {_solver_py.FOUND, _solver_py.EXHAUSTED, _solver_py.CAPPED}
 
 
 @pytest.mark.parametrize(
-    "name,k,status,nodes",
+    "name,k,status,nodes,full_nodes",
     [
-        ("petersen", 5, _solver_py.EXHAUSTED, 264_712),
-        ("petersen", 6, _solver_py.FOUND, 9_702),
-        ("g3", 3, _solver_py.EXHAUSTED, 256_356),
+        ("petersen", 5, _solver_py.EXHAUSTED, 132_356, 264_712),
+        ("petersen", 6, _solver_py.FOUND, 9_702, 9_702),
+        ("g3", 3, _solver_py.EXHAUSTED, 128_178, 256_356),
     ],
 )
-def test_kernel_matches_reference_on_named_graphs(petersen, name, k, status, nodes):
+def test_kernel_matches_reference_on_named_graphs(petersen, name, k, status, nodes, full_nodes):
     g = petersen if name == "petersen" else g_family(3)
     got = _agree(g, k, 50_000_000)
     assert got[0] == status and got[2] == nodes
+    assert _mirror_identity(g, k)[2] == full_nodes
     # a cap just short of the full count stops exactly one node past it
     assert _agree(g, k, nodes - 1)[::2] == (_solver_py.CAPPED, nodes)
+
+
+def _graph(n, *edges):
+    return SignedGraph(n, tuple(Edge(u, v, sign) for u, v, sign in edges))
+
+
+@pytest.mark.parametrize(
+    "g,status,nodes",
+    [
+        # a positive loop at position 0, so the root is position 1; the
+        # triangle's one negative edge leaves no flow
+        pytest.param(
+            _graph(3, (0, 0, 1), (0, 1, 1), (1, 2, 1), (2, 0, -1)),
+            _solver_py.EXHAUSTED,
+            40,
+            id="loop-before-root-none",
+        ),
+        # the same loop ahead of a balanced triangle
+        pytest.param(
+            _graph(3, (0, 0, 1), (0, 1, 1), (1, 2, 1), (2, 0, 1)),
+            _solver_py.FOUND,
+            4,
+            id="loop-before-root-found",
+        ),
+        # only positive loops: no position branches, every value pinned
+        pytest.param(
+            _graph(2, (0, 0, 1), (0, 0, 1), (1, 1, 1)), _solver_py.FOUND, 3, id="only-positive-loops"
+        ),
+        # a negative loop is the root: two of them joined by an edge, and
+        # one with a pendant edge
+        pytest.param(
+            _graph(2, (0, 0, -1), (0, 1, 1), (1, 1, -1)),
+            _solver_py.FOUND,
+            7,
+            id="negative-loop-root-found",
+        ),
+        pytest.param(
+            _graph(2, (0, 0, -1), (0, 1, 1)), _solver_py.EXHAUSTED, 9, id="negative-loop-root-none"
+        ),
+        # a pendant edge is the root, and its window is empty: its k - 1
+        # positive values are refused, one node each
+        pytest.param(
+            _graph(4, (0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1)),
+            _solver_py.EXHAUSTED,
+            3,
+            id="pendant-root",
+        ),
+    ],
+)
+def test_kernel_root_rule_edge_cases(g, status, nodes):
+    """Each case at k = 4 (values +-1..3), with every cap up to the full count."""
+    k = 4
+    got = _agree(g, k, 0)
+    assert got[::2] == (status, nodes)
+    _mirror_identity(g, k)
+    for cap in range(1, nodes):
+        assert _agree(g, k, cap)[::2] == (_solver_py.CAPPED, cap + 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -72,6 +152,7 @@ def test_kernel_matches_reference_on_random_graphs(seed, num_vertices, extra, k,
     # edges beyond a spanning tree land on any pair, loops included
     g = random_signed_graph(seed, num_vertices, max(num_vertices - 1, 1) + extra)
     _agree(g, k, cap)
+    _mirror_identity(g, k)
 
 
 @pytest.mark.parametrize(

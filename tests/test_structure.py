@@ -5,7 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from signedflow import structure
-from signedflow.core import Edge, SignedGraph, find_bridges, is_balanced, switch
+from signedflow.core import (
+    Edge,
+    SignedGraph,
+    _spread_potential,
+    find_bridges,
+    is_balanced,
+    switch,
+)
 from signedflow.errors import PreconditionError
 from signedflow.corpus import enumerate_signed_graphs, g_family, signed_petersen
 from signedflow.solve import find_nz_k_flow, flow_numbers
@@ -186,6 +193,26 @@ def test_admissibility_matches_reference_on_full_corpus(corpus_full):
         assert structure._flow_admissibility(g) == bruteforce.flow_admissibility_reference(g), g
 
 
+def _spread_tree_bridges(g):
+    """Bridges as _flow_admissibility finds them: per component, from the
+    spanning tree of its potential spread."""
+    potential = [0] * g.num_vertices
+    tree_edge = [-1] * g.num_vertices
+    bridges = []
+    for root in range(g.num_vertices):
+        if not potential[root]:
+            reached = _spread_potential(g, root, potential, tree_edge)
+            comp = set(reached)
+            comp_edges = [eid for eid, e in enumerate(g.edges) if e.u in comp]
+            bridges += structure._tree_bridges(g, reached, tree_edge, comp_edges)
+    return tuple(sorted(bridges))
+
+
+def test_tree_bridges_match_find_bridges_on_full_corpus(corpus_full):
+    for g in corpus_full:
+        assert _spread_tree_bridges(g) == find_bridges(g), g
+
+
 @st.composite
 def multi_component_graphs(draw):
     """Graphs made of up to three blocks of random edges (loops and
@@ -208,6 +235,7 @@ def multi_component_graphs(draw):
 @given(multi_component_graphs())
 def test_admissibility_matches_reference_on_multi_component_graphs(g):
     assert structure._flow_admissibility(g) == bruteforce.flow_admissibility_reference(g)
+    assert _spread_tree_bridges(g) == find_bridges(g)
 
 
 def test_admissibility_is_having_a_nowhere_zero_11_flow():
