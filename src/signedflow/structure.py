@@ -5,11 +5,15 @@ its edge ids in traversal order (a loop is a circuit of length one, a
 pair of parallel edges one of length two).  A circuit is unbalanced when
 it carries an odd number of negative edges.
 
-This module owns circuit tracing for the whole package: the vertex walk
-of a circuit (``_circuit_walk``), the split of an even edge set into
-circuits (``_peel_circuits``) and the negative-edge parity of each
-connected component (``_component_negative_parities``).  The solvers and
-transforms call these instead of walking circuits themselves.
+This module owns circuit tracing for the whole package, with one tracer:
+the vertex walk of a circuit (``_circuit_walk``), the circuit peel
+(``_peel``), which splits an edge set with 0 or 2 odd-degree vertices
+into circuits plus, for two, the open trail between them, and the
+negative-edge parity of each connected component
+(``_component_negative_parities``).  ``_peel_circuits`` is the peel of
+an even edge set, and ``classify_signed_circuit`` reads the kind of a
+signed circuit off the peel.  The solvers and transforms call these
+instead of walking circuits themselves.
 
 The three kinds of signed circuit:
   * balanced circuit,
@@ -31,7 +35,6 @@ from .core import (
     _tree_path,
     connected_components,
     delete_vertices,
-    edge_subgraph,
     find_bridges,
     is_balanced,
 )
@@ -145,17 +148,43 @@ def _circuit_walk(g: SignedGraph, circuit: Sequence[int]) -> list[int]:
     return walk
 
 
-def _peel_circuits(g: SignedGraph, edge_ids: Iterable[int]) -> list[tuple[int, ...]]:
-    """Split an even edge set into edge-disjoint circuits.
+def _odd_vertices(g: SignedGraph, edge_ids: Iterable[int]) -> set[int]:
+    """The vertices of odd degree in an edge set (a loop adds 2)."""
+    odd: set[int] = set()
+    for eid in edge_ids:
+        odd ^= {g.edges[eid].u}
+        odd ^= {g.edges[eid].v}
+    return odd
 
-    Walks greedily from the smallest unused half-edge, extracting a
-    circuit every time the walk revisits a vertex on its stack.  On a
-    2-regular edge set the circuits are its components.
+
+def _peel(
+    g: SignedGraph, edge_ids: Iterable[int]
+) -> tuple[list[tuple[int, ...]], tuple[int, ...]] | None:
+    """Split an edge set into edge-disjoint circuits and at most one open
+    trail; None unless 0 or 2 of its vertices have odd degree.
+
+    Walks greedily, extracting a circuit every time the walk revisits a
+    vertex on its stack.  A walk starts at the stored u of the smallest
+    unused edge, except the first walk of a set with two odd vertices,
+    which starts at the smaller one.  The stack is a path from the
+    walk's start s to its current vertex v, so the unused edges have odd
+    degree where the set's odd vertices and {s, v} differ.  In an even
+    set that is s and v, so a walk stops only with an empty stack.  From
+    the odd vertex a of a set with odd vertices a and b it is b and v, so
+    the walk stops only at v = b: its stack is the returned trail, a path
+    from a to b, and the edges left are even.  On a 2-regular edge set
+    the circuits are its components.
     """
     unused = set(edge_ids)
+    odd = _odd_vertices(g, unused)
+    if len(odd) not in (0, 2):
+        return None
     circuits: list[tuple[int, ...]] = []
+    trail: tuple[int, ...] = ()
+    start = min(odd, default=None)
     while unused:
-        v = g.edges[min(unused)].u
+        v = g.edges[min(unused)].u if start is None else start
+        start = None
         path_v = [v]
         path_e: list[int] = []
         pos = {v: 0}
@@ -163,7 +192,7 @@ def _peel_circuits(g: SignedGraph, edge_ids: Iterable[int]) -> list[tuple[int, .
             nxt = next(((eid, end) for eid, end in g.incidence[v] if eid in unused), None)
             if nxt is None:
                 if path_e:
-                    raise InvariantViolation("circuit peel stuck mid-walk (odd degrees?)")
+                    trail = tuple(path_e)
                 break
             eid, end = nxt
             unused.discard(eid)
@@ -180,7 +209,16 @@ def _peel_circuits(g: SignedGraph, edge_ids: Iterable[int]) -> list[tuple[int, .
                 path_v.append(w)
                 pos[w] = len(path_v) - 1
             v = w
-    return circuits
+    return circuits, trail
+
+
+def _peel_circuits(g: SignedGraph, edge_ids: Iterable[int]) -> list[tuple[int, ...]]:
+    """Split an even edge set into edge-disjoint circuits, by ``_peel``.
+    Raises InvariantViolation when some degree is odd."""
+    peeled = _peel(g, edge_ids)
+    if peeled is None or peeled[1]:
+        raise InvariantViolation("circuit peel given an edge set with odd degrees")
+    return peeled[0]
 
 
 def _component_negative_parities(g: SignedGraph) -> list[int]:
@@ -246,123 +284,44 @@ def enumerate_circuits(g: SignedGraph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[t
     return out
 
 
-def _edge_set_connected(g: SignedGraph, edge_ids: Sequence[int]) -> bool:
-    sub, _, _ = edge_subgraph(g, edge_ids)
-    return len(connected_components(sub)) <= 1
-
-
-def _forced_walks_from(
-    g: SignedGraph, edge_ids: frozenset[int], start: int, stops: frozenset[int]
-) -> list[tuple[tuple[int, ...], int]] | None:
-    """Walk from ``start`` along each unused incident subgraph edge,
-    forced through degree-2 vertices, halting at a vertex in ``stops``.
-
-    Returns (edge sequence, terminus) per walk, or None when some walk is
-    not forced (the degree structure is broken).  Every subgraph edge at
-    ``start`` begins at most one walk: a returning walk consumes both of
-    its end half-edges."""
-    used: set[int] = set()
-    walks = []
-    for eid, _end in g.incidence[start]:
-        if eid not in edge_ids or eid in used:
-            continue
-        seq = [eid]
-        used.add(eid)
-        x = g.edges[eid].other(start) if not g.edges[eid].is_loop else start
-        while x not in stops:
-            cand = {
-                e2 for e2, _ in g.incidence[x] if e2 in edge_ids and e2 not in used
-            }
-            if len(cand) != 1:
-                return None
-            e2 = cand.pop()
-            if g.edges[e2].is_loop:
-                return None
-            seq.append(e2)
-            used.add(e2)
-            x = g.edges[e2].other(x)
-        walks.append((tuple(seq), x))
-    return walks
-
-
-def _trace_single_circuit(g: SignedGraph, edge_ids: Sequence[int]) -> tuple[int, ...] | None:
-    """Trace a connected 2-regular edge set as one circuit; None if the
-    trace does not cover every edge."""
-    ids = frozenset(edge_ids)
-    if len(ids) == 1:
-        (eid,) = ids
-        return (eid,) if g.edges[eid].is_loop else None
-    start = min(min(g.edges[i].u, g.edges[i].v) for i in ids)
-    walks = _forced_walks_from(g, ids, start, frozenset({start}))
-    if walks is None or len(walks) != 1:
-        return None
-    seq, terminus = walks[0]
-    if terminus != start or len(seq) != len(ids):
-        return None
-    return seq
-
-
 def classify_signed_circuit(
     g: SignedGraph, edge_ids: Sequence[int]
 ) -> SignedCircuitWitness | None:
     """Decide whether an edge set is a signed circuit and of which kind.
 
-    Returns None for anything else (never raises for mathematically
-    negative answers)."""
+    The set is peeled (``_peel``): one balanced circuit is a balanced
+    circuit; two unbalanced circuits sharing exactly one vertex are a
+    short barbell; two vertex-disjoint unbalanced circuits with an open
+    trail that meets each of them only at its own end are a long barbell,
+    whose path is that trail, walked from the smaller odd vertex.  The
+    circuits come in peel order.  Returns None for anything else (never
+    raises for mathematically negative answers)."""
     ids = list(edge_ids)
     if len(ids) != len(set(ids)) or not ids:
         return None
     if any(not (0 <= i < g.num_edges) for i in ids):
         raise PreconditionError("edge id out of range")
-    idset = frozenset(ids)
-    deg: dict[int, int] = {}
-    for i in ids:
-        e = g.edges[i]
-        deg[e.u] = deg.get(e.u, 0) + 1
-        deg[e.v] = deg.get(e.v, 0) + 1
-    if not _edge_set_connected(g, ids):
+    peeled = _peel(g, ids)
+    if peeled is None:
         return None
-    degs = sorted(deg.values(), reverse=True)
-    if all(d == 2 for d in degs):
-        seq = _trace_single_circuit(g, ids)
-        if seq is None or is_unbalanced_circuit(g, seq):
+    circuits, trail = peeled
+    if len(circuits) == 1 and not trail:
+        if is_unbalanced_circuit(g, circuits[0]):
             return None
-        return SignedCircuitWitness("balanced-circuit", (seq,), graph=g)
-    if degs[0] == 4 and all(d == 2 for d in degs[1:]):
-        meet = next(v for v, d in deg.items() if d == 4)
-        walks = _forced_walks_from(g, idset, meet, frozenset({meet}))
-        if walks is None or len(walks) != 2:
+        return SignedCircuitWitness("balanced-circuit", (circuits[0],), graph=g)
+    if len(circuits) != 2 or not all(is_unbalanced_circuit(g, c) for c in circuits):
+        return None
+    v1, v2 = (circuit_vertices(g, c) for c in circuits)
+    if not trail:
+        if len(v1 & v2) != 1:
             return None
-        (c1, t1), (c2, t2) = walks
-        if t1 != meet or t2 != meet or len(c1) + len(c2) != len(ids):
-            return None
-        if not (is_unbalanced_circuit(g, c1) and is_unbalanced_circuit(g, c2)):
-            return None
-        return SignedCircuitWitness("short-barbell", (c1, c2), graph=g)
-    if degs[0] == 3 and degs[1] == 3 and all(d == 2 for d in degs[2:]):
-        a, b = sorted(v for v, d in deg.items() if d == 3)
-        walks_a = _forced_walks_from(g, idset, a, frozenset({a, b}))
-        if walks_a is None:
-            return None
-        circ_a = [w for w, t in walks_a if t == a]
-        paths = [w for w, t in walks_a if t == b]
-        if len(circ_a) != 1 or len(paths) != 1:
-            return None
-        used = set(circ_a[0]) | set(paths[0])
-        rest = idset - used
-        if not rest:
-            return None
-        walks_b = _forced_walks_from(g, rest, b, frozenset({a, b}))
-        if walks_b is None:
-            return None
-        circ_b = [w for w, t in walks_b if t == b]
-        if len(walks_b) != 1 or len(circ_b) != 1 or set(circ_b[0]) != rest:
-            return None
-        c1, c2, path = circ_a[0], circ_b[0], paths[0]
-        if not (is_unbalanced_circuit(g, c1) and is_unbalanced_circuit(g, c2)):
-            return None
-        return SignedCircuitWitness("long-barbell", (c1, c2), path, graph=g)
-    return None
+        return SignedCircuitWitness("short-barbell", tuple(circuits), graph=g)
+    tv = circuit_vertices(g, trail)
+    if v1 & v2 or len(tv & v1) != 1 or len(tv & v2) != 1:
+        return None
+    if tv & (v1 | v2) != _odd_vertices(g, trail):  # the trail's two ends
+        return None
+    return SignedCircuitWitness("long-barbell", tuple(circuits), trail, graph=g)
 
 
 def _connecting_path(

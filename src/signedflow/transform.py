@@ -498,10 +498,16 @@ def _tadpole_by_splicing(
     s = max(i for i, eid in enumerate(p_second) if eid in shared)
     chain = _walk_chain(state, x, p_second)
     if chain is None:
-        return None
+        raise InvariantViolation(
+            "positive dipath does not chain, yet the search that found it "
+            "never takes a loop and chains every edge it takes"
+        )
     x_s = chain[0][s + 1]
     if x_s not in vseq:
-        return None
+        raise InvariantViolation(
+            "splice vertex is off the tail candidate, yet it is an end of "
+            "an edge the tail candidate shares"
+        )
     cut = vseq.index(x_s)
     tail = tuple(p_prime[:cut])
     head = (

@@ -20,6 +20,8 @@ degree_sorted_multisets_reference is the degree-order prefilter over
 every edge multiset that the corpus's pruned generator replaced.
 decompose_two_regular_reference is the 2-factor splitter the cubic tools
 used before they shared the package's circuit peel.
+classify_signed_circuit_reference is the signed-circuit classifier with
+its own forced-walk tracer, as it was before it classified on the peel.
 flow_admissibility_reference is the admissibility check as it was
 before it flipped only candidate edges and counted inconsistent edges
 per tree subtree: it rebuilds a graph for every edge flip and every edge
@@ -34,14 +36,23 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from signedflow import simplex
 from signedflow._solver_py import CAPPED, EXHAUSTED, FOUND
-from signedflow.core import Edge, FlowAssignment, Orientation, SignedGraph
+from signedflow.core import (
+    Edge,
+    FlowAssignment,
+    Orientation,
+    SignedGraph,
+    connected_components,
+    edge_subgraph,
+)
+from signedflow.errors import PreconditionError
 from signedflow.solve import find_nz_k_flow
+from signedflow.structure import SignedCircuitWitness, is_unbalanced_circuit
 
 MAX_COLUMNS = 2_000_000
 
@@ -584,6 +595,128 @@ def decompose_two_regular_reference(
         out.append(tuple(seq))
     out.sort(key=lambda c: (len(c), c))
     return out
+
+
+def _edge_set_connected(g: SignedGraph, edge_ids: Sequence[int]) -> bool:
+    sub, _, _ = edge_subgraph(g, edge_ids)
+    return len(connected_components(sub)) <= 1
+
+
+def _forced_walks_from(
+    g: SignedGraph, edge_ids: frozenset[int], start: int, stops: frozenset[int]
+) -> list[tuple[tuple[int, ...], int]] | None:
+    """Walk from ``start`` along each unused incident subgraph edge,
+    forced through degree-2 vertices, halting at a vertex in ``stops``.
+
+    Returns (edge sequence, terminus) per walk, or None when some walk is
+    not forced (the degree structure is broken).  Every subgraph edge at
+    ``start`` begins at most one walk: a returning walk consumes both of
+    its end half-edges."""
+    used: set[int] = set()
+    walks = []
+    for eid, _end in g.incidence[start]:
+        if eid not in edge_ids or eid in used:
+            continue
+        seq = [eid]
+        used.add(eid)
+        x = g.edges[eid].other(start) if not g.edges[eid].is_loop else start
+        while x not in stops:
+            cand = {
+                e2 for e2, _ in g.incidence[x] if e2 in edge_ids and e2 not in used
+            }
+            if len(cand) != 1:
+                return None
+            e2 = cand.pop()
+            if g.edges[e2].is_loop:
+                return None
+            seq.append(e2)
+            used.add(e2)
+            x = g.edges[e2].other(x)
+        walks.append((tuple(seq), x))
+    return walks
+
+
+def _trace_single_circuit(g: SignedGraph, edge_ids: Sequence[int]) -> tuple[int, ...] | None:
+    """Trace a connected 2-regular edge set as one circuit; None if the
+    trace does not cover every edge."""
+    ids = frozenset(edge_ids)
+    if len(ids) == 1:
+        (eid,) = ids
+        return (eid,) if g.edges[eid].is_loop else None
+    start = min(min(g.edges[i].u, g.edges[i].v) for i in ids)
+    walks = _forced_walks_from(g, ids, start, frozenset({start}))
+    if walks is None or len(walks) != 1:
+        return None
+    seq, terminus = walks[0]
+    if terminus != start or len(seq) != len(ids):
+        return None
+    return seq
+
+
+def classify_signed_circuit_reference(
+    g: SignedGraph, edge_ids: Sequence[int]
+) -> SignedCircuitWitness | None:
+    """Decide whether an edge set is a signed circuit and of which kind.
+
+    Returns None for anything else (never raises for mathematically
+    negative answers).  The classifier as it was before it was built on
+    the circuit peel: a connectivity check on a rebuilt subgraph, then
+    forced walks through degree-2 vertices, started at the smallest
+    vertex, at the degree-4 vertex, or at the smaller degree-3 vertex."""
+    ids = list(edge_ids)
+    if len(ids) != len(set(ids)) or not ids:
+        return None
+    if any(not (0 <= i < g.num_edges) for i in ids):
+        raise PreconditionError("edge id out of range")
+    idset = frozenset(ids)
+    deg: dict[int, int] = {}
+    for i in ids:
+        e = g.edges[i]
+        deg[e.u] = deg.get(e.u, 0) + 1
+        deg[e.v] = deg.get(e.v, 0) + 1
+    if not _edge_set_connected(g, ids):
+        return None
+    degs = sorted(deg.values(), reverse=True)
+    if all(d == 2 for d in degs):
+        seq = _trace_single_circuit(g, ids)
+        if seq is None or is_unbalanced_circuit(g, seq):
+            return None
+        return SignedCircuitWitness("balanced-circuit", (seq,), graph=g)
+    if degs[0] == 4 and all(d == 2 for d in degs[1:]):
+        meet = next(v for v, d in deg.items() if d == 4)
+        walks = _forced_walks_from(g, idset, meet, frozenset({meet}))
+        if walks is None or len(walks) != 2:
+            return None
+        (c1, t1), (c2, t2) = walks
+        if t1 != meet or t2 != meet or len(c1) + len(c2) != len(ids):
+            return None
+        if not (is_unbalanced_circuit(g, c1) and is_unbalanced_circuit(g, c2)):
+            return None
+        return SignedCircuitWitness("short-barbell", (c1, c2), graph=g)
+    if degs[0] == 3 and degs[1] == 3 and all(d == 2 for d in degs[2:]):
+        a, b = sorted(v for v, d in deg.items() if d == 3)
+        walks_a = _forced_walks_from(g, idset, a, frozenset({a, b}))
+        if walks_a is None:
+            return None
+        circ_a = [w for w, t in walks_a if t == a]
+        paths = [w for w, t in walks_a if t == b]
+        if len(circ_a) != 1 or len(paths) != 1:
+            return None
+        used = set(circ_a[0]) | set(paths[0])
+        rest = idset - used
+        if not rest:
+            return None
+        walks_b = _forced_walks_from(g, rest, b, frozenset({a, b}))
+        if walks_b is None:
+            return None
+        circ_b = [w for w, t in walks_b if t == b]
+        if len(walks_b) != 1 or len(circ_b) != 1 or set(circ_b[0]) != rest:
+            return None
+        c1, c2, path = circ_a[0], circ_b[0], paths[0]
+        if not (is_unbalanced_circuit(g, c1) and is_unbalanced_circuit(g, c2)):
+            return None
+        return SignedCircuitWitness("long-barbell", (c1, c2), path, graph=g)
+    return None
 
 
 def is_balanced_reference(g: SignedGraph) -> tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:

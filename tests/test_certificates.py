@@ -36,7 +36,9 @@ from signedflow.core import (
 from signedflow.corpus import g_family
 from signedflow.errors import PreconditionError
 from signedflow.solve import find_nz_k_flow, find_nz_zk_flow, flow_numbers
+from signedflow.structure import SignedCircuitWitness
 from signedflow.transform import (
+    EulerianDecomposition,
     decompose_into_2_flows,
     eulerian_decompose,
     normalize_circular_flow,
@@ -438,6 +440,31 @@ def test_tampered_eulerian_kind_detected():
         raw["payload"]["members"][0]["kind"] = "short-barbell"
 
     assert not verify_certificate(retamper(cert, mutate)).ok
+
+
+def _positive(n, pairs):
+    return SignedGraph(n, tuple(Edge(u, v, 1) for u, v in pairs))
+
+
+HOSTILE_MEMBERS = {
+    "theta": _positive(4, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 1)]),
+    "single-edge": _positive(2, [(0, 1)]),
+    "star-four-odd": _positive(4, [(0, 1), (0, 2), (0, 3)]),
+    "two-disjoint-balanced": _positive(4, [(0, 1), (0, 1), (2, 3), (2, 3)]),
+    "balanced-figure-eight": _positive(3, [(0, 1), (0, 1), (0, 2), (0, 2)]),
+}
+
+
+@pytest.mark.parametrize("kind", ["balanced-circuit", "short-barbell", "long-barbell"])
+@pytest.mark.parametrize("shape", sorted(HOSTILE_MEMBERS))
+def test_eulerian_member_that_is_no_signed_circuit_rejected(shape, kind):
+    # one member holding every edge, so only the member check can object;
+    # none of these is a signed circuit, and none may raise
+    g = HOSTILE_MEMBERS[shape]
+    member = SignedCircuitWitness(kind, (tuple(range(g.num_edges)),), graph=g)
+    cert = make_eulerian_certificate(g, EulerianDecomposition((member,)))
+    out = verify_certificate(retamper(cert, lambda raw: None))
+    assert out == VerifyOutcome(False, f"member 0 is not a {kind}")
 
 
 def test_graph_hash_is_canonical():

@@ -1,5 +1,7 @@
 """Signed circuits, barbells, admissibility, star cuts, cubic operations."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -402,6 +404,45 @@ def test_circuit_peel_matches_two_regular_reference(corpus_4_6):
             checked += 1
             two_regular += is_two_regular
     assert (checked, two_regular) == (12340, 8727)
+
+
+CORPUS_4_5 = list(enumerate_signed_graphs(4, 5))
+
+
+def test_classify_matches_forced_walk_reference():
+    # the peel-based classifier against the old forced-walk tracer on
+    # every edge subset of every 4/5 class
+    kinds = Counter()
+    for g in CORPUS_4_5:
+        for mask in range(1, 1 << g.num_edges):
+            ids = [i for i in range(g.num_edges) if mask >> i & 1]
+            w = classify_signed_circuit(g, ids)
+            ref = bruteforce.classify_signed_circuit_reference(g, ids)
+            assert (w is None) == (ref is None), (g, ids)
+            kinds[w and w.kind] += 1
+            if w is None:
+                continue
+            assert w.kind == ref.kind, (g, ids)
+            assert sorted(map(sorted, w.circuits)) == sorted(map(sorted, ref.circuits)), (g, ids)
+            assert w.path == ref.path, (g, ids)
+            for c in w.circuits:
+                structure._circuit_walk(g, c)
+            if w.path:
+                odd = structure._odd_vertices(g, ids)
+                walk = [min(odd)]
+                for eid in w.path:
+                    walk.append(g.edges[eid].other(walk[-1]))
+                assert walk[-1] == max(odd), (g, ids)
+    assert sum(kinds.values()) == 11526
+    assert (kinds["balanced-circuit"], kinds["short-barbell"], kinds["long-barbell"]) == (703, 209, 97)
+
+
+@given(st.sampled_from(CORPUS_4_5), st.data())
+@settings(deadline=None, max_examples=100)
+def test_classify_ignores_id_order(g, data):
+    ids = data.draw(st.sets(st.integers(0, g.num_edges - 1), min_size=1).map(sorted))
+    shuffled = data.draw(st.permutations(ids))
+    assert repr(classify_signed_circuit(g, shuffled)) == repr(classify_signed_circuit(g, ids))
 
 
 def test_signed_circuit_search_agrees_with_classify(corpus_3_4):

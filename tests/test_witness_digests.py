@@ -4,10 +4,14 @@ Each digest is the sha256 of one output per graph, newline-terminated, over
 a fixed slice of the corpus.  Together they pin the eulerian decomposition,
 the antibalanced 2-factor and grid normalization byte for byte, so a change
 to the circuit walks underneath them cannot move a witness unnoticed.  A
-mismatch prints the recomputed digest.
+second eulerian digest keeps only each member's kind and edge sets, so
+it tells a change in which edges a member holds from a change in the
+order they are traced in.  A mismatch prints the recomputed digest.
 """
 
 import hashlib
+
+import pytest
 
 from signedflow.certificates import make_eulerian_certificate, make_normalization_certificate
 from signedflow.core import is_eulerian
@@ -19,7 +23,8 @@ from signedflow.structure import (
 )
 from signedflow.transform import eulerian_decompose, normalize_circular_flow
 
-EULERIAN_DIGEST = "45a5c44b4641ae3d6cdbab328ff2af7c123dda9157005bb123e08708e2ca3a2a"
+EULERIAN_DIGEST = "327bcd045f4602ffe88c880d5d4906d1fc4eb7a2a66a3efcba6d78418f3af349"
+EULERIAN_MEMBERS_DIGEST = "495cf46229a98c21f518cb6a9ba467eaaee7e878c570159372147f1754feb7bf"
 TWO_FACTOR_DIGEST = "2ff7e296f07e48b124c21b0368d4848fb16f6c5cf80113dabec024b334144c67"
 NORMALIZATION_DIGEST = "bb8b0813bdf9fe6757229a86c187e54e481cd3e9f5636738ed712de84b47d23d"
 
@@ -34,20 +39,39 @@ def _digest(lines) -> tuple[str, int]:
     return h.hexdigest(), count
 
 
-def test_eulerian_certificates_digest(corpus_full):
-    graphs = [
-        g
+@pytest.fixture(scope="module")
+def eulerian_decompositions(corpus_full):
+    return [
+        (g, eulerian_decompose(g))
         for g in corpus_full
         if is_eulerian(g)
         and len(g.negative_edges) % 2 == 0
         and is_flow_admissible(g)
         and find_long_barbell(g) is None
     ]
+
+
+def test_eulerian_certificates_digest(eulerian_decompositions):
     digest, count = _digest(
-        make_eulerian_certificate(g, eulerian_decompose(g)).to_json() for g in graphs
+        make_eulerian_certificate(g, dec).to_json() for g, dec in eulerian_decompositions
     )
     assert count == 1239
     assert digest == EULERIAN_DIGEST, f"recomputed eulerian digest {digest}"
+
+
+def test_eulerian_members_digest(eulerian_decompositions):
+    # which edges each member holds, free of the order the circuits are
+    # traced in: this one must not move when only a circuit's start or
+    # the order of a barbell's two circuits changes
+    def members(dec):
+        return repr([
+            (w.kind, sorted(sorted(c) for c in w.circuits), sorted(w.path or ()))
+            for w in dec.members
+        ])
+
+    digest, count = _digest(members(dec) for _, dec in eulerian_decompositions)
+    assert count == 1239
+    assert digest == EULERIAN_MEMBERS_DIGEST, f"recomputed members digest {digest}"
 
 
 def test_antibalanced_2_factor_digest(corpus_full, petersen):
