@@ -3,7 +3,9 @@
 Each digest is the sha256 of one output per graph, newline-terminated, over
 a fixed slice of the corpus.  Together they pin the eulerian decomposition,
 the antibalanced 2-factor and grid normalization byte for byte, so a change
-to the circuit walks underneath them cannot move a witness unnoticed.  A
+to the circuit walks underneath them cannot move a witness unnoticed.  The
+integer digest pins the k-flow search's answers the same way, so a pruning
+added to the kernel cannot change a status or a first witness unnoticed.  A
 second eulerian digest keeps only each member's kind and edge sets, so
 it tells a change in which edges a member holds from a change in the
 order they are traced in.  A mismatch prints the recomputed digest.
@@ -15,7 +17,8 @@ import pytest
 
 from signedflow.certificates import make_eulerian_certificate, make_normalization_certificate
 from signedflow.core import is_eulerian
-from signedflow.solve import flow_numbers
+from signedflow.corpus import g_family
+from signedflow.solve import find_nz_k_flow, flow_numbers
 from signedflow.structure import (
     find_antibalanced_2_factor,
     find_long_barbell,
@@ -27,6 +30,7 @@ EULERIAN_DIGEST = "327bcd045f4602ffe88c880d5d4906d1fc4eb7a2a66a3efcba6d78418f3af
 EULERIAN_MEMBERS_DIGEST = "495cf46229a98c21f518cb6a9ba467eaaee7e878c570159372147f1754feb7bf"
 TWO_FACTOR_DIGEST = "2ff7e296f07e48b124c21b0368d4848fb16f6c5cf80113dabec024b334144c67"
 NORMALIZATION_DIGEST = "bb8b0813bdf9fe6757229a86c187e54e481cd3e9f5636738ed712de84b47d23d"
+INTEGER_WITNESS_DIGEST = "28313aa1f8be7afc537bd739ed45ce0d01c55686f92d6a82cc2a726ab276a2f8"
 
 
 def _digest(lines) -> tuple[str, int]:
@@ -100,3 +104,18 @@ def test_normalization_certificates_digest(corpus_4_6):
     digest, count = _digest(certificates())
     assert count == 515
     assert digest == NORMALIZATION_DIGEST, f"recomputed normalization digest {digest}"
+
+
+def test_integer_witness_digest(corpus_4_6, petersen):
+    def answers():
+        for g in list(corpus_4_6) + [petersen] + [g_family(t) for t in (1, 2, 3)]:
+            for k in range(2, 7):
+                fa = find_nz_k_flow(g, k)
+                if fa is None:
+                    yield "None"
+                else:
+                    yield f"{sorted(fa.orientation.reversed_edges)} {list(fa.values)}"
+
+    digest, count = _digest(answers())
+    assert count == 5 * (len(corpus_4_6) + 4)
+    assert digest == INTEGER_WITNESS_DIGEST, f"recomputed integer witness digest {digest}"
