@@ -453,6 +453,10 @@ def _verify_decomposition(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
 def _verify_eulerian(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
     from .structure import classify_signed_circuit
 
+    def split(circuits, path):
+        # each circuit's edge set, and the path's, free of walking order
+        return sorted(sorted(int(i) for i in c) for c in circuits), sorted(int(i) for i in path)
+
     members = cert.payload["members"]
     used: list[int] = []
     for idx, mem in enumerate(members):
@@ -462,6 +466,8 @@ def _verify_eulerian(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
             return VerifyOutcome(False, f"member {idx} is not a {mem['kind']}")
         if mem["kind"] == "long-barbell":
             return VerifyOutcome(False, f"member {idx} is a long barbell")
+        if split(mem["circuits"], mem["path"]) != split(w.circuits, w.path or ()):
+            return VerifyOutcome(False, f"member {idx} states a split that is not its {w.kind}'s")
         used.extend(ids)
     if sorted(used) != list(range(g.num_edges)):
         return VerifyOutcome(False, "members do not partition the edge set")

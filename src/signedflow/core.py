@@ -117,6 +117,14 @@ class SignedGraph:
         return _flow_admissibility(self)
 
     @cached_property
+    def search_layout(self):
+        """Cached ``solve._search_layout``: the search kernels' assignment
+        order and per-position arrays, which do not depend on k."""
+        from .solve import _search_layout
+
+        return _search_layout(self)
+
+    @cached_property
     def long_barbell(self):
         """Cached ``structure.find_long_barbell`` witness, or None."""
         from .structure import _long_barbell

@@ -138,6 +138,13 @@ def _kernel_arrays(g: SignedGraph, order: list[int]):
     return typ, va, ca, vb, cb
 
 
+def _search_layout(g: SignedGraph):
+    """The assignment order and the kernel arrays, as tuples; read through
+    the per-graph cache ``SignedGraph.search_layout``."""
+    order = _assignment_order(g)
+    return tuple(order), tuple(tuple(a) for a in _kernel_arrays(g, order))
+
+
 def _positive_form(g: SignedGraph, per_edge: list[int]) -> FlowAssignment:
     """Signed reference-orientation values -> positive values + flip set."""
     rev = frozenset(i for i, v in enumerate(per_edge) if v < 0)
@@ -152,9 +159,8 @@ def _search(
     if not (isinstance(k, int) and k >= 2):
         raise PreconditionError("k must be an integer >= 2")
     cap = _resolve_cap(cap)
-    order = _assignment_order(g)
-    typ, va, ca, vb, cb = _kernel_arrays(g, order)
-    status, vals, nodes = kernel(len(order), g.num_vertices, typ, va, ca, vb, cb, k, cap)
+    order, arrays = g.search_layout
+    status, vals, nodes = kernel(len(order), g.num_vertices, *arrays, k, cap)
     if stats is not None:
         stats["nodes"] = nodes
     if status == _solver_py.CAPPED:
@@ -181,7 +187,11 @@ def find_nz_k_flow(
     since negating a flow gives a flow: the answer and the witness are
     those of trying both signs, and an exhausted search walks
     (N + p) / 2 of that search's N nodes, p the positive loops pinned
-    before that edge.  ``stats["nodes"]`` and the cap count this tree.
+    before that edge.  It also refuses a value that leaves a vertex one
+    unassigned edge which no nonzero value can close (see
+    ``_solver_py.search_integer``); that cuts only branches without a
+    flow, so the answer and the witness stay the same.
+    ``stats["nodes"]`` and the cap count this tree.
     """
     per_edge = _search(g, k, cap, stats, _solver_py.search_integer, "k-flow search")
     return None if per_edge is None else _positive_form(g, per_edge)

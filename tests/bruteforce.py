@@ -10,6 +10,8 @@ sweep for circular flow numbers: it calls the package's exact LP and
 The pruned integer kernel as it was before candidate jumps is kept
 here too, as search_integer_reference: the kernel must walk its tree
 node for node, so the oracle is the same search without the jumps.
+Its last_slot mode adds the kernel's two last-slot refusals as plain
+per-candidate tests, found by scanning the positions still to come.
 subset_bound is the circular search's vertex-cut bound over all 2^n
 vertex sets, the oracle for the connected sets the search checks.
 enumerate_signed_graphs_reference is the corpus enumerator as it was
@@ -259,7 +261,9 @@ def subset_bound(g, reversed_edges):
     return one_sided, best
 
 
-def search_integer_reference(m, n, typ, va, ca, vb, cb, k, cap, root_positive=False):
+def search_integer_reference(
+    m, n, typ, va, ca, vb, cb, k, cap, root_positive=False, last_slot=False
+):
     """The integer kernel before candidate jumps: the oracle for
     signedflow._solver_py.search_integer, same arguments and statuses.
 
@@ -267,8 +271,11 @@ def search_integer_reference(m, n, typ, va, ca, vb, cb, k, cap, root_positive=Fa
     node each; a branch is pruned when some touched vertex has
     |partial boundary| larger than the largest swing its unassigned
     edges can still produce.  With root_positive the first position
-    that is not a positive loop tries only 1, 2, ..., k-1, the rule
-    search_integer follows.  Returns (status, values, nodes)."""
+    that is not a positive loop tries only 1, 2, ..., k-1, and with
+    last_slot a candidate is also refused when it leaves a touched
+    vertex one unassigned slot that no value can close (see
+    _last_slot_ok); search_integer follows both rules.  Returns
+    (status, values, nodes)."""
     values = [0] * m
     bnd = [0] * n
     slack = [0] * n
@@ -324,6 +331,9 @@ def search_integer_reference(m, n, typ, va, ca, vb, cb, k, cap, root_positive=Fa
             bnd[a] += ca[pos] * val
             if abs(bnd[a]) > slack[a]:
                 ok = False
+        if ok and last_slot:
+            ends = (va[pos],) if t == 1 else (va[pos], vb[pos]) if t == 0 else ()
+            ok = all(_last_slot_ok(bnd, slack, typ, va, ca, vb, cb, pos, v, k) for v in ends)
         if ok:
             pos += 1
             if pos == m:
@@ -332,6 +342,32 @@ def search_integer_reference(m, n, typ, va, ca, vb, cb, k, cap, root_positive=Fa
         else:
             _unapply(bnd, typ, va, ca, vb, cb, pos, values)
             idx[pos] += 1
+
+
+def _last_slot_ok(bnd, slack, typ, va, ca, vb, cb, pos, v, k):
+    """False when positions up to pos are assigned and v's only unassigned
+    slot (positive loops aside) cannot be given a nonzero value: an
+    ordinary edge (v, w) would need f = -c_v * bnd[v], which is zero or
+    leaves w a boundary its other unassigned edges cannot absorb, or a
+    negative loop would need 2f = -bnd[v], with bnd[v] zero or odd."""
+    rest = [
+        q
+        for q in range(pos + 1, len(typ))
+        if (typ[q] == 0 and v in (va[q], vb[q])) or (typ[q] == 1 and va[q] == v)
+    ]
+    if len(rest) != 1:
+        return True
+    q = rest[0]
+    if typ[q] == 1:
+        return bnd[v] != 0 and bnd[v] % 2 == 0
+    if bnd[v] == 0:
+        return False
+    if va[q] == v:
+        c_v, w, c_w = ca[q], vb[q], cb[q]
+    else:
+        c_v, w, c_w = cb[q], va[q], ca[q]
+    f = -c_v * bnd[v]
+    return abs(bnd[w] + c_w * f) <= slack[w] - (k - 1)
 
 
 def _release(slack, typ, va, ca, vb, cb, pos, k):

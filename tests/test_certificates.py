@@ -442,6 +442,26 @@ def test_tampered_eulerian_kind_detected():
     assert not verify_certificate(retamper(cert, mutate)).ok
 
 
+@pytest.mark.parametrize(
+    "circuits,path",
+    [([[0, 1], []], []), ([[0]], [1])],
+    ids=["circuits-merged", "circuit-moved-to-path"],
+)
+def test_tampered_eulerian_split_detected(circuits, path):
+    # two negative loops at one vertex, a short barbell certified as
+    # circuits [[0], [1]]: the same edges under another split are refused
+    g = SignedGraph(1, (Edge(0, 0, -1), Edge(0, 0, -1)))
+    cert = make_eulerian_certificate(g, eulerian_decompose(g))
+    assert cert.payload["members"][0]["circuits"] == [[0], [1]]
+    assert verify_certificate(cert).ok
+
+    def mutate(raw):
+        raw["payload"]["members"][0].update(circuits=circuits, path=path)
+
+    out = verify_certificate(retamper(cert, mutate))
+    assert out == VerifyOutcome(False, "member 0 states a split that is not its short-barbell's")
+
+
 def _positive(n, pairs):
     return SignedGraph(n, tuple(Edge(u, v, 1) for u, v in pairs))
 

@@ -15,7 +15,11 @@ import hashlib
 
 import pytest
 
-from signedflow.certificates import make_eulerian_certificate, make_normalization_certificate
+from signedflow.certificates import (
+    make_eulerian_certificate,
+    make_normalization_certificate,
+    verify_certificate,
+)
 from signedflow.core import is_eulerian
 from signedflow.corpus import g_family
 from signedflow.solve import find_nz_k_flow, flow_numbers
@@ -56,9 +60,10 @@ def eulerian_decompositions(corpus_full):
 
 
 def test_eulerian_certificates_digest(eulerian_decompositions):
-    digest, count = _digest(
-        make_eulerian_certificate(g, dec).to_json() for g, dec in eulerian_decompositions
-    )
+    certs = [make_eulerian_certificate(g, dec) for g, dec in eulerian_decompositions]
+    # every honest certificate verifies, the split each member states included
+    assert all(verify_certificate(cert).ok for cert in certs)
+    digest, count = _digest(cert.to_json() for cert in certs)
     assert count == 1239
     assert digest == EULERIAN_DIGEST, f"recomputed eulerian digest {digest}"
 
