@@ -63,13 +63,15 @@ def _mirror_identity(g, k, last_slot=False):
 
 def _rule_identity(g, k):
     """The last-slot rules cut only subtrees without a flow: same status
-    and first witness as the plain search, and never more nodes."""
-    plain = _mirror_identity(g, k)[1]
+    and first witness as the plain search, and never more nodes.
+    Returns the plain search without and with the root rule, and the
+    search with both rules."""
+    full, plain = _mirror_identity(g, k)
     rules = _mirror_identity(g, k, last_slot=True)[1]
     assert rules[0] == plain[0] and rules[2] <= plain[2], (g.edges, k, rules, plain)
     if plain[0] == _solver_py.FOUND:
         assert rules[1] == plain[1], (g.edges, k)
-    return plain, rules
+    return full, plain, rules
 
 
 def test_kernel_matches_reference_on_corpus(corpus_4_6):
@@ -102,9 +104,8 @@ def test_kernel_matches_reference_on_named_graphs(
     got = _agree(g, k, 50_000_000)
     assert got[0] == status and got[2] == nodes
     if plain_nodes is not None:
-        plain, rules = _rule_identity(g, k)
-        assert (plain[2], rules[2]) == (plain_nodes, nodes)
-        assert _mirror_identity(g, k)[0][2] == full_nodes
+        full, plain, rules = _rule_identity(g, k)
+        assert (full[2], plain[2], rules[2]) == (full_nodes, plain_nodes, nodes)
     # a cap just short of the full count stops exactly one node past it
     assert _agree(g, k, nodes - 1)[::2] == (_solver_py.CAPPED, nodes)
 
@@ -194,8 +195,7 @@ def test_kernel_root_rule_edge_cases(g, status, nodes, plain_nodes):
     k = 4
     got = _agree(g, k, 0)
     assert got[::2] == (status, nodes)
-    plain, _ = _rule_identity(g, k)
-    assert plain[2] == plain_nodes
+    assert _rule_identity(g, k)[1][2] == plain_nodes
     for cap in range(1, nodes):
         assert _agree(g, k, cap)[::2] == (_solver_py.CAPPED, cap + 1)
 
