@@ -552,10 +552,11 @@ def circular_flow_number(
     such edge stays unreversed.
 
     The edges are oriented one at a time, depth first, in
-    `_assignment_order`.  A vertex is complete once all its edges are
-    oriented, which happens at a fixed depth whatever the signs.  For a
-    set X of complete vertices, sum each edge's coefficients over X and
-    split them by sign into out and in.  Zero boundary on X with every
+    `_assignment_order` (read from ``SignedGraph.search_layout``).  A
+    vertex is complete once all its edges are oriented, which happens at
+    a fixed depth whatever the signs.  For a set X of complete vertices,
+    sum each edge's coefficients over X and split them by sign into out
+    and in.  Zero boundary on X with every
     value in [1, t] needs out·t ≥ in and in·t ≥ out, so
     t ≥ (T + |D|) / (T − |D|) with T = in + out and D = in − out (the
     vertex-cut bound of Goddyn, Tarsi and Zhang, necessary but not
@@ -618,7 +619,7 @@ def _circular_flow_number(
     ref = _orientation_coeffs(g, lp_edges)
     mlp = len(lp_edges)
     pos_of = {eid: pos for pos, eid in enumerate(lp_edges)}
-    order = [pos_of[eid] for eid in _assignment_order(g) if eid in pos_of]
+    order = [pos_of[eid] for eid in g.search_layout[0] if eid in pos_of]
     at: dict[int, list[tuple[int, int]]] = {}  # vertex -> (lp edge, coefficient)
     for pos, pairs in enumerate(ref):
         for v, c0 in pairs:

@@ -29,6 +29,9 @@ before it flipped only candidate edges and counted inconsistent edges
 per tree subtree: it rebuilds a graph for every edge flip and every edge
 deletion, with its own component split and its own balance scan
 (is_balanced_reference, the scan before it shared its potential spread).
+integer_none_outcome_reference is the certificate verifier's outcome on
+"no integer k-flow" by a plain integer re-search, as it was before the
+verifier ran the Z_k search first.
 
 Size guard: 2(k-1) choices per edge, so k=4 with 6 edges is 6^6 = 46656
 columns.  Keep inputs small.
@@ -52,6 +55,7 @@ from signedflow.core import (
     connected_components,
     edge_subgraph,
 )
+from signedflow.certificates import VerifyOutcome
 from signedflow.errors import PreconditionError
 from signedflow.solve import find_nz_k_flow
 from signedflow.structure import SignedCircuitWitness, is_unbalanced_circuit
@@ -865,3 +869,12 @@ def flow_admissibility_reference(g: SignedGraph):
                     defects.append(ComponentDefect(comp, "balanced-side-bridge", edge=eback[b]))
                     break
     return AdmissibilityVerdict(not defects, tuple(defects))
+
+
+def integer_none_outcome_reference(g: SignedGraph, k: int) -> VerifyOutcome:
+    """The outcome of verifying "g has no nowhere-zero integer k-flow" by
+    the integer search alone: the oracle for the verifier's Z_k-first
+    re-check."""
+    if find_nz_k_flow(g, k) is not None:
+        return VerifyOutcome(False, "re-search found a flow the certificate denies")
+    return VerifyOutcome(True)

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bruteforce
+from signedflow import solve
 from signedflow.certificates import (
     Certificate,
     SCHEMA_VERSION,
@@ -33,10 +35,10 @@ from signedflow.core import (
     parse_graph,
     serialize_graph,
 )
-from signedflow.corpus import g_family
-from signedflow.errors import PreconditionError
+from signedflow.corpus import g_family, signed_petersen
+from signedflow.errors import PreconditionError, ResourceCapExceeded
 from signedflow.solve import find_nz_k_flow, find_nz_zk_flow, flow_numbers
-from signedflow.structure import SignedCircuitWitness
+from signedflow.structure import SignedCircuitWitness, is_flow_admissible
 from signedflow.transform import (
     EulerianDecomposition,
     decompose_into_2_flows,
@@ -337,6 +339,19 @@ def test_inflated_flow_number_detected():
     assert not out.ok and "exists below" in out.reason
 
 
+def test_flow_number_inflated_by_three_names_the_flow_just_below():
+    # a 2-flow is also a 5-flow, so the witness holds; only "no 4-flow" is
+    # re-checked, which covers every smaller k as well
+    g = cycle(3)
+    cert = make_flow_number_certificate(g, flow_numbers(g))
+
+    def mutate(raw):
+        raw["payload"]["phi_i"] = 5
+
+    out = verify_certificate(retamper(cert, mutate))
+    assert out == VerifyOutcome(False, "a 4-flow exists below phi_i=5")
+
+
 def five_negative_loops():
     return SignedGraph(1, (Edge(0, 0, -1),) * 5)  # phi_c = 5/2
 
@@ -362,6 +377,67 @@ def test_moved_phi_c_rejected(make, step):
     out = verify_certificate(retamper(cert, mutate))
     assert not out.ok
     assert out.reason == f"recomputed phi_c={numbers.phi_c}, certified {moved}"
+
+
+# ---------------------------------------------------------------------------
+# "no integer k-flow": the Z_k search first, the integer search as fallback
+
+
+def test_integer_certificates_match_plain_re_search(corpus_4_6):
+    # an exhausted Z_k search proves "no integer k-flow"; a forged "none"
+    # on a graph with a k-flow has a Z_k-flow, so it still reaches the
+    # integer re-search and is rejected exactly as before
+    admissible = [g for g in corpus_4_6 if is_flow_admissible(g)]
+    assert len(admissible) == 515
+    for g in admissible:
+        for k in range(2, 7):
+            kind = FlowKind.integer(k)
+            fa = find_nz_k_flow(g, k)
+            plain = bruteforce.integer_none_outcome_reference(g, k)
+            honest = VerifyOutcome(True) if fa is not None else plain
+            assert verify_certificate(make_flow_certificate(g, kind, fa)) == honest
+            assert verify_certificate(make_flow_certificate(g, kind, None)) == plain
+
+
+@pytest.mark.parametrize(
+    "make,k", [(signed_petersen, 4), (lambda: g_family(1), 4), (neg_loop, 2)],
+    ids=["petersen-none", "g1-forged", "negative-loop-zk-only"],
+)
+def test_capped_zk_search_falls_back_to_integer_search(monkeypatch, make, k):
+    g = make()
+    calls = []
+
+    def capped(g_, k_, cap=None, stats=None):
+        calls.append(k_)
+        raise ResourceCapExceeded("Z_k-flow search", cap=1, spent=2)
+
+    monkeypatch.setattr(solve, "find_nz_zk_flow", capped)
+    out = verify_certificate(make_flow_certificate(g, FlowKind.integer(k), None))
+    assert calls == [k]
+    assert out == bruteforce.integer_none_outcome_reference(g, k)
+
+
+@pytest.mark.parametrize(
+    "make,k,cap", [(signed_petersen, 4, 100), (five_negative_loops, 2, 8)],
+    ids=["both-searches-capped", "zk-flow-then-integer-capped"],
+)
+def test_integer_re_search_over_the_cap_raises(monkeypatch, make, k, cap):
+    # five negative loops have a Z_2-flow within 8 nodes and no integer
+    # 2-flow, whose search needs more
+    cert = make_flow_certificate(make(), FlowKind.integer(k), None)
+    monkeypatch.setenv("SG_RESOURCE_CAP", str(cap))
+    with pytest.raises(ResourceCapExceeded, match="^k-flow search$"):
+        verify_certificate(cert)
+
+
+def test_each_re_search_has_the_cap_to_itself(monkeypatch):
+    # "no 4-flow" on Petersen: the Z_4 search exhausts within 1,000 nodes,
+    # so the integer search, which needs more, never runs
+    g = signed_petersen()
+    with pytest.raises(ResourceCapExceeded):
+        find_nz_k_flow(g, 4, cap=1000)
+    monkeypatch.setenv("SG_RESOURCE_CAP", "1000")
+    assert verify_certificate(make_flow_certificate(g, FlowKind.integer(4), None)).ok
 
 
 def _flow_number_cert():

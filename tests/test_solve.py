@@ -1,5 +1,6 @@
 """Existence solvers and exact flow numbers."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -416,6 +417,29 @@ def test_stats_on_two_flow_shortcut():
     stats = {}
     circular_flow_number(cycle(4), stats=stats)
     assert stats == {"lp_calls": 0, "tie_skips": 0}
+
+
+# (lp_calls, tie_skips) of circular_flow_number and of flow_numbers, and
+# the sha256 of phi_c with its witness, from before the search read its
+# edge order from the per-graph layout cache; the order is the same one
+@pytest.mark.parametrize("make,unseeded,seeded,digest", [
+    (signed_petersen, (500, 338), (498, 338),
+     "8f6f2280bc6043a8dc775516c2519f0c970b6251088f277de5c7e9dec7c002f7"),
+    (lambda: g_family(1), (3, 0), (3, 0),
+     "34a24b27cd31909dccc074bbefc5511f93666c17df7237f47f37e0cf68b58ce1"),
+    (lambda: g_family(2), (29, 16), (29, 16),
+     "340ed04ddafd7001f34064cff346a4421a097f72a44b61af373dfce1aed05d92"),
+    (lambda: g_family(3), (101, 199), (101, 199),
+     "ebb70844c63aab88cd633d833aeae1c9b9f59277f7bc906b4d397eea282b8ad8"),
+], ids=["petersen", "g1", "g2", "g3"])
+def test_circular_search_pinned(make, unseeded, seeded, digest):
+    for entry, counts in ((circular_flow_number, unseeded), (flow_numbers, seeded)):
+        stats = {}
+        fn = entry(make(), stats=stats)  # a fresh graph: its layout is not cached yet
+        fa = fn.witnesses["phi_c"]
+        text = f"{fn.phi_c} {sorted(fa.orientation.reversed_edges)} {[str(v) for v in fa.values]}"
+        assert (stats["lp_calls"], stats["tie_skips"]) == counts, entry.__name__
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, entry.__name__
 
 
 def test_seed_contradiction_raises():
