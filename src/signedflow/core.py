@@ -35,9 +35,7 @@ __all__ = [
     "parse_graph",
     "serialize_graph",
     "switch",
-    "switch_orientation",
     "boundary",
-    "edge_boundary",
     "check_flow",
     "is_balanced",
     "connected_components",
@@ -226,28 +224,6 @@ class Orientation:
     def reference(cls) -> "Orientation":
         return cls(frozenset())
 
-    @classmethod
-    def from_directions(cls, g: SignedGraph, dirs: Sequence[tuple[int, int]]) -> "Orientation":
-        """Encode explicit half-edge directions; validates compatibility."""
-        if len(dirs) != g.num_edges:
-            raise ValueError("direction list length mismatch")
-        rev = set()
-        for i, (t0, t1) in enumerate(dirs):
-            if t0 * t1 != -g.edges[i].sign:
-                raise ValueError(f"edge {i}: directions incompatible with sign")
-            # end 0 of the reference orientation always points out
-            if t0 != 1:
-                rev.add(i)
-        return cls(frozenset(rev))
-
-    def direction(self, g: SignedGraph, edge_id: int, end: int) -> int:
-        e = g.edges[edge_id]
-        if e.sign > 0:
-            t = 1 if end == 0 else -1
-        else:
-            t = 1
-        return -t if edge_id in self.reversed_edges else t
-
     def directions(self, g: SignedGraph) -> tuple[tuple[int, int], ...]:
         """Materialized (tau at end 0, tau at end 1) per edge."""
         out = []
@@ -257,25 +233,6 @@ class Orientation:
                 t0, t1 = -t0, -t1
             out.append((t0, t1))
         return tuple(out)
-
-
-def switch_orientation(g: SignedGraph, o: Orientation, vertices: Iterable[int]) -> Orientation:
-    """Flip every half-edge at the switched vertices.
-
-    Unlike sign switching, a loop at a switched vertex has both half-edges
-    flipped (its sign is unchanged and it ends up reversed).  The result
-    is a valid orientation of ``switch(g, vertices)``.
-    """
-    s = frozenset(vertices)
-    dirs = o.directions(g)
-    new_dirs = []
-    for e, (t0, t1) in zip(g.edges, dirs):
-        if e.u in s:
-            t0 = -t0
-        if e.v in s:
-            t1 = -t1
-        new_dirs.append((t0, t1))
-    return Orientation.from_directions(switch(g, s), new_dirs)
 
 
 @dataclass(frozen=True)
@@ -301,16 +258,6 @@ def boundary(g: SignedGraph, fa: FlowAssignment) -> tuple[Value, ...]:
         bnd[e.u] += t0 * f
         bnd[e.v] += t1 * f
     return tuple(bnd)
-
-
-def edge_boundary(g: SignedGraph, fa: FlowAssignment, edge_id: int) -> Value:
-    """Boundary charge sitting on the edge itself: -(tau(h1)+tau(h2))*f.
-
-    Nonzero exactly on negative edges; the grand total of vertex and edge
-    boundaries is always zero.
-    """
-    t0, t1 = fa.orientation.directions(g)[edge_id]
-    return -(t0 + t1) * fa.values[edge_id]
 
 
 @dataclass(frozen=True)
@@ -545,42 +492,48 @@ def is_eulerian(g: SignedGraph) -> bool:
 
 
 def find_bridges(g: SignedGraph) -> tuple[int, ...]:
-    """Cut edges, ascending.  Loops and parallel edges are never bridges."""
-    disc = [-1] * g.num_vertices
-    low = [0] * g.num_vertices
-    bridges: list[int] = []
-    timer = 0
+    """Cut edges, ascending.  Loops and parallel edges are never bridges.
+
+    One spanning tree per component (``_spread_potential``); the bridges
+    are its edges that no other edge's tree path covers (``_tree_bridges``).
+    """
+    potential = [0] * g.num_vertices
+    tree_edge = [-1] * g.num_vertices
+    reached: list[int] = []
     for root in range(g.num_vertices):
-        if disc[root] != -1:
+        if not potential[root]:
+            reached += _spread_potential(g, root, potential, tree_edge)
+    return tuple(_tree_bridges(g, reached, tree_edge, range(g.num_edges)))
+
+
+def _tree_bridges(
+    g: SignedGraph, reached: list[int], tree_edge: list[int], comp_edges: Sequence[int]
+) -> list[int]:
+    """The bridges among the edges ``comp_edges`` of one or more
+    components, ascending, from the spanning trees that reached them
+    (``reached`` lists every vertex after its tree parent, and a root
+    has no tree edge): the tree edges on no non-tree edge's tree path.
+    A circuit through a tree edge is the sum of the fundamental circuits
+    of its non-tree edges, so one of those covers the tree edge."""
+    edges = g.edges
+    up = [0] * g.num_vertices  # tree parent
+    depth = [0] * g.num_vertices
+    for y in reached:
+        if tree_edge[y] >= 0:
+            x = edges[tree_edge[y]].other(y)
+            up[y] = x
+            depth[y] = depth[x] + 1
+    covered = set()  # y stands for the tree edge that reached y
+    for eid in comp_edges:
+        x, y = edges[eid].u, edges[eid].v
+        if tree_edge[x] == eid or tree_edge[y] == eid:
             continue
-        # iterative DFS; entry edge excluded by id so parallels survive
-        stack = []
-        disc[root] = low[root] = timer
-        timer += 1
-        stack.append((root, -1, iter(g.incidence[root])))
-        while stack:
-            x, in_edge, it = stack[-1]
-            advanced = False
-            for eid, _ in it:
-                e = g.edges[eid]
-                if e.is_loop or eid == in_edge:
-                    continue
-                y = e.other(x)
-                if disc[y] == -1:
-                    disc[y] = low[y] = timer
-                    timer += 1
-                    stack.append((y, eid, iter(g.incidence[y])))
-                    advanced = True
-                    break
-                low[x] = min(low[x], disc[y])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    px = stack[-1][0]
-                    low[px] = min(low[px], low[x])
-                    if low[x] > disc[px]:
-                        bridges.append(in_edge)
-    return tuple(sorted(bridges))
+        while x != y:
+            if depth[x] < depth[y]:
+                x, y = y, x
+            covered.add(x)
+            x = up[x]
+    return sorted(tree_edge[y] for y in reached if tree_edge[y] >= 0 and y not in covered)
 
 
 def edge_subgraph(

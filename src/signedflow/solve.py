@@ -19,15 +19,14 @@ from .core import (
     FlowKind,
     Orientation,
     SignedGraph,
-    boundary,
     check_flow,
+    edge_subgraph,
     is_eulerian,
 )
 from .errors import InvariantViolation, NotFlowAdmissibleError, PreconditionError, ResourceCapExceeded
 from .structure import (
     SignedCircuitWitness,
     _circuit_walk,
-    circuit_vertices,
     classify_signed_circuit,
     is_flow_admissible,
 )
@@ -317,115 +316,42 @@ def find_2_flow_on_even_graph(g: SignedGraph) -> Optional[FlowAssignment]:
 # signed circuit flows
 
 
-def _walk_with_ends(g: SignedGraph, seq: tuple[int, ...], start: int):
-    """Turn an edge-id trail into (eid, dep_end, arr_end) steps from start."""
-    out = []
-    v = start
-    for eid in seq:
-        e = g.edges[eid]
-        if e.u == e.v:
-            if v != e.u:
-                raise PreconditionError("walk leaves its vertices")
-            out.append((eid, 0, 1))
-            continue
-        if v == e.u:
-            out.append((eid, 0, 1))
-            v = e.v
-        elif v == e.v:
-            out.append((eid, 1, 0))
-            v = e.u
-        else:
-            raise PreconditionError("walk edges not consecutive")
-    return out, v
-
-
-def _zero_boundary_or_raise(g: SignedGraph, per_edge: list) -> None:
-    fa = FlowAssignment(Orientation.reference(), tuple(per_edge))
-    bad = [v for v, b in enumerate(boundary(g, fa)) if b != 0]
-    if bad:
-        raise InvariantViolation(f"signed circuit flow has boundary at {bad}")
-
-
 def signed_circuit_flow(w: SignedCircuitWitness) -> FlowAssignment:
-    """Flow supported exactly on a signed circuit.
+    """Flow supported exactly on a signed circuit: ±1 on a balanced
+    circuit or a short barbell; on a long barbell ±1 on the two circuits
+    and ±2 on the path.
 
-    Balanced circuit and short barbell get values ±1 (a 2-flow);
-    a long barbell gets ±1 on the circuits and ±2 on the path.
+    It is the ±1 flow of ``find_2_flow_on_even_graph`` on the witness's
+    edges with the path taken twice, each path edge carrying the sum of
+    its two copies.  With the path doubled every degree is even and the
+    negative edges are even in number, so that flow exists.  The flows
+    of a signed circuit form a one-dimensional space, so the circuit
+    edges' ±1 forces ±2 on the path.  The sign is fixed so that the
+    lowest edge id of the witness is positive under the reference
+    orientation.
+
+    The witness must carry its host graph, be a signed circuit of its
+    stated kind with its stated path, and list each circuit in walking
+    order; otherwise PreconditionError.
     """
     g = w.graph
     if g is None:
         raise PreconditionError("witness does not reference its host graph")
     check = classify_signed_circuit(g, w.edge_ids)
-    if check is None or check.kind != w.kind:
+    if check is None or check.kind != w.kind or sorted(w.path or ()) != sorted(check.path or ()):
         raise PreconditionError("witness does not describe a signed circuit")
-    per_edge: list[int] = [0] * g.num_edges
-
-    def place(vals: dict[int, int]) -> None:
-        for eid, f in vals.items():
-            per_edge[eid] = f
-
-    if w.kind == "balanced-circuit":
-        seq = w.circuits[0]
-        walk, _ = _walk_with_ends(g, seq, _circuit_walk(g, seq)[0])
-        vals, dep, p_last = _chain_values(g, walk, 1)
-        if dep + p_last != 0:
-            raise InvariantViolation("balanced circuit failed to close")
-        place(vals)
-    elif w.kind == "short-barbell":
-        c1, c2 = w.circuits
-        meet = set(circuit_vertices(g, c1) & circuit_vertices(g, c2))
-        if len(meet) != 1:
-            raise PreconditionError("short barbell circuits must meet in one vertex")
-        a = meet.pop()
-        w1, _ = _walk_with_ends(g, _rotate_to(g, c1, a), a)
-        w2, _ = _walk_with_ends(g, _rotate_to(g, c2, a), a)
-        v1, d1, p1 = _chain_values(g, w1, 1)
-        b1 = d1 + p1  # ±2 at the meet
-        v2, d2, p2 = _chain_values(g, w2, 1)
-        if d2 + p2 == b1:
-            v2 = {eid: -f for eid, f in v2.items()}
-        place(v1)
-        place(v2)
-    else:  # long barbell
-        c1, c2 = w.circuits
-        path = w.path or ()
-        pverts_first = g.edges[path[0]]
-        ends1 = circuit_vertices(g, c1)
-        ends2 = circuit_vertices(g, c2)
-        a = pverts_first.u if pverts_first.u in ends1 or pverts_first.u in ends2 else pverts_first.v
-        # orient the path from the circuit containing a toward the other
-        if a in ends1:
-            ca_, cb_ = c1, c2
-        else:
-            ca_, cb_ = c2, c1
-        wp, b = _walk_with_ends(g, path, a)
-        wa, _ = _walk_with_ends(g, _rotate_to(g, ca_, a), a)
-        wb, _ = _walk_with_ends(g, _rotate_to(g, cb_, b), b)
-        va_, da, pa = _chain_values(g, wa, 1)
-        ba = da + pa  # circuit boundary at a, ±2
-        vp, dp, pp = _chain_values(g, wp, 1)
-        vp = {eid: 2 * f for eid, f in vp.items()}
-        dp, pp = 2 * dp, 2 * pp
-        if dp == ba:  # path must cancel the circuit at a
-            vp = {eid: -f for eid, f in vp.items()}
-            dp, pp = -dp, -pp
-        vb_, db, pb = _chain_values(g, wb, 1)
-        if db + pb == pp:
-            vb_ = {eid: -f for eid, f in vb_.items()}
-        place(va_)
-        place(vp)
-        place(vb_)
-    _zero_boundary_or_raise(g, per_edge)
+    for c in w.circuits:
+        _circuit_walk(g, c)
+    sub, _, eback = edge_subgraph(g, w.edge_ids + (w.path or ()))
+    fa = find_2_flow_on_even_graph(sub)
+    if fa is None:
+        raise InvariantViolation("signed circuit with its path doubled has no 2-flow")
+    per_edge = [0] * g.num_edges
+    for j, eid in enumerate(eback):
+        per_edge[eid] += -fa.values[j] if j in fa.orientation.reversed_edges else fa.values[j]
+    if per_edge[min(w.edge_ids)] < 0:
+        per_edge = [-f for f in per_edge]
     return _positive_form(g, per_edge)
-
-
-def _rotate_to(g: SignedGraph, seq: tuple[int, ...], v: int) -> tuple[int, ...]:
-    """Rotate a circuit's edge sequence so it starts and ends at v."""
-    walk = _circuit_walk(g, seq)
-    if v not in walk:
-        raise PreconditionError("rotation vertex not on circuit")
-    i = walk.index(v)
-    return seq[i:] + seq[:i]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Structural predicates: signed circuits, barbells, admissibility, cubic tools.
+"""Structural predicates: signed circuits, barbells, admissibility, and
+the 3-edge-colouring of cubic graphs.
 
 A circuit is a connected 2-regular subgraph, represented as the tuple of
 its edge ids in traversal order (a loop is a circuit of length one, a
@@ -28,10 +29,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
-    BalanceCertificate,
     SignedGraph,
     _inconsistent_edges,
     _spread_potential,
+    _tree_bridges,
     _tree_path,
     connected_components,
     delete_vertices,
@@ -56,9 +57,7 @@ __all__ = [
     "find_signed_circuit",
     "is_flow_admissible",
     "has_star_cut",
-    "is_antibalanced",
     "three_edge_coloring",
-    "find_antibalanced_2_factor",
 ]
 
 
@@ -500,34 +499,6 @@ def _flow_admissibility(g: SignedGraph) -> AdmissibilityVerdict:
     return AdmissibilityVerdict(not defects, tuple(defects))
 
 
-def _tree_bridges(
-    g: SignedGraph, reached: list[int], tree_edge: list[int], comp_edges: Sequence[int]
-) -> list[int]:
-    """The bridges of a component, ascending, from the spanning tree that
-    reached it (``reached`` lists every vertex after its tree parent):
-    the tree edges on no non-tree edge's tree path.  A circuit through a
-    tree edge is the sum of the fundamental circuits of its non-tree
-    edges, so one of those covers the tree edge."""
-    edges = g.edges
-    up = [0] * g.num_vertices  # tree parent
-    depth = [0] * g.num_vertices
-    for y in reached[1:]:
-        x = edges[tree_edge[y]].other(y)
-        up[y] = x
-        depth[y] = depth[x] + 1
-    covered = set()  # y stands for the tree edge that reached y
-    for eid in comp_edges:
-        x, y = edges[eid].u, edges[eid].v
-        if tree_edge[x] == eid or tree_edge[y] == eid:
-            continue
-        while x != y:
-            if depth[x] < depth[y]:
-                x, y = y, x
-            covered.add(x)
-            x = up[x]
-    return sorted(tree_edge[y] for y in reached[1:] if y not in covered)
-
-
 def _one_negative_edge(
     g: SignedGraph, comp: tuple[int, ...], comp_edges: Sequence[int], candidates: Sequence[int]
 ) -> ComponentDefect | None:
@@ -574,17 +545,6 @@ def has_star_cut(g: SignedGraph) -> StarCut | None:
         if leaves and (best is None or len(leaves) > len(best.leaves)):
             best = StarCut(c, tuple(leaves), tuple(edges))
     return best
-
-
-def is_antibalanced(g: SignedGraph) -> BalanceCertificate:
-    """Balance of the sign-negated graph.  The potential satisfies
-    sign(uv) == -p(u)*p(v) on non-loop edges; loops must be negative."""
-    from .core import Edge
-
-    negated = SignedGraph(
-        g.num_vertices, tuple(Edge(e.u, e.v, -e.sign) for e in g.edges)
-    )
-    return is_balanced(negated)
 
 
 def _require_cubic(g: SignedGraph) -> None:
@@ -652,55 +612,3 @@ def three_edge_coloring(
         return False
 
     return tuple(colors) if rec(0) else None
-
-
-def _perfect_matchings(g: SignedGraph, cap: int):
-    """Yield perfect matchings (tuples of edge ids), lexicographic by the
-    choice at the lowest unmatched vertex."""
-    matched = [False] * g.num_vertices
-    chosen: list[int] = []
-    steps = 0
-
-    def rec():
-        nonlocal steps
-        v = next((x for x in range(g.num_vertices) if not matched[x]), None)
-        if v is None:
-            yield tuple(chosen)
-            return
-        for eid, _end in g.incidence[v]:
-            e = g.edges[eid]
-            if e.is_loop:
-                continue
-            y = e.other(v)
-            if matched[y]:
-                continue
-            steps += 1
-            if steps > cap:
-                raise ResourceCapExceeded("matching search cap", cap=cap, spent=steps)
-            matched[v] = matched[y] = True
-            chosen.append(eid)
-            yield from rec()
-            chosen.pop()
-            matched[v] = matched[y] = False
-
-    yield from rec()
-
-
-def find_antibalanced_2_factor(
-    g: SignedGraph, cap: int = DEFAULT_SEARCH_CAP
-) -> tuple[tuple[int, ...], ...] | None:
-    """A 2-factor all of whose circuits are antibalanced (equivalently:
-    every circuit has an even number of positive edges), or None.
-
-    The graph must be cubic; candidate 2-factors are complements of
-    perfect matchings, tried in deterministic order."""
-    _require_cubic(g)
-    for matching in _perfect_matchings(g, cap):
-        rest = [i for i in range(g.num_edges) if i not in set(matching)]
-        circuits = sorted(_peel_circuits(g, rest), key=lambda c: (len(c), c))
-        if all(
-            sum(1 for eid in c if g.edges[eid].sign > 0) % 2 == 0 for c in circuits
-        ):
-            return tuple(circuits)
-    return None
-

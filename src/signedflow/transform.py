@@ -133,6 +133,9 @@ class ConversionState:
         if not vs:
             return
         for v in vs:
+            if not (0 <= v < self.graph.num_vertices):
+                raise PreconditionError(f"vertex id {v} out of range")
+        for v in vs:
             for eid, end in self.graph.incidence[v]:
                 self.dirs[eid][end] = -self.dirs[eid][end]
         self.journal.append(("switch", vs))
@@ -652,21 +655,22 @@ def _step_at_source(
         if tp is None:
             continue
         y = tp.meet
-        if state.bnd[x] >= 2 * k:
-            if y == x:
-                _productive_minus(state, tp.head, stats)
-            elif state.bnd[y] == 0:
-                _relocation_minus(state, tp.tail, x, y, stats)
-            else:
-                _productive_minus(state, tp.tail + tp.head, stats)
-            return True
-        # boundary exactly k
-        if y == x:
-            continue  # minusing the head would create a sink; try elsewhere
-        if state.bnd[y] == 0:
+        if y != x and state.bnd[y] != 0:
+            # No sinks remain and only zero-boundary vertices were switched,
+            # so y is a source, and tail + head is an edge-simple negative
+            # ditrail from x to y.  Reversed, a negative ditrail is one from
+            # y to x, and switching vertices of zero boundary keeps it one,
+            # so the pair step has just ruled it out.
+            raise InvariantViolation(
+                f"tadpole at source {x} meets source {y}, a negative ditrail "
+                "between two sources that the pair step ruled out"
+            )
+        if y != x:
             _relocation_minus(state, tp.tail, x, y, stats)
+        elif state.bnd[x] >= 2 * k:
+            _productive_minus(state, tp.head, stats)
         else:
-            _productive_minus(state, tp.tail + tp.head, stats)
+            continue  # minusing the head would create a sink; try elsewhere
         return True
     return False
 

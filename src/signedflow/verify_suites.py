@@ -238,11 +238,7 @@ def _eulerian_item(g: SignedGraph, cap: Optional[int]):
     """Admissible eulerian barbell-free graphs with an even number of
     negative edges split into balanced circuits and short barbells.
     The decomposition is polynomial, so ``cap`` bounds nothing here."""
-    if not bool(is_flow_admissible(g)):
-        return None
-    if not is_eulerian(g) or len(g.negative_edges) % 2 != 0:
-        return None
-    if find_long_barbell(g) is not None:
+    if not (is_eulerian(g) and len(g.negative_edges) % 2 == 0 and _admissible_barbell_free(g)):
         return None
     failures = []
     notes: dict = {}

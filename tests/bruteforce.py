@@ -32,6 +32,18 @@ deletion, with its own component split and its own balance scan
 integer_none_outcome_reference is the certificate verifier's outcome on
 "no integer k-flow" by a plain integer re-search, as it was before the
 verifier ran the Z_k search first.
+signed_circuit_flow_reference is the signed-circuit flow as it was
+built by hand before it became the 2-flow of the witness with its path
+doubled: each circuit walked from the barbell's meeting vertex, the path
+walked between the circuits, and the three chained to cancel.  It
+shares only the 2-flow search's value chaining with the package.
+find_bridges_reference is the bridge search as it was before it read
+the bridges off the admissibility check's spanning trees: Tarjan's
+low-link DFS.
+switch_orientation and edge_boundary are no oracles but the two
+bookkeeping laws the package relies on without a function of its own:
+switching carries an orientation, and a flow with it, to the switched
+graph, and vertex and edge boundaries cancel.
 
 Size guard: 2(k-1) choices per edge, so k=4 with 6 edges is 6^6 = 46656
 columns.  Keep inputs small.
@@ -57,8 +69,13 @@ from signedflow.core import (
 )
 from signedflow.certificates import VerifyOutcome
 from signedflow.errors import PreconditionError
-from signedflow.solve import find_nz_k_flow
-from signedflow.structure import SignedCircuitWitness, is_unbalanced_circuit
+from signedflow.solve import _chain_values, _positive_form, find_nz_k_flow
+from signedflow.structure import (
+    SignedCircuitWitness,
+    _circuit_walk,
+    circuit_vertices,
+    is_unbalanced_circuit,
+)
 
 MAX_COLUMNS = 2_000_000
 
@@ -878,3 +895,139 @@ def integer_none_outcome_reference(g: SignedGraph, k: int) -> VerifyOutcome:
     if find_nz_k_flow(g, k) is not None:
         return VerifyOutcome(False, "re-search found a flow the certificate denies")
     return VerifyOutcome(True)
+
+
+def _walk_with_ends(g: SignedGraph, seq: Sequence[int], start: int):
+    """Turn an edge-id trail into (eid, dep_end, arr_end) steps from start."""
+    out = []
+    v = start
+    for eid in seq:
+        e = g.edges[eid]
+        if e.u == e.v:
+            if v != e.u:
+                raise PreconditionError("walk leaves its vertices")
+            out.append((eid, 0, 1))
+            continue
+        if v == e.u:
+            out.append((eid, 0, 1))
+            v = e.v
+        elif v == e.v:
+            out.append((eid, 1, 0))
+            v = e.u
+        else:
+            raise PreconditionError("walk edges not consecutive")
+    return out, v
+
+
+def _rotate_to(g: SignedGraph, seq: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """Rotate a circuit's edge sequence so it starts and ends at v."""
+    walk = _circuit_walk(g, seq)
+    i = walk.index(v)
+    return seq[i:] + seq[:i]
+
+
+def signed_circuit_flow_reference(w: SignedCircuitWitness) -> FlowAssignment:
+    """The flow of a signed circuit witness, chained by hand: a balanced
+    circuit walked from its walk's start; a short barbell's circuits
+    walked from their meeting vertex, the second negated if it would
+    double the first's boundary there; a long barbell's path walked from
+    its end a on one circuit, doubled and signed to cancel that circuit
+    at a, and the other circuit signed to cancel the path at its far end.
+    The oracle for solve.signed_circuit_flow, up to one global sign."""
+    g = w.graph
+    per_edge: list[int] = [0] * g.num_edges
+
+    def chain(seq, start, scale=1):
+        # values ±scale chained along a trail, and the first and the last
+        # step's contributions at its two ends
+        vals, dep, last = _chain_values(g, _walk_with_ends(g, seq, start)[0], 1)
+        return {eid: scale * f for eid, f in vals.items()}, scale * dep, scale * last
+
+    def place(vals, sign):
+        for eid, f in vals.items():
+            per_edge[eid] = sign * f
+
+    if w.kind == "balanced-circuit":
+        seq = w.circuits[0]
+        place(chain(seq, _circuit_walk(g, seq)[0])[0], 1)
+    elif w.kind == "short-barbell":
+        c1, c2 = w.circuits
+        (a,) = circuit_vertices(g, c1) & circuit_vertices(g, c2)
+        v1, d1, p1 = chain(_rotate_to(g, c1, a), a)
+        v2, d2, p2 = chain(_rotate_to(g, c2, a), a)
+        place(v1, 1)
+        place(v2, -1 if d2 + p2 == d1 + p1 else 1)
+    else:
+        c1, c2 = w.circuits
+        first = g.edges[w.path[0]]
+        ends = circuit_vertices(g, c1) | circuit_vertices(g, c2)
+        a = first.u if first.u in ends else first.v
+        ca, cb = (c1, c2) if a in circuit_vertices(g, c1) else (c2, c1)
+        b = _walk_with_ends(g, w.path, a)[1]
+        va, da, pa = chain(_rotate_to(g, ca, a), a)
+        vp, dp, pp = chain(w.path, a, 2)
+        sp = -1 if dp == da + pa else 1  # the path cancels the circuit at a
+        vb, db, pb = chain(_rotate_to(g, cb, b), b)
+        place(va, 1)
+        place(vp, sp)
+        place(vb, -1 if db + pb == sp * pp else 1)
+    return _positive_form(g, per_edge)
+
+
+def find_bridges_reference(g: SignedGraph) -> tuple[int, ...]:
+    """Cut edges, ascending, by Tarjan's low-link DFS.  The oracle for
+    core.find_bridges."""
+    disc = [-1] * g.num_vertices
+    low = [0] * g.num_vertices
+    bridges: list[int] = []
+    timer = 0
+    for root in range(g.num_vertices):
+        if disc[root] != -1:
+            continue
+        # iterative DFS; entry edge excluded by id so parallels survive
+        stack = []
+        disc[root] = low[root] = timer
+        timer += 1
+        stack.append((root, -1, iter(g.incidence[root])))
+        while stack:
+            x, in_edge, it = stack[-1]
+            advanced = False
+            for eid, _ in it:
+                e = g.edges[eid]
+                if e.is_loop or eid == in_edge:
+                    continue
+                y = e.other(x)
+                if disc[y] == -1:
+                    disc[y] = low[y] = timer
+                    timer += 1
+                    stack.append((y, eid, iter(g.incidence[y])))
+                    advanced = True
+                    break
+                low[x] = min(low[x], disc[y])
+            if not advanced:
+                stack.pop()
+                if stack:
+                    px = stack[-1][0]
+                    low[px] = min(low[px], low[x])
+                    if low[x] > disc[px]:
+                        bridges.append(in_edge)
+    return tuple(sorted(bridges))
+
+
+def switch_orientation(g: SignedGraph, o: Orientation, vertices) -> Orientation:
+    """The orientation of ``switch(g, vertices)`` that flips every
+    half-edge at the switched vertices; a loop there ends up reversed.
+    End 0 of an edge points out under the reference orientation, so an
+    edge is reversed exactly when its end 0 then points in."""
+    s = frozenset(vertices)
+    dirs = o.directions(g)
+    return Orientation(frozenset(
+        i for i, e in enumerate(g.edges) if dirs[i][0] * (-1 if e.u in s else 1) < 0
+    ))
+
+
+def edge_boundary(g: SignedGraph, fa: FlowAssignment, edge_id: int):
+    """Charge sitting on the edge itself, -(tau(h1) + tau(h2)) * f: nonzero
+    exactly on negative edges, and with the vertex boundaries it sums to 0."""
+    t0, t1 = fa.orientation.directions(g)[edge_id]
+    return -(t0 + t1) * fa.values[edge_id]

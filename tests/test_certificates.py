@@ -487,6 +487,25 @@ def test_tampered_journal_detected(conversion_cert):
     assert not out.ok and "journal" in out.reason
 
 
+@pytest.fixture(scope="module")
+def petersen_conversion_cert(petersen):
+    fa = find_nz_zk_flow(petersen, 7)
+    out, state = run_modflow_conversion(petersen, fa, 7)
+    return make_conversion_certificate(petersen, 7, fa, out, state.journal)
+
+
+@pytest.mark.parametrize("vertex", [-1, 10])
+def test_journal_switch_at_unknown_vertex_detected(petersen_conversion_cert, vertex):
+    # -1 would index the last vertex; 10 is one past it
+    assert verify_certificate(petersen_conversion_cert).ok
+
+    def mutate(raw):
+        raw["payload"]["journal"].append(["switch", [vertex]])
+
+    out = verify_certificate(retamper(petersen_conversion_cert, mutate))
+    assert out == VerifyOutcome(False, f"vertex id {vertex} out of range")
+
+
 def test_tampered_part_detected():
     g = k4()
     fa = find_nz_k_flow(g, 4)

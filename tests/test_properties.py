@@ -12,11 +12,9 @@ from signedflow.core import (
     SignedGraph,
     boundary,
     check_flow,
-    edge_boundary,
     is_balanced,
     serialize_graph,
     switch,
-    switch_orientation,
 )
 from signedflow import solve
 from signedflow.errors import NotFlowAdmissibleError
@@ -30,7 +28,7 @@ from signedflow.transform import (
     normalize_circular_flow,
 )
 
-from bruteforce import incidence, subset_bound, tadpole_exists
+from bruteforce import edge_boundary, incidence, subset_bound, switch_orientation, tadpole_exists
 
 REF = Orientation.reference()
 

@@ -1,4 +1,4 @@
-"""Signed circuits, barbells, admissibility, star cuts, cubic operations."""
+"""Signed circuits, barbells, admissibility, bridges, star cuts, 3-edge-colouring."""
 
 from collections import Counter
 
@@ -11,6 +11,7 @@ from signedflow.core import (
     Edge,
     SignedGraph,
     _spread_potential,
+    _tree_bridges,
     find_bridges,
     is_balanced,
     switch,
@@ -22,11 +23,9 @@ from signedflow.verify_suites import SUITES, run_suite
 from signedflow.structure import (
     classify_signed_circuit,
     enumerate_circuits,
-    find_antibalanced_2_factor,
     find_long_barbell,
     find_signed_circuit,
     has_star_cut,
-    is_antibalanced,
     is_flow_admissible,
     three_edge_coloring,
 )
@@ -197,7 +196,7 @@ def test_admissibility_matches_reference_on_full_corpus(corpus_full):
 
 def _spread_tree_bridges(g):
     """Bridges as _flow_admissibility finds them: per component, from the
-    spanning tree of its potential spread."""
+    spanning tree of its potential spread and the component's own edges."""
     potential = [0] * g.num_vertices
     tree_edge = [-1] * g.num_vertices
     bridges = []
@@ -206,13 +205,15 @@ def _spread_tree_bridges(g):
             reached = _spread_potential(g, root, potential, tree_edge)
             comp = set(reached)
             comp_edges = [eid for eid, e in enumerate(g.edges) if e.u in comp]
-            bridges += structure._tree_bridges(g, reached, tree_edge, comp_edges)
+            bridges += _tree_bridges(g, reached, tree_edge, comp_edges)
     return tuple(sorted(bridges))
 
 
 def test_tree_bridges_match_find_bridges_on_full_corpus(corpus_full):
+    # find_bridges reads every component's tree at once, admissibility one
+    # component at a time; Tarjan's low-link search is the oracle for both
     for g in corpus_full:
-        assert _spread_tree_bridges(g) == find_bridges(g), g
+        assert _spread_tree_bridges(g) == find_bridges(g) == bruteforce.find_bridges_reference(g), g
 
 
 @st.composite
@@ -237,7 +238,7 @@ def multi_component_graphs(draw):
 @given(multi_component_graphs())
 def test_admissibility_matches_reference_on_multi_component_graphs(g):
     assert structure._flow_admissibility(g) == bruteforce.flow_admissibility_reference(g)
-    assert _spread_tree_bridges(g) == find_bridges(g)
+    assert _spread_tree_bridges(g) == find_bridges(g) == bruteforce.find_bridges_reference(g)
 
 
 def test_admissibility_is_having_a_nowhere_zero_11_flow():
@@ -315,33 +316,6 @@ def test_joined_triangles_star_cut():
 
 
 # ---------------------------------------------------------------------------
-# antibalance
-
-
-@pytest.mark.parametrize(
-    "n,signs,expect",
-    [
-        (4, [-1] * 4, True),    # all-negative circuit
-        (3, [1] * 3, False),    # odd positive: negation stays unbalanced
-        (4, [1] * 4, True),     # even positive
-        (5, [-1] * 5, True),
-    ],
-)
-def test_antibalance_circuits(n, signs, expect):
-    assert bool(is_antibalanced(cycle(n, signs))) == expect
-
-
-def test_antibalance_matches_negated_balance(corpus_3_4):
-    from signedflow.core import is_balanced
-
-    for g in corpus_3_4[::3]:
-        neg = SignedGraph(
-            g.num_vertices, tuple(Edge(e.u, e.v, -e.sign) for e in g.edges)
-        )
-        assert bool(is_antibalanced(g)) == bool(is_balanced(neg))
-
-
-# ---------------------------------------------------------------------------
 # cubic operations
 
 
@@ -366,20 +340,7 @@ def test_non_cubic_rejected():
     with pytest.raises(PreconditionError):
         three_edge_coloring(cycle(3))
     with pytest.raises(PreconditionError):
-        find_antibalanced_2_factor(SignedGraph(1, (Edge(0, 0, 1), Edge(0, 0, -1))))
-
-
-def test_k4_all_negative_antibalanced_2_factor():
-    g = SignedGraph(4, tuple(Edge(e.u, e.v, -1) for e in k4().edges))
-    circuits = find_antibalanced_2_factor(g)
-    assert circuits is not None
-    deg = [0] * 4
-    for circuit in circuits:
-        assert is_antibalanced(SignedGraph(4, tuple(g.edges[i] for i in circuit)))
-        for i in circuit:
-            deg[g.edges[i].u] += 1
-            deg[g.edges[i].v] += 1
-    assert deg == [2, 2, 2, 2]
+        three_edge_coloring(SignedGraph(1, (Edge(0, 0, 1), Edge(0, 0, -1))))
 
 
 def test_circuit_peel_matches_two_regular_reference(corpus_4_6):

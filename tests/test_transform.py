@@ -153,6 +153,21 @@ def check_conversion(g, fa, k, out):
         assert (int(a) - int(b)) % k == 0
 
 
+def test_tadpole_meeting_a_second_source_is_an_invariant_violation():
+    # sources 0 and 1; the tadpole from 0 is the edge 0 -> 1 and a negative
+    # loop at 1, a negative ditrail between the two sources, which the pair
+    # step finds first, so the scheduler never reaches this state here
+    g = SignedGraph(2, (Edge(0, 1, 1), Edge(0, 1, 1), Edge(1, 1, -1), Edge(1, 1, -1)))
+    state = ConversionState(g, 5, [[1, -1], [1, -1], [1, 1], [1, 1]], [2, 3, 2, 3])
+    assert state.bnd == [5, 5]
+    assert find_negative_ditrail(state, 0, 1) == (0, 2)
+    assert find_tadpole(state, 0).meet == 1
+    stats = {"productive": 0, "relocations": 0, "switches": 0}
+    with pytest.raises(InvariantViolation, match="meets source 1"):
+        transform._step_at_source(state, (0, 1), None, stats)
+    assert state.journal == []
+
+
 def test_k33_z3_conversion():
     g = k33()
     fa = find_nz_zk_flow(g, 3)
@@ -382,6 +397,45 @@ def test_tie_pushes_up():
     state = normalize_circular_flow(g, fa, 2, 1)
     assert state.values == (2, 2, 2)
     assert state.pushes[0][1] == 1
+
+
+# An off-grid subgraph of each signed-circuit kind.  Each input is a
+# multiple of its circuit's flow, so the push direction follows the sign
+# rule of signed_circuit_flow (lowest edge positive under the reference
+# orientation) and a flipped rule would land elsewhere.
+
+
+def test_push_through_balanced_circuit():
+    # the triangle 3-4-5 has two negative edges; the triangle 0-1-2 is on the grid
+    g = SignedGraph(
+        5,
+        (Edge(0, 1, 1), Edge(1, 2, 1), Edge(2, 0, 1), Edge(0, 3, -1), Edge(3, 4, -1), Edge(4, 0, 1)),
+    )
+    fa = FlowAssignment(Orientation(frozenset({3, 5})), (1, 1, 1) + (Fraction(4, 3),) * 3)
+    state = normalize_circular_flow(g, fa, 2, 1)
+    assert state.pushes == (((3, 4, 5), 1, Fraction(1, 3)),)
+    assert state.values == (1,) * 6 and state.off_grid == frozenset()
+
+
+def test_push_through_short_barbell():
+    # an unbalanced triangle and a negative loop at its vertex 0; the
+    # witness lists the loop first, yet the sign is fixed by edge 0
+    g = SignedGraph(3, (Edge(0, 1, -1), Edge(1, 2, 1), Edge(2, 0, 1), Edge(0, 0, -1)))
+    fa = FlowAssignment(Orientation(frozenset({1, 2, 3})), (Fraction(3, 2),) * 4)
+    state = normalize_circular_flow(g, fa, 2, 1)
+    assert state.pushes == (((0, 1, 2, 3), 1, Fraction(1, 2)),)  # a tie pushes up
+    assert state.values == (2,) * 4 and state.off_grid == frozenset()
+
+
+def test_push_through_long_barbell():
+    # the path at 5/2 reaches 3 with the loops at 3/2, which stay off the grid
+    fa = FlowAssignment(
+        Orientation(frozenset({1, 2, 3})), (Fraction(5, 4),) * 2 + (Fraction(5, 2),) * 2
+    )
+    state = normalize_circular_flow(long_barbell_graph(), fa, 3, 1)
+    assert state.pushes == (((0, 1, 2, 3), 1, Fraction(1, 4)),)
+    assert state.values == (Fraction(3, 2), Fraction(3, 2), 3, 3)
+    assert state.off_grid == frozenset({0, 1})
 
 
 def test_on_grid_input_untouched():

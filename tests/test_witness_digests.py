@@ -1,14 +1,14 @@
 """Golden digests of the constructive witnesses.
 
 Each digest is the sha256 of one output per graph, newline-terminated, over
-a fixed slice of the corpus.  Together they pin the eulerian decomposition,
-the antibalanced 2-factor and grid normalization byte for byte, so a change
-to the circuit walks underneath them cannot move a witness unnoticed.  The
-integer digest pins the k-flow search's answers the same way, so a pruning
-added to the kernel cannot change a status or a first witness unnoticed.  A
-second eulerian digest keeps only each member's kind and edge sets, so
-it tells a change in which edges a member holds from a change in the
-order they are traced in.  A mismatch prints the recomputed digest.
+a fixed slice of the corpus.  Together they pin the eulerian decomposition
+and grid normalization byte for byte, so a change to the circuit walks
+underneath them cannot move a witness unnoticed.  The integer digest pins
+the k-flow search's answers the same way, so a pruning added to the kernel
+cannot change a status or a first witness unnoticed.  A second eulerian
+digest keeps only each member's kind and edge sets, so it tells a change in
+which edges a member holds from a change in the order they are traced in.
+A mismatch prints the recomputed digest.
 """
 
 import hashlib
@@ -23,16 +23,11 @@ from signedflow.certificates import (
 from signedflow.core import is_eulerian
 from signedflow.corpus import g_family
 from signedflow.solve import find_nz_k_flow, flow_numbers
-from signedflow.structure import (
-    find_antibalanced_2_factor,
-    find_long_barbell,
-    is_flow_admissible,
-)
+from signedflow.structure import find_long_barbell, is_flow_admissible
 from signedflow.transform import eulerian_decompose, normalize_circular_flow
 
 EULERIAN_DIGEST = "327bcd045f4602ffe88c880d5d4906d1fc4eb7a2a66a3efcba6d78418f3af349"
 EULERIAN_MEMBERS_DIGEST = "495cf46229a98c21f518cb6a9ba467eaaee7e878c570159372147f1754feb7bf"
-TWO_FACTOR_DIGEST = "2ff7e296f07e48b124c21b0368d4848fb16f6c5cf80113dabec024b334144c67"
 NORMALIZATION_DIGEST = "bb8b0813bdf9fe6757229a86c187e54e481cd3e9f5636738ed712de84b47d23d"
 INTEGER_WITNESS_DIGEST = "28313aa1f8be7afc537bd739ed45ce0d01c55686f92d6a82cc2a726ab276a2f8"
 
@@ -81,18 +76,6 @@ def test_eulerian_members_digest(eulerian_decompositions):
     digest, count = _digest(members(dec) for _, dec in eulerian_decompositions)
     assert count == 1239
     assert digest == EULERIAN_MEMBERS_DIGEST, f"recomputed members digest {digest}"
-
-
-def test_antibalanced_2_factor_digest(corpus_full, petersen):
-    cubic = [
-        g
-        for g in corpus_full
-        if not any(e.is_loop for e in g.edges)
-        and all(g.degree(v) == 3 for v in range(g.num_vertices))
-    ]
-    digest, count = _digest(repr(find_antibalanced_2_factor(g)) for g in cubic + [petersen])
-    assert count == 10
-    assert digest == TWO_FACTOR_DIGEST, f"recomputed 2-factor digest {digest}"
 
 
 def test_normalization_certificates_digest(corpus_4_6):
