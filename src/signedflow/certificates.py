@@ -23,7 +23,7 @@ from .core import (
     parse_graph,
     serialize_graph,
 )
-from .errors import PreconditionError, ResourceCapExceeded
+from .errors import PreconditionError
 
 SCHEMA_VERSION = 1
 
@@ -328,31 +328,10 @@ def _verify_graph(cert: Certificate) -> SignedGraph:
     return g
 
 
-def _integer_flow(g: SignedGraph, k: int) -> Optional[FlowAssignment]:
-    """The verifier's answer to "has g a nowhere-zero integer k-flow?":
-    a k-flow, or None when provably none exists.
-
-    A nowhere-zero integer k-flow read mod k is a nowhere-zero Z_k-flow,
-    since 0 < |f| < k, so an exhausted Z_k search already proves that
-    none exists, and its tree is usually much smaller.  Only when a Z_k-flow
-    exists, or the Z_k search hits the cap, does the integer search run;
-    its answer or its exception is returned.  Each search runs under the
-    cap on its own.
-    """
-    from . import solve
-
-    try:
-        if solve.find_nz_zk_flow(g, k) is None:
-            return None
-    except ResourceCapExceeded:
-        pass
-    return solve.find_nz_k_flow(g, k)
-
-
 def _verify_flow(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
-    """Check an existence witness, or re-search a nonexistence claim:
-    an integer "none" by `_integer_flow`, a modulo "none" by the Z_k
-    search.  A flow found rejects the claim."""
+    """Check an existence witness, or re-search a nonexistence claim with
+    `solve.find_nz_k_flow` or `solve.find_nz_zk_flow`.  A flow found
+    rejects the claim."""
     from . import solve
 
     kind = FlowKind.parse(cert.payload["flow_kind"])
@@ -366,7 +345,7 @@ def _verify_flow(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
         if cert.payload.get("search") != "exhaustive":
             return VerifyOutcome(False, "nonexistence without exhaustive attestation")
         if kind.kind == "integer":
-            redo = _integer_flow(g, int(kind.param))
+            redo = solve.find_nz_k_flow(g, int(kind.param))
         elif kind.kind == "modulo":
             redo = solve.find_nz_zk_flow(g, int(kind.param))
         else:
@@ -381,7 +360,7 @@ def _verify_flow_number(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
     """Check each stated flow number: its witness, and that nothing smaller works.
 
     For phi_i = k it suffices that no (k - 1)-flow exists (re-checked by
-    `_integer_flow`; nothing to check when k = 2): integer flows are
+    `solve.find_nz_k_flow`; nothing to check when k = 2): integer flows are
     monotone in k, since a k'-flow with k' < k - 1 is also a
     (k - 1)-flow.  phi_c is recomputed by the circular search started
     from the verified phi_i.
@@ -398,7 +377,7 @@ def _verify_flow_number(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
         res = check_flow(g, fa, FlowKind.integer(k))
         if not res.ok:
             return VerifyOutcome(False, f"phi_i witness fails: {res.violation}")
-        if k > 2 and _integer_flow(g, k - 1) is not None:
+        if k > 2 and solve.find_nz_k_flow(g, k - 1) is not None:
             return VerifyOutcome(False, f"a {k - 1}-flow exists below phi_i={k}")
         phi_i = k  # verified: a k-flow and no smaller one
     if "phi_c" in payload:
@@ -417,6 +396,10 @@ def _verify_flow_number(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
 
 
 def _verify_conversion(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
+    """Check both flows and replay the journal to the output.  The
+    converter switches only sinks and zero-boundary vertices and ends on a
+    minus step, so a switch at a source or at the end is rejected; an
+    inert switch inside a journal is still not detected."""
     from .transform import ConversionState, _unwind
 
     k = int(cert.payload["k"])
@@ -431,13 +414,19 @@ def _verify_conversion(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
     if fa_out.orientation != fa_in.orientation:
         return VerifyOutcome(False, "output orientation differs from input")
     state = ConversionState.lift(g, fa_in, k)
+    op = None
     for op, items in cert.payload["journal"]:
         if op == "switch":
-            state.switch_at(int(i) for i in items)
+            vs = [int(i) for i in items]
+            if sources := sorted(set(vs) & set(state.sources)):
+                return VerifyOutcome(False, f"journal switches sources {sources}")
+            state.switch_at(vs)
         elif op == "minus":
             state.minus(int(i) for i in items)
         else:
             return VerifyOutcome(False, f"unknown journal op {op!r}")
+    if op == "switch":
+        return VerifyOutcome(False, "journal ends on a switch step")
     replayed = _unwind(state, fa_in)
     if replayed != fa_out:
         return VerifyOutcome(False, "journal replay does not reach certified output")
@@ -548,10 +537,9 @@ def verify_certificate(cert: Certificate) -> VerifyOutcome:
     not an exception.  An invalid SG_RESOURCE_CAP is the caller's
     defect, not the certificate's: it raises PreconditionError.
 
-    A nonexistence claim is re-searched.  "No integer k-flow" runs the
-    Z_k search first, whose exhaustion proves it, and the integer search
-    only when a Z_k-flow exists or the Z_k search hits the cap.  Each
-    search runs under the node cap on its own, and a search the verdict
+    A nonexistence claim is re-searched by the solver that made it, so
+    "no integer k-flow" runs the Z_k search first, each search under the
+    node cap on its own (`solve.find_nz_k_flow`); a search the verdict
     rests on raises ResourceCapExceeded when it hits the cap.
     """
     from . import solve

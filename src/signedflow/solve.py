@@ -180,19 +180,26 @@ def find_nz_k_flow(
 ) -> Optional[FlowAssignment]:
     """Nowhere-zero integer k-flow, or None when provably none exists.
 
-    None is an exactness claim (the pruned search exhausted the whole
-    value space); hitting the node cap raises ResourceCapExceeded.  The
-    search tries only positive values on the first edge it branches on,
-    since negating a flow gives a flow: the answer and the witness are
-    those of trying both signs, and an exhausted search walks
-    (N + p) / 2 of that search's N nodes, p the positive loops pinned
-    before that edge.  It also refuses a value that leaves a vertex one
-    unassigned edge which no nonzero value can close (see
-    ``_solver_py.search_integer``); that cuts only branches without a
-    flow, so the answer and the witness stay the same.
-    ``stats["nodes"]`` and the cap count this tree.
+    The Z_k search runs first: a k-flow read mod k is a Z_k-flow, since
+    0 < |f| < k, so its exhaustion proves that none exists, on a much
+    smaller tree.  The integer search runs only when a Z_k-flow exists or
+    the Z_k search hits the cap, so every witness is its own.  Each search
+    has the node cap to itself; a capped integer search raises
+    ResourceCapExceeded.  ``stats["nodes"]`` counts both trees,
+    ``stats["zk_nodes"]`` the Z_k one.  The integer search's pruning (a
+    positive first branching value, no stranded last edge) cuts only
+    branches without a flow; see ``_solver_py.search_integer``.
     """
-    per_edge = _search(g, k, cap, stats, _solver_py.search_integer, "k-flow search")
+    zk: dict = {}
+    try:
+        none = _search(g, k, cap, zk, _solver_py.search_modulo, "Z_k-flow search") is None
+    except ResourceCapExceeded:
+        none = False
+    integer = {"nodes": 0}
+    per_edge = None if none else _search(
+        g, k, cap, integer, _solver_py.search_integer, "k-flow search")
+    if stats is not None:
+        stats.update(nodes=zk["nodes"] + integer["nodes"], zk_nodes=zk["nodes"])
     return None if per_edge is None else _positive_form(g, per_edge)
 
 

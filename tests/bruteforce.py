@@ -29,9 +29,10 @@ before it flipped only candidate edges and counted inconsistent edges
 per tree subtree: it rebuilds a graph for every edge flip and every edge
 deletion, with its own component split and its own balance scan
 (is_balanced_reference, the scan before it shared its potential spread).
+find_nz_k_flow_reference is the integer k-flow search as it was before
+it ran the Z_k search first: the integer kernel alone.
 integer_none_outcome_reference is the certificate verifier's outcome on
-"no integer k-flow" by a plain integer re-search, as it was before the
-verifier ran the Z_k search first.
+"no integer k-flow" by that plain integer re-search.
 signed_circuit_flow_reference is the signed-circuit flow as it was
 built by hand before it became the 2-flow of the witness with its path
 doubled: each circuit walked from the barbell's meeting vertex, the path
@@ -57,7 +58,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from signedflow import simplex
+from signedflow import _solver_py, simplex
 from signedflow._solver_py import CAPPED, EXHAUSTED, FOUND
 from signedflow.core import (
     Edge,
@@ -69,7 +70,7 @@ from signedflow.core import (
 )
 from signedflow.certificates import VerifyOutcome
 from signedflow.errors import PreconditionError
-from signedflow.solve import _chain_values, _positive_form, find_nz_k_flow
+from signedflow.solve import _chain_values, _positive_form, _search, find_nz_k_flow
 from signedflow.structure import (
     SignedCircuitWitness,
     _circuit_walk,
@@ -888,11 +889,19 @@ def flow_admissibility_reference(g: SignedGraph):
     return AdmissibilityVerdict(not defects, tuple(defects))
 
 
+def find_nz_k_flow_reference(
+    g: SignedGraph, k: int, cap: Optional[int] = None, stats: Optional[dict] = None
+) -> Optional[FlowAssignment]:
+    """find_nz_k_flow by the integer kernel alone, with no Z_k search first."""
+    per_edge = _search(g, k, cap, stats, _solver_py.search_integer, "k-flow search")
+    return None if per_edge is None else _positive_form(g, per_edge)
+
+
 def integer_none_outcome_reference(g: SignedGraph, k: int) -> VerifyOutcome:
     """The outcome of verifying "g has no nowhere-zero integer k-flow" by
     the integer search alone: the oracle for the verifier's Z_k-first
     re-check."""
-    if find_nz_k_flow(g, k) is not None:
+    if find_nz_k_flow_reference(g, k) is not None:
         return VerifyOutcome(False, "re-search found a flow the certificate denies")
     return VerifyOutcome(True)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce
-from signedflow import solve
+from signedflow import _solver_py
 from signedflow.certificates import (
     Certificate,
     SCHEMA_VERSION,
@@ -35,17 +35,19 @@ from signedflow.core import (
     parse_graph,
     serialize_graph,
 )
-from signedflow.corpus import g_family, signed_petersen
+from signedflow.corpus import enumerate_signed_graphs, g_family, signed_petersen
 from signedflow.errors import PreconditionError, ResourceCapExceeded
 from signedflow.solve import find_nz_k_flow, find_nz_zk_flow, flow_numbers
-from signedflow.structure import SignedCircuitWitness, is_flow_admissible
+from signedflow.structure import SignedCircuitWitness, find_long_barbell, is_flow_admissible
 from signedflow.transform import (
+    ConversionState,
     EulerianDecomposition,
     decompose_into_2_flows,
     eulerian_decompose,
     normalize_circular_flow,
     run_modflow_conversion,
 )
+from signedflow.verify_suites import CONVERSION_KS
 
 
 def cycle(n, sign=1):
@@ -404,14 +406,17 @@ def test_integer_certificates_match_plain_re_search(corpus_4_6):
     ids=["petersen-none", "g1-forged", "negative-loop-zk-only"],
 )
 def test_capped_zk_search_falls_back_to_integer_search(monkeypatch, make, k):
+    # the re-search is find_nz_k_flow, which runs the modulo kernel first;
+    # when that kernel hits the cap, the integer search decides alone
     g = make()
     calls = []
 
-    def capped(g_, k_, cap=None, stats=None):
+    def capped(*args):
+        k_, cap = args[-2:]
         calls.append(k_)
-        raise ResourceCapExceeded("Z_k-flow search", cap=1, spent=2)
+        return _solver_py.CAPPED, None, cap + 1
 
-    monkeypatch.setattr(solve, "find_nz_zk_flow", capped)
+    monkeypatch.setattr(_solver_py, "search_modulo", capped)
     out = verify_certificate(make_flow_certificate(g, FlowKind.integer(k), None))
     assert calls == [k]
     assert out == bruteforce.integer_none_outcome_reference(g, k)
@@ -434,8 +439,12 @@ def test_each_re_search_has_the_cap_to_itself(monkeypatch):
     # "no 4-flow" on Petersen: the Z_4 search exhausts within 1,000 nodes,
     # so the integer search, which needs more, never runs
     g = signed_petersen()
-    with pytest.raises(ResourceCapExceeded):
-        find_nz_k_flow(g, 4, cap=1000)
+    stats = {}
+    assert find_nz_k_flow(g, 4, cap=1000, stats=stats) is None
+    assert stats == {"nodes": 798, "zk_nodes": 798}
+    with pytest.raises(ResourceCapExceeded, match="^k-flow search$") as exc:
+        bruteforce.find_nz_k_flow_reference(g, 4, cap=1000)
+    assert exc.value.spent == 1001
     monkeypatch.setenv("SG_RESOURCE_CAP", "1000")
     assert verify_certificate(make_flow_certificate(g, FlowKind.integer(4), None)).ok
 
@@ -504,6 +513,45 @@ def test_journal_switch_at_unknown_vertex_detected(petersen_conversion_cert, ver
 
     out = verify_certificate(retamper(petersen_conversion_cert, mutate))
     assert out == VerifyOutcome(False, f"vertex id {vertex} out of range")
+
+
+@pytest.mark.parametrize("vertices", [[3], list(range(10))], ids=["one-vertex", "every-vertex"])
+def test_journal_ending_on_a_switch_detected(petersen_conversion_cert, vertices):
+    # the unwinding reads only minus steps, but a run always ends on one
+    def mutate(raw):
+        raw["payload"]["journal"].append(["switch", vertices])
+
+    out = verify_certificate(retamper(petersen_conversion_cert, mutate))
+    assert out == VerifyOutcome(False, "journal ends on a switch step")
+
+
+def test_journal_switch_at_a_source_detected(petersen, petersen_conversion_cert):
+    # the converter switches only sinks and zero-boundary vertices
+    source = ConversionState.lift(petersen, find_nz_zk_flow(petersen, 7), 7).sources[0]
+
+    def mutate(raw):
+        raw["payload"]["journal"].insert(0, ["switch", [source]])
+
+    out = verify_certificate(retamper(petersen_conversion_cert, mutate))
+    assert out == VerifyOutcome(False, f"journal switches sources [{source}]")
+
+
+def test_honest_conversion_certificates_verify():
+    # every barbell-free 4/7 class with a Z_k-flow, k = 3, 5, 7
+    certified = switched = 0
+    for g in enumerate_signed_graphs(4, 7):
+        if find_long_barbell(g) is not None:
+            continue
+        for k in CONVERSION_KS:
+            zk = find_nz_zk_flow(g, k)
+            if zk is None:
+                continue
+            out, state = run_modflow_conversion(g, zk, k)
+            cert = make_conversion_certificate(g, k, zk, out, state.journal)
+            assert verify_certificate(cert).ok, (g, k)
+            certified += 1
+            switched += bool(state.switch_log)
+    assert (certified, switched) == (2890, 509)
 
 
 def test_tampered_part_detected():

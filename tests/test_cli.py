@@ -172,6 +172,23 @@ def test_flow_circular_records_lp_calls(gfile, capsys):
     assert verify_certificate(Certificate.from_json(json.dumps(raw))).ok
 
 
+@pytest.mark.parametrize(
+    "mode,resources",
+    [
+        (["-k", "5"], {"nodes": 9_972, "zk_nodes": 9_972}),
+        (["-k", "6"], {"nodes": 5_073, "zk_nodes": 41}),
+        (["--modulo", "5"], {"nodes": 9_972}),
+    ],
+    ids=["k5-none-by-zk", "k6-exists", "modulo"],
+)
+def test_flow_records_search_nodes(gfile, capsys, mode, resources):
+    # an integer search reports both trees and its Z_k part
+    assert main(["flow", gfile(signed_petersen()), *mode]) == 0
+    raw = json.loads(capsys.readouterr().out)
+    assert raw["resources"] == resources
+    assert verify_certificate(Certificate.from_json(json.dumps(raw))).ok
+
+
 def test_flow_requires_a_mode(gfile, capsys):
     assert main(["flow", gfile(cycle(4))]) == 2
     assert "precondition" in capsys.readouterr().err

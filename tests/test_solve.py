@@ -17,7 +17,7 @@ from signedflow.core import (
     check_flow,
     switch,
 )
-from signedflow.corpus import enumerate_signed_graphs, g_family, signed_petersen
+from signedflow.corpus import enumerate_signed_graphs, g_family, signed_petersen, w5_all_signatures
 from signedflow.errors import InvariantViolation, PreconditionError, ResourceCapExceeded
 from signedflow.solve import (
     circular_flow_number,
@@ -146,6 +146,44 @@ def test_solver_backend_name_names_the_one_kernel():
 def test_deterministic_witnesses(petersen):
     assert find_nz_k_flow(petersen, 6) == find_nz_k_flow(petersen, 6)
     assert find_nz_zk_flow(petersen, 6) == find_nz_zk_flow(petersen, 6)
+
+
+def test_zk_first_matches_the_integer_kernel_alone(corpus_4_6, petersen):
+    # the Z_k search only ever answers "none"; every flow, and every "none"
+    # it cannot prove, is the integer search's
+    cases = [(g, k) for g in corpus_4_6 for k in range(2, 6)]
+    cases += [(petersen, k) for k in range(2, 7)]
+    cases += [(g_family(t), k) for t in (1, 2, 3) for k in range(2, 5)]
+    cases += [(g, k) for g in w5_all_signatures() for k in range(2, 6)]
+    decided_by_zk = integer_none = 0
+    for g, k in cases:
+        stats, plain, zk = {}, {}, {}
+        got = find_nz_k_flow(g, k, stats=stats)
+        assert got == bruteforce.find_nz_k_flow_reference(g, k, stats=plain), (g, k)
+        zk_none = find_nz_zk_flow(g, k, stats=zk) is None
+        assert stats == {"nodes": zk["nodes"] + (0 if zk_none else plain["nodes"]),
+                         "zk_nodes": zk["nodes"]}
+        decided_by_zk += zk_none
+        integer_none += got is None and not zk_none
+    assert (len(cases), decided_by_zk, integer_none) == (6634, 4529, 377)
+
+
+@pytest.mark.parametrize(
+    "name,k,found,nodes,zk_nodes",
+    [
+        ("petersen", 5, False, 9_972, 9_972),
+        ("petersen", 6, True, 5_073, 41),
+        ("g3", 3, False, 674, 674),
+        ("g3", 4, True, 67, 20),
+    ],
+)
+def test_k_flow_stats_pinned(petersen, name, k, found, nodes, zk_nodes):
+    # "nodes" counts both trees, "zk_nodes" the Z_k one; a "none" proved
+    # by the Z_k search runs no integer search
+    g = petersen if name == "petersen" else g_family(3)
+    stats = {}
+    assert (find_nz_k_flow(g, k, stats=stats) is not None) == found
+    assert stats == {"nodes": nodes, "zk_nodes": zk_nodes}
 
 
 # ---------------------------------------------------------------------------
