@@ -185,21 +185,21 @@ def find_nz_k_flow(
     smaller tree.  The integer search runs only when a Z_k-flow exists or
     the Z_k search hits the cap, so every witness is its own.  Each search
     has the node cap to itself; a capped integer search raises
-    ResourceCapExceeded.  ``stats["nodes"]`` counts both trees,
-    ``stats["zk_nodes"]`` the Z_k one.  The integer search's pruning (a
-    positive first branching value, no stranded last edge) cuts only
-    branches without a flow; see ``_solver_py.search_integer``.
+    ResourceCapExceeded.  ``stats["nodes"]`` counts the integer tree (0
+    when the Z_k search decides), ``stats["zk_nodes"]`` the Z_k one; both
+    are set before a capped integer search raises.  The integer search's
+    pruning (a positive first branching value, no stranded last edge)
+    cuts only branches without a flow; see ``_solver_py.search_integer``.
     """
     zk: dict = {}
     try:
         none = _search(g, k, cap, zk, _solver_py.search_modulo, "Z_k-flow search") is None
     except ResourceCapExceeded:
         none = False
-    integer = {"nodes": 0}
-    per_edge = None if none else _search(
-        g, k, cap, integer, _solver_py.search_integer, "k-flow search")
     if stats is not None:
-        stats.update(nodes=zk["nodes"] + integer["nodes"], zk_nodes=zk["nodes"])
+        stats.update(nodes=0, zk_nodes=zk["nodes"])
+    per_edge = None if none else _search(
+        g, k, cap, stats, _solver_py.search_integer, "k-flow search")
     return None if per_edge is None else _positive_form(g, per_edge)
 
 

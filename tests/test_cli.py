@@ -175,14 +175,14 @@ def test_flow_circular_records_lp_calls(gfile, capsys):
 @pytest.mark.parametrize(
     "mode,resources",
     [
-        (["-k", "5"], {"nodes": 9_972, "zk_nodes": 9_972}),
-        (["-k", "6"], {"nodes": 5_073, "zk_nodes": 41}),
+        (["-k", "5"], {"nodes": 0, "zk_nodes": 9_972}),
+        (["-k", "6"], {"nodes": 5_032, "zk_nodes": 41}),
         (["--modulo", "5"], {"nodes": 9_972}),
     ],
     ids=["k5-none-by-zk", "k6-exists", "modulo"],
 )
 def test_flow_records_search_nodes(gfile, capsys, mode, resources):
-    # an integer search reports both trees and its Z_k part
+    # an integer search reports its own tree and the Z_k search's apart
     assert main(["flow", gfile(signed_petersen()), *mode]) == 0
     raw = json.loads(capsys.readouterr().out)
     assert raw["resources"] == resources

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import bruteforce
-from signedflow import simplex, solve
+from signedflow import _solver_py, simplex, solve
 from signedflow.core import (
     Edge,
     FlowAssignment,
@@ -60,7 +60,9 @@ def test_petersen_six_flow(petersen):
 def test_petersen_no_five_flow(petersen):
     stats = {}
     assert find_nz_k_flow(petersen, 5, stats=stats) is None
-    assert stats["nodes"] > 0
+    # the Z_5 search proves it, so the integer search never runs
+    assert stats["zk_nodes"] > 0
+    assert stats["nodes"] == 0
 
 
 def test_g1_no_three_flow():
@@ -161,8 +163,7 @@ def test_zk_first_matches_the_integer_kernel_alone(corpus_4_6, petersen):
         got = find_nz_k_flow(g, k, stats=stats)
         assert got == bruteforce.find_nz_k_flow_reference(g, k, stats=plain), (g, k)
         zk_none = find_nz_zk_flow(g, k, stats=zk) is None
-        assert stats == {"nodes": zk["nodes"] + (0 if zk_none else plain["nodes"]),
-                         "zk_nodes": zk["nodes"]}
+        assert stats == {"nodes": 0 if zk_none else plain["nodes"], "zk_nodes": zk["nodes"]}
         decided_by_zk += zk_none
         integer_none += got is None and not zk_none
     assert (len(cases), decided_by_zk, integer_none) == (6634, 4529, 377)
@@ -171,19 +172,32 @@ def test_zk_first_matches_the_integer_kernel_alone(corpus_4_6, petersen):
 @pytest.mark.parametrize(
     "name,k,found,nodes,zk_nodes",
     [
-        ("petersen", 5, False, 9_972, 9_972),
-        ("petersen", 6, True, 5_073, 41),
-        ("g3", 3, False, 674, 674),
-        ("g3", 4, True, 67, 20),
+        ("petersen", 5, False, 0, 9_972),
+        ("petersen", 6, True, 5_032, 41),
+        ("g3", 3, False, 0, 674),
+        ("g3", 4, True, 47, 20),
     ],
 )
 def test_k_flow_stats_pinned(petersen, name, k, found, nodes, zk_nodes):
-    # "nodes" counts both trees, "zk_nodes" the Z_k one; a "none" proved
-    # by the Z_k search runs no integer search
+    # "nodes" counts the integer tree, "zk_nodes" the Z_k one; a "none"
+    # proved by the Z_k search runs no integer search
     g = petersen if name == "petersen" else g_family(3)
     stats = {}
     assert (find_nz_k_flow(g, k, stats=stats) is not None) == found
     assert stats == {"nodes": nodes, "zk_nodes": zk_nodes}
+
+
+def test_k_flow_stats_set_when_the_integer_search_is_capped(monkeypatch, petersen):
+    # a capped Z_5 search falls back to the integer search, capped too
+    def capped(*args):
+        return _solver_py.CAPPED, None, args[-1] + 1
+
+    monkeypatch.setattr(_solver_py, "search_modulo", capped)
+    stats = {}
+    with pytest.raises(ResourceCapExceeded, match="^k-flow search$") as exc:
+        find_nz_k_flow(petersen, 5, cap=100, stats=stats)
+    assert exc.value.spent == 101
+    assert stats == {"nodes": 101, "zk_nodes": 101}
 
 
 # ---------------------------------------------------------------------------
