@@ -77,6 +77,13 @@ class SignedGraph:
 
     ``num_vertices`` fixes the vertex set {0, ..., num_vertices-1}; edges
     may not reference vertices outside it.  Isolated vertices are legal.
+
+    The cached properties are computed once per object, on first use, and
+    never shared between equal objects.  ``flow_admissibility``,
+    ``long_barbell`` and ``search_answers`` hold answers; the others hold
+    layouts derived from the edges.  A cached answer is the one a fresh
+    computation gives, so only work counters (the ``stats`` of a search)
+    depend on which calls came before on the same object.
     """
 
     num_vertices: int
@@ -121,6 +128,13 @@ class SignedGraph:
         from .solve import _search_layout
 
         return _search_layout(self)
+
+    @cached_property
+    def search_answers(self) -> dict:
+        """Finished ``solve._search`` answers, keyed by (kind, k) with kind
+        "Z_k" or "integer": the kernel's values tuple, or None when the
+        search was exhausted.  A capped search is not recorded."""
+        return {}
 
     @cached_property
     def long_barbell(self):

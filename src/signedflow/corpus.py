@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import getitem, mul
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .core import Edge, FlowAssignment, FlowKind, Orientation, SignedGraph, check_flow
 from .errors import InvariantViolation, PreconditionError
@@ -221,27 +221,28 @@ def _relabel_pairs(
     return tuple(out)
 
 
-def _canonical_pairs(n: int, pairs: tuple[tuple[int, int], ...], deg: list[int]):
-    """Lex-least relabeling among degree-sorted orders, plus its automorphisms.
+def _canonical_automorphisms(n: int, pairs: tuple[tuple[int, int], ...], deg: list[int]):
+    """The automorphisms of the pair multiset, or None when ``pairs`` is
+    not its own canonical form.
 
-    Returns (canonical pair tuple, list of vertex->position maps reaching
-    it).  When the canonical tuple is ``pairs`` itself, those maps are
-    exactly the automorphisms of the pair multiset.
+    The canonical form is the lex-least relabeling among degree-sorted
+    orders.  ``deg`` is sorted, so the identity is one of those orders and
+    the canonical form is at most ``pairs``: ``pairs`` is canonical unless
+    some order relabels it lex-smaller, and the scan stops at the first
+    that does.  Otherwise the orders that relabel it to itself are
+    returned as vertex->position maps.
     """
-    best: Optional[tuple[tuple[int, int], ...]] = None
     maps: list[tuple[int, ...]] = []
     for order in _degree_sorting_orders(n, deg):
         pos = [0] * n
         for i, v in enumerate(order):
             pos[v] = i
         cand = _relabel_pairs(pairs, pos)
-        if best is None or cand < best:
-            best = cand
-            maps = [tuple(pos)]
-        elif cand == best:
+        if cand < pairs:
+            return None
+        if cand == pairs:
             maps.append(tuple(pos))
-    assert best is not None
-    return best, maps
+    return maps
 
 
 def _degree_sorted_multisets(n: int, m: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -384,8 +385,8 @@ def enumerate_signed_graphs(
                 for u, v in pairs:
                     deg[u] += 1
                     deg[v] += 1
-                canon, auts = _canonical_pairs(n, pairs, deg)
-                if canon != pairs:
+                auts = _canonical_automorphisms(n, pairs, deg)
+                if auts is None:
                     continue
                 by_sign = [{1: edge(u, v, 1), -1: edge(u, v, -1)} for u, v in pairs]
                 for signs in _signature_classes(n, pairs, auts):

@@ -150,21 +150,42 @@ def _positive_form(g: SignedGraph, per_edge: list[int]) -> FlowAssignment:
     return FlowAssignment(Orientation(rev), tuple(abs(v) for v in per_edge))
 
 
+# search kind -> (kernel in _solver_py, what a capped search raises); the
+# kernel is looked up by name at call time, so a wrapper bound there runs
+_KINDS = {"Z_k": ("search_modulo", "Z_k-flow search"), "integer": ("search_integer", "k-flow search")}
+
+
 def _search(
-    g: SignedGraph, k: int, cap: Optional[int], stats: Optional[dict], kernel, what: str
+    g: SignedGraph, k: int, cap: Optional[int], stats: Optional[dict], kind: str
 ) -> Optional[list[int]]:
-    """Run one kernel over g's arrays; per-edge values under the reference
-    orientation, or None when the search space is exhausted."""
+    """Run the ``kind`` kernel over g's arrays; per-edge values under the
+    reference orientation, or None when the search space is exhausted.
+
+    A finished answer is recorded in ``g.search_answers`` under (kind, k),
+    and a later call on the same object returns it without a search,
+    under any cap, since it walks no node: ``stats["nodes"]`` is then 0
+    and ``kind`` is appended to ``stats["reused"]``.  A capped search
+    records nothing and raises ResourceCapExceeded."""
     if not (isinstance(k, int) and k >= 2):
         raise PreconditionError("k must be an integer >= 2")
     cap = _resolve_cap(cap)
     order, arrays = g.search_layout
-    status, vals, nodes = kernel(len(order), g.num_vertices, *arrays, k, cap)
-    if stats is not None:
-        stats["nodes"] = nodes
-    if status == _solver_py.CAPPED:
-        raise ResourceCapExceeded(what, cap=cap, spent=nodes)
-    if status == _solver_py.EXHAUSTED:
+    answers = g.search_answers
+    if (kind, k) in answers:
+        vals = answers[kind, k]
+        if stats is not None:
+            stats["nodes"] = 0
+            stats.setdefault("reused", []).append(kind)
+    else:
+        kernel, what = _KINDS[kind]
+        status, vals, nodes = getattr(_solver_py, kernel)(
+            len(order), g.num_vertices, *arrays, k, cap)
+        if stats is not None:
+            stats["nodes"] = nodes
+        if status == _solver_py.CAPPED:
+            raise ResourceCapExceeded(what, cap=cap, spent=nodes)
+        vals = answers[kind, k] = None if status == _solver_py.EXHAUSTED else tuple(vals)
+    if vals is None:
         return None
     per_edge = [0] * g.num_edges
     for pos, eid in enumerate(order):
@@ -190,16 +211,20 @@ def find_nz_k_flow(
     are set before a capped integer search raises.  The integer search's
     pruning (a positive first branching value, no stranded last edge)
     cuts only branches without a flow; see ``_solver_py.search_integer``.
+
+    Both answers are recorded on g (``_search``), the Z_k one shared with
+    ``find_nz_zk_flow``.  A search answered from the record walks 0 nodes
+    under any cap and is listed in ``stats["reused"]`` ("Z_k", "integer");
+    the key is absent when every search ran.
     """
     zk: dict = {}
     try:
-        none = _search(g, k, cap, zk, _solver_py.search_modulo, "Z_k-flow search") is None
+        none = _search(g, k, cap, zk, "Z_k") is None
     except ResourceCapExceeded:
         none = False
     if stats is not None:
-        stats.update(nodes=0, zk_nodes=zk["nodes"])
-    per_edge = None if none else _search(
-        g, k, cap, stats, _solver_py.search_integer, "k-flow search")
+        stats.update(zk, nodes=0, zk_nodes=zk["nodes"])
+    per_edge = None if none else _search(g, k, cap, stats, "integer")
     return None if per_edge is None else _positive_form(g, per_edge)
 
 
@@ -209,8 +234,12 @@ def find_nz_zk_flow(
     cap: Optional[int] = None,
     stats: Optional[dict] = None,
 ) -> Optional[FlowAssignment]:
-    """Nowhere-zero modulo-k flow with values in 1..k-1, or None (exact)."""
-    per_edge = _search(g, k, cap, stats, _solver_py.search_modulo, "Z_k-flow search")
+    """Nowhere-zero modulo-k flow with values in 1..k-1, or None (exact).
+
+    The answer is recorded on g and shared with ``find_nz_k_flow``'s Z_k
+    search; one read from the record walks 0 nodes under any cap and sets
+    ``stats["reused"] = ["Z_k"]`` (see ``_search``)."""
+    per_edge = _search(g, k, cap, stats, "Z_k")
     return None if per_edge is None else FlowAssignment(Orientation.reference(), tuple(per_edge))
 
 

@@ -156,10 +156,10 @@ def _six_flow_item(g: SignedGraph, cap: Optional[int]):
 def _mod_int_item(g: SignedGraph, cap: Optional[int]):
     """Modulo-k and integer-k solvability agree (k = 3 or k >= 5).
 
-    "No Z_k-flow => no k-flow" holds by construction, since
-    find_nz_k_flow answers None whenever the Z_k search exhausts, so the
-    integer search runs only on a Z_k-flow: the direction this item
-    tests is "Z_k-flow => k-flow"."""
+    "No Z_k-flow => no k-flow" holds by construction: find_nz_k_flow runs
+    the Z_k search first and answers None when it exhausts, here from the
+    answer find_nz_zk_flow has just recorded on g, at 0 nodes.  The
+    direction this item tests is "Z_k-flow => k-flow"."""
     if not _admissible_barbell_free(g):
         return None
     failures = []
@@ -167,7 +167,7 @@ def _mod_int_item(g: SignedGraph, cap: Optional[int]):
     checked = 0
     for k in MOD_INT_KS:
         zk = solve.find_nz_zk_flow(g, k, cap=cap)
-        kk = None if zk is None else solve.find_nz_k_flow(g, k, cap=cap)
+        kk = solve.find_nz_k_flow(g, k, cap=cap)
         checked += 1
         if (zk is None) != (kk is None):
             failures.append(

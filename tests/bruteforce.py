@@ -58,7 +58,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from signedflow import _solver_py, simplex
+from signedflow import simplex
 from signedflow._solver_py import CAPPED, EXHAUSTED, FOUND
 from signedflow.core import (
     Edge,
@@ -892,8 +892,9 @@ def flow_admissibility_reference(g: SignedGraph):
 def find_nz_k_flow_reference(
     g: SignedGraph, k: int, cap: Optional[int] = None, stats: Optional[dict] = None
 ) -> Optional[FlowAssignment]:
-    """find_nz_k_flow by the integer kernel alone, with no Z_k search first."""
-    per_edge = _search(g, k, cap, stats, _solver_py.search_integer, "k-flow search")
+    """find_nz_k_flow by the integer kernel alone, with no Z_k search first,
+    run on a fresh copy of g, so no answer recorded on g stands in for it."""
+    per_edge = _search(SignedGraph(g.num_vertices, g.edges), k, cap, stats, "integer")
     return None if per_edge is None else _positive_form(g, per_edge)
 
 

@@ -5,7 +5,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from signedflow.core import SignedGraph
 from signedflow.corpus import enumerate_signed_graphs, signed_petersen
+
+
+@pytest.fixture(scope="session")
+def fresh():
+    """A graph -> an equal object with nothing cached: no recorded search
+    answer, so a test that pins node counts or caps searches for real,
+    whatever ran on the session objects before it."""
+    return lambda g: SignedGraph(g.num_vertices, g.edges)
 
 
 @pytest.fixture(scope="session")

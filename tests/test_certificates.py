@@ -449,6 +449,25 @@ def test_each_re_search_has_the_cap_to_itself(monkeypatch):
     assert verify_certificate(make_flow_certificate(g, FlowKind.integer(4), None)).ok
 
 
+def test_verifier_searches_again_after_the_caller_recorded(monkeypatch, petersen, fresh):
+    # the verifier parses its own graph from the certificate, so the
+    # answers recorded on the caller's object never stand in for its search
+    g = fresh(petersen)
+    assert find_nz_zk_flow(g, 5) is None and find_nz_k_flow(g, 5) is None
+    kernel, calls = _solver_py.search_modulo, []
+
+    def counting(*args):
+        calls.append(args[-2])
+        return kernel(*args)
+
+    monkeypatch.setattr(_solver_py, "search_modulo", counting)
+    assert find_nz_zk_flow(g, 5) is None and find_nz_k_flow(g, 5) is None
+    assert calls == []
+    for kind in (FlowKind.modulo(5), FlowKind.integer(5)):
+        assert verify_certificate(make_flow_certificate(g, kind, None)).ok
+    assert calls == [5, 5]
+
+
 def _flow_number_cert():
     g = cycle(3)
     return make_flow_number_certificate(g, flow_numbers(g))

@@ -57,9 +57,9 @@ def test_petersen_six_flow(petersen):
     assert check_flow(petersen, fa, FlowKind.integer(6)).ok
 
 
-def test_petersen_no_five_flow(petersen):
+def test_petersen_no_five_flow(petersen, fresh):
     stats = {}
-    assert find_nz_k_flow(petersen, 5, stats=stats) is None
+    assert find_nz_k_flow(fresh(petersen), 5, stats=stats) is None
     # the Z_5 search proves it, so the integer search never runs
     assert stats["zk_nodes"] > 0
     assert stats["nodes"] == 0
@@ -109,13 +109,15 @@ def test_bad_k_rejected():
         find_nz_zk_flow(cycle(3), 0)
 
 
-def test_cap_raises_never_lies(petersen):
+def test_cap_raises_never_lies(petersen, fresh):
     # both searches run past 1000 nodes on Petersen at k = 5; the count
-    # stops one node past the cap, also where a jump would cross it
+    # stops one node past the cap, also where a jump would cross it.  A
+    # capped search records no answer, so each one on g searches again
+    g = fresh(petersen)
     for fn in (find_nz_k_flow, find_nz_zk_flow):
         for cap in (1, 10, 100, 1000):
             with pytest.raises(ResourceCapExceeded) as exc:
-                fn(petersen, 5, cap=cap)
+                fn(g, 5, cap=cap)
             assert exc.value.cap == cap
             assert exc.value.spent == cap + 1
 
@@ -150,9 +152,10 @@ def test_deterministic_witnesses(petersen):
     assert find_nz_zk_flow(petersen, 6) == find_nz_zk_flow(petersen, 6)
 
 
-def test_zk_first_matches_the_integer_kernel_alone(corpus_4_6, petersen):
+def test_zk_first_matches_the_integer_kernel_alone(corpus_4_6, petersen, fresh):
     # the Z_k search only ever answers "none"; every flow, and every "none"
-    # it cannot prove, is the integer search's
+    # it cannot prove, is the integer search's.  Fresh objects, so every
+    # search walks its tree
     cases = [(g, k) for g in corpus_4_6 for k in range(2, 6)]
     cases += [(petersen, k) for k in range(2, 7)]
     cases += [(g_family(t), k) for t in (1, 2, 3) for k in range(2, 5)]
@@ -160,9 +163,9 @@ def test_zk_first_matches_the_integer_kernel_alone(corpus_4_6, petersen):
     decided_by_zk = integer_none = 0
     for g, k in cases:
         stats, plain, zk = {}, {}, {}
-        got = find_nz_k_flow(g, k, stats=stats)
+        got = find_nz_k_flow(fresh(g), k, stats=stats)
         assert got == bruteforce.find_nz_k_flow_reference(g, k, stats=plain), (g, k)
-        zk_none = find_nz_zk_flow(g, k, stats=zk) is None
+        zk_none = find_nz_zk_flow(fresh(g), k, stats=zk) is None
         assert stats == {"nodes": 0 if zk_none else plain["nodes"], "zk_nodes": zk["nodes"]}
         decided_by_zk += zk_none
         integer_none += got is None and not zk_none
@@ -178,16 +181,16 @@ def test_zk_first_matches_the_integer_kernel_alone(corpus_4_6, petersen):
         ("g3", 4, True, 47, 20),
     ],
 )
-def test_k_flow_stats_pinned(petersen, name, k, found, nodes, zk_nodes):
+def test_k_flow_stats_pinned(petersen, fresh, name, k, found, nodes, zk_nodes):
     # "nodes" counts the integer tree, "zk_nodes" the Z_k one; a "none"
     # proved by the Z_k search runs no integer search
-    g = petersen if name == "petersen" else g_family(3)
+    g = fresh(petersen if name == "petersen" else g_family(3))
     stats = {}
     assert (find_nz_k_flow(g, k, stats=stats) is not None) == found
     assert stats == {"nodes": nodes, "zk_nodes": zk_nodes}
 
 
-def test_k_flow_stats_set_when_the_integer_search_is_capped(monkeypatch, petersen):
+def test_k_flow_stats_set_when_the_integer_search_is_capped(monkeypatch, petersen, fresh):
     # a capped Z_5 search falls back to the integer search, capped too
     def capped(*args):
         return _solver_py.CAPPED, None, args[-1] + 1
@@ -195,9 +198,70 @@ def test_k_flow_stats_set_when_the_integer_search_is_capped(monkeypatch, peterse
     monkeypatch.setattr(_solver_py, "search_modulo", capped)
     stats = {}
     with pytest.raises(ResourceCapExceeded, match="^k-flow search$") as exc:
-        find_nz_k_flow(petersen, 5, cap=100, stats=stats)
+        find_nz_k_flow(fresh(petersen), 5, cap=100, stats=stats)
     assert exc.value.spent == 101
     assert stats == {"nodes": 101, "zk_nodes": 101}
+
+
+def test_recorded_answers_are_reused_in_either_order(corpus_4_6, petersen, fresh):
+    # both finders on one object, in both orders: the same answers and
+    # witnesses as on fresh objects, and every answer read from the record
+    # walks 0 nodes and says so
+    graphs = list(corpus_4_6) + [petersen] + [g_family(t) for t in (1, 2, 3)]
+    graphs += w5_all_signatures()
+    cases = [(g, k) for g in graphs for k in range(2, 7)]
+    flows = Counter()
+    for g, k in cases:
+        a, b = fresh(g), fresh(g)
+        sa1, sa2, sb1, sb2 = {}, {}, {}, {}
+        za = find_nz_zk_flow(a, k, stats=sa1)
+        kb = find_nz_k_flow(b, k, stats=sb1)
+        assert "reused" not in sa1 and "reused" not in sb1
+        assert find_nz_k_flow(a, k, stats=sa2) == kb, (g, k)
+        assert sa2 == {"nodes": sb1["nodes"], "zk_nodes": 0, "reused": ["Z_k"]}
+        assert find_nz_zk_flow(b, k, stats=sb2) == za, (g, k)
+        assert sb2 == {"nodes": 0, "reused": ["Z_k"]}
+        both = ["Z_k"] if za is None else ["Z_k", "integer"]
+        flows["Z_k"] += za is not None
+        flows["integer"] += kb is not None
+        for h in (a, b):
+            again, zk_again = {}, {}
+            assert find_nz_k_flow(h, k, stats=again) == kb
+            assert again == {"nodes": 0, "zk_nodes": 0, "reused": both}
+            assert find_nz_zk_flow(h, k, stats=zk_again) == za
+            assert zk_again == {"nodes": 0, "reused": ["Z_k"]}
+    assert (len(cases), flows["Z_k"], flows["integer"]) == (8295, 2856, 2271)
+
+
+def test_a_capped_search_is_not_recorded(petersen, fresh):
+    g = fresh(petersen)
+    with pytest.raises(ResourceCapExceeded, match="^Z_k-flow search$"):
+        find_nz_zk_flow(g, 5, cap=100)
+    # Petersen at k = 6: the Z_6 search finds a flow in 41 nodes, the
+    # integer search needs 5,032
+    with pytest.raises(ResourceCapExceeded, match="^k-flow search$"):
+        find_nz_k_flow(g, 6, cap=100)
+    assert g.search_answers.keys() == {("Z_k", 6)}
+    stats, k_stats = {}, {}
+    assert find_nz_zk_flow(g, 5, stats=stats) is None
+    assert stats == {"nodes": 9_972}
+    assert find_nz_k_flow(g, 6, stats=k_stats) == find_nz_k_flow(fresh(g), 6)
+    assert k_stats == {"nodes": 5_032, "zk_nodes": 0, "reused": ["Z_k"]}
+
+
+def test_a_recorded_answer_is_returned_under_any_cap(petersen, fresh):
+    g = fresh(petersen)
+    assert find_nz_zk_flow(g, 5) is None
+    six = find_nz_k_flow(g, 6)
+    stats, zk = {}, {}
+    assert find_nz_k_flow(g, 5, cap=1, stats=stats) is None
+    assert stats == {"nodes": 0, "zk_nodes": 0, "reused": ["Z_k"]}
+    assert find_nz_zk_flow(g, 5, cap=1, stats=zk) is None
+    assert zk == {"nodes": 0, "reused": ["Z_k"]}
+    assert find_nz_k_flow(g, 6, cap=1) == six
+    # a cap below 1 is still refused
+    with pytest.raises(PreconditionError, match="at least 1"):
+        find_nz_k_flow(g, 6, cap=0)
 
 
 # ---------------------------------------------------------------------------
