@@ -215,13 +215,18 @@ def find_nz_k_flow(
     Both answers are recorded on g (``_search``), the Z_k one shared with
     ``find_nz_zk_flow``.  A search answered from the record walks 0 nodes
     under any cap and is listed in ``stats["reused"]`` ("Z_k", "integer");
-    the key is absent when every search ran.
+    the key is absent when every search ran.  When only the integer
+    answer is recorded, no Z_k search runs, so one that hit the cap is
+    not walked again.
     """
-    zk: dict = {}
-    try:
-        none = _search(g, k, cap, zk, "Z_k") is None
-    except ResourceCapExceeded:
-        none = False
+    zk: dict = {"nodes": 0}
+    none = False
+    answers = g.search_answers
+    if ("integer", k) not in answers or ("Z_k", k) in answers:
+        try:
+            none = _search(g, k, cap, zk, "Z_k") is None
+        except ResourceCapExceeded:
+            pass
     if stats is not None:
         stats.update(zk, nodes=0, zk_nodes=zk["nodes"])
     per_edge = None if none else _search(g, k, cap, stats, "integer")

@@ -26,7 +26,7 @@ The three kinds of signed circuit:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .core import (
     SignedGraph,
@@ -35,9 +35,7 @@ from .core import (
     _tree_bridges,
     _tree_path,
     connected_components,
-    delete_vertices,
     find_bridges,
-    is_balanced,
 )
 from .errors import InvariantViolation, PreconditionError, ResourceCapExceeded
 
@@ -356,28 +354,86 @@ def _connecting_path(
 def find_long_barbell(g: SignedGraph) -> SignedCircuitWitness | None:
     """Search for a long barbell; None is an exactness claim.
 
-    Unbalanced circuits are tried shortest first; for each, the balance
-    scan of the remaining graph supplies a disjoint unbalanced circuit
-    and a breadth-first search the connecting path.  The answer is
-    computed once per graph object and cached on it.
+    A long barbell exists exactly when some component has two
+    vertex-disjoint unbalanced circuits: a shortest path between them
+    meets each only at its end.  So a balanced component has none, and
+    neither has one with a balancing vertex, a vertex whose deletion
+    leaves the component balanced: it lies on every unbalanced circuit,
+    so any two of them share it.  Only the components that have neither
+    are searched: unbalanced circuits shortest first, and for each, the
+    balance scan of the rest of its component, run in place, supplies a
+    disjoint unbalanced circuit and a breadth-first search the connecting
+    path.  The answer is computed once per graph object and cached on it.
     """
     return g.long_barbell
 
 
 def _long_barbell(g: SignedGraph) -> SignedCircuitWitness | None:
+    """The search of ``find_long_barbell``, in two steps.
+
+    (1) Decide first.  Every balancing vertex of an unbalanced component
+    lies on one unbalanced circuit, the tree path that closes the first
+    inconsistent edge, so only its vertices are tried, each by one scan
+    of the component with that vertex blocked.
+
+    (2) In the components left, the unbalanced circuits c come from
+    ``enumerate_circuits``, shortest first, and the rest of c's component
+    is scanned in place with V(c) blocked.  The first circuit found
+    there, with ``_connecting_path`` from V(c) to it, is the witness.  It
+    is the one that deleting V(c), splitting the rest into components
+    and scanning each for balance as a graph of its own would give, since
+    the scan spreads the same trees and reads the same first edge.  A
+    circuit in a component that step (1) decided is skipped: it runs
+    through the balancing vertex, as every unbalanced circuit there does.
+    """
+    undecided: dict[int, tuple[int, ...]] = {}  # vertex -> its component
+    for comp in connected_components(g):
+        circuit = _unbalanced_circuit(g, comp, ())
+        if circuit is not None and all(
+            _unbalanced_circuit(g, comp, (v,)) is not None for v in circuit_vertices(g, circuit)
+        ):
+            undecided.update((v, comp) for v in comp)
+    if not undecided:
+        return None
     for c in enumerate_circuits(g):
-        if not is_unbalanced_circuit(g, c):
+        comp = undecided.get(g.edges[c[0]].u)
+        if comp is None or not is_unbalanced_circuit(g, c):
             continue
         cverts = circuit_vertices(g, c)
-        rest, _, eback = delete_vertices(g, cverts)
-        for _, comp_sub, _, ceb in _component_subgraphs(rest):
-            cert = is_balanced(comp_sub)
-            if cert.witness is None:
-                continue
-            c2 = tuple(eback[ceb[i]] for i in cert.witness)
+        c2 = _unbalanced_circuit(g, comp, cverts)
+        if c2 is not None:
             path = _connecting_path(g, cverts, circuit_vertices(g, c2))
-            if path is not None:
-                return SignedCircuitWitness("long-barbell", (c, c2), path, graph=g)
+            return SignedCircuitWitness("long-barbell", (c, c2), path, graph=g)
+    return None
+
+
+def _unbalanced_circuit(
+    g: SignedGraph, comp: Sequence[int], blocked: Collection[int]
+) -> tuple[int, ...] | None:
+    """An unbalanced circuit of the component ``comp`` (ascending) with
+    the vertices ``blocked`` deleted, or None when what is left is
+    balanced.  Read in place: the blocked vertices count as reached, so
+    the potential spreads around them.  The parts left are spread in
+    order of their smallest vertex, and the first one with an
+    inconsistent edge gives the tree path closed by its first such edge
+    in id order, the witness of ``is_balanced`` on that part."""
+    potential = [0] * g.num_vertices
+    tree_edge = [-1] * g.num_vertices
+    for v in blocked:
+        potential[v] = 1
+    for root in comp:
+        if potential[root]:
+            continue
+        reached = _spread_potential(g, root, potential, tree_edge)
+        part_edges = sorted(
+            eid
+            for x in reached
+            for eid, end in g.incidence[x]
+            if end == 0 and g.edges[eid].v not in blocked
+        )
+        for eid in _inconsistent_edges(g, part_edges, potential):
+            e = g.edges[eid]
+            return tuple(_tree_path(g, tree_edge, e.u, e.v)) + (eid,)
     return None
 
 
@@ -415,14 +471,6 @@ def find_signed_circuit(g: SignedGraph) -> SignedCircuitWitness | None:
             if path is not None:
                 return SignedCircuitWitness("long-barbell", (c1, c2), path, graph=g)
     return None
-
-
-def _component_subgraphs(g: SignedGraph):
-    for comp in connected_components(g):
-        sub, vback, eback = delete_vertices(
-            g, [v for v in range(g.num_vertices) if v not in comp]
-        )
-        yield comp, sub, vback, eback
 
 
 def is_flow_admissible(g: SignedGraph) -> AdmissibilityVerdict:

@@ -38,6 +38,10 @@ built by hand before it became the 2-flow of the witness with its path
 doubled: each circuit walked from the barbell's meeting vertex, the path
 walked between the circuits, and the three chained to cancel.  It
 shares only the 2-flow search's value chaining with the package.
+find_long_barbell_reference is the long-barbell search as it was before
+it decided by a balancing vertex and scanned the rest of the graph in
+place: every unbalanced circuit, shortest first, with the rest built as
+a graph, split into component graphs and each tested by is_balanced.
 find_bridges_reference is the bridge search as it was before it read
 the bridges off the admissibility check's spanning trees: Tarjan's
 low-link DFS.
@@ -66,7 +70,9 @@ from signedflow.core import (
     Orientation,
     SignedGraph,
     connected_components,
+    delete_vertices,
     edge_subgraph,
+    is_balanced,
 )
 from signedflow.certificates import VerifyOutcome
 from signedflow.errors import PreconditionError
@@ -74,7 +80,9 @@ from signedflow.solve import _chain_values, _positive_form, _search, find_nz_k_f
 from signedflow.structure import (
     SignedCircuitWitness,
     _circuit_walk,
+    _connecting_path,
     circuit_vertices,
+    enumerate_circuits,
     is_unbalanced_circuit,
 )
 
@@ -982,6 +990,36 @@ def signed_circuit_flow_reference(w: SignedCircuitWitness) -> FlowAssignment:
         place(vp, sp)
         place(vb, -1 if db + pb == sp * pp else 1)
     return _positive_form(g, per_edge)
+
+
+def _component_subgraphs(g: SignedGraph):
+    for comp in connected_components(g):
+        sub, vback, eback = delete_vertices(
+            g, [v for v in range(g.num_vertices) if v not in comp]
+        )
+        yield comp, sub, vback, eback
+
+
+def find_long_barbell_reference(g: SignedGraph) -> SignedCircuitWitness | None:
+    """The long-barbell search as it was before the balancing-vertex
+    decision and the in-place rest scan: the oracle for
+    structure._long_barbell.  Every unbalanced circuit c, shortest first;
+    G - V(c) is built, split into component graphs, and the first
+    unbalanced one with a path to c gives the witness."""
+    for c in enumerate_circuits(g):
+        if not is_unbalanced_circuit(g, c):
+            continue
+        cverts = circuit_vertices(g, c)
+        rest, _, eback = delete_vertices(g, cverts)
+        for _, comp_sub, _, ceb in _component_subgraphs(rest):
+            cert = is_balanced(comp_sub)
+            if cert.witness is None:
+                continue
+            c2 = tuple(eback[ceb[i]] for i in cert.witness)
+            path = _connecting_path(g, cverts, circuit_vertices(g, c2))
+            if path is not None:
+                return SignedCircuitWitness("long-barbell", (c, c2), path, graph=g)
+    return None
 
 
 def find_bridges_reference(g: SignedGraph) -> tuple[int, ...]:

@@ -264,6 +264,23 @@ def test_a_recorded_answer_is_returned_under_any_cap(petersen, fresh):
         find_nz_k_flow(g, 6, cap=0)
 
 
+def test_a_recorded_integer_answer_skips_a_capped_zk_search(monkeypatch):
+    # two negative loops at one vertex at k = 5: the Z_5 tree needs 5
+    # nodes, the integer tree 3, so under cap 4 the Z_k search is capped
+    # and the integer search records its flow; a repeat call reads that
+    # record without walking the capped Z_k search again
+    g = SignedGraph(1, (Edge(0, 0, -1), Edge(0, 0, -1)))
+    first, again = {}, {}
+    flow = find_nz_k_flow(g, 5, cap=4, stats=first)
+    assert flow is not None and first == {"nodes": 3, "zk_nodes": 5}
+    calls = []
+    original = _solver_py.search_modulo
+    monkeypatch.setattr(_solver_py, "search_modulo", lambda *a: calls.append(a) or original(*a))
+    assert find_nz_k_flow(g, 5, cap=4, stats=again) == flow
+    assert again == {"nodes": 0, "zk_nodes": 0, "reused": ["integer"]}
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # 2-flows on even graphs
 

@@ -17,7 +17,7 @@ from signedflow.core import (
     switch,
 )
 from signedflow.errors import PreconditionError
-from signedflow.corpus import enumerate_signed_graphs, g_family, signed_petersen
+from signedflow.corpus import enumerate_signed_graphs, g_family, random_signed_graph, signed_petersen
 from signedflow.solve import find_nz_k_flow, flow_numbers
 from signedflow.verify_suites import SUITES, run_suite
 from signedflow.structure import (
@@ -108,6 +108,73 @@ def test_two_disjoint_unbalanced_digons():
     w = find_long_barbell(g)
     assert w is not None
     assert w.path == (4,)
+
+
+@pytest.fixture
+def listed(monkeypatch):
+    """The graphs that the long-barbell search lists circuits of, in order."""
+    graphs = []
+    original = structure.enumerate_circuits
+    monkeypatch.setattr(structure, "enumerate_circuits", lambda g: graphs.append(g) or original(g))
+    return graphs
+
+
+def test_long_barbell_matches_reference_on_full_corpus(corpus_full, fresh, listed):
+    # the same witness as the circuit-by-circuit reference on every 5/8
+    # class, fresh objects on both sides; the balancing-vertex step
+    # decides all but 74 of the 22,296 barbell-free classes without
+    # listing a circuit
+    free = undecided = 0
+    for g in corpus_full:
+        h = fresh(g)
+        w = find_long_barbell(h)
+        assert w == bruteforce.find_long_barbell_reference(fresh(g)), g
+        free += w is None
+        undecided += w is None and bool(listed) and listed[-1] is h
+    assert (free, undecided) == (22_296, 74)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 7), st.integers(0, 9), st.sampled_from((0.2, 0.5, 0.8)))
+def test_long_barbell_matches_reference_on_random_graphs(seed, n, extra, neg_prob):
+    # connected multigraphs with loops and parallel edges
+    g = random_signed_graph(seed, n, n - 1 + extra, neg_prob)
+    assert structure._long_barbell(g) == bruteforce.find_long_barbell_reference(g)
+
+
+def test_long_barbell_search_without_a_balancing_vertex(corpus_full, listed):
+    # the first barbell-free 5/8 class in stream order that the
+    # balancing-vertex step leaves undecided: a triangle with every edge
+    # doubled, one copy negative.  Its three unbalanced digons meet
+    # pairwise, and no vertex lies on all three, so the circuit search runs
+    def undecided(h):
+        listed.clear()
+        return structure._long_barbell(h) is None and bool(listed)
+
+    g = SignedGraph(3, tuple(Edge(u, v, s) for u, v in ((0, 1), (0, 2), (1, 2)) for s in (-1, 1)))
+    assert corpus_full.index(g) == 1082
+    assert [i for i, h in enumerate(corpus_full[:1083]) if undecided(h)] == [1082]
+    assert all(structure._unbalanced_circuit(g, (0, 1, 2), (v,)) for v in range(3))
+    assert find_long_barbell(g) is None
+    assert bruteforce.find_long_barbell_reference(g) is None
+
+
+def test_long_barbell_in_a_second_component():
+    # component {0, 1, 2}: every unbalanced circuit runs through vertex 0,
+    # a balancing vertex, so its shorter circuits are skipped; component
+    # {3, 4, 5}: negative loops at 3 and 5 on the path 3-4-5
+    g = SignedGraph(
+        6,
+        (
+            Edge(0, 0, -1), Edge(3, 3, -1),
+            Edge(0, 1, 1), Edge(0, 1, -1), Edge(1, 2, 1), Edge(0, 2, 1),
+            Edge(3, 4, 1), Edge(4, 5, -1), Edge(5, 5, -1),
+        ),
+    )
+    assert structure._unbalanced_circuit(g, (0, 1, 2), (0,)) is None
+    w = find_long_barbell(g)
+    assert w == bruteforce.find_long_barbell_reference(g)
+    assert (w.circuits, w.path) == (((1,), (8,)), (6, 7))
 
 
 def test_circuit_enumeration_deterministic():
@@ -239,6 +306,12 @@ def multi_component_graphs(draw):
 def test_admissibility_matches_reference_on_multi_component_graphs(g):
     assert structure._flow_admissibility(g) == bruteforce.flow_admissibility_reference(g)
     assert _spread_tree_bridges(g) == find_bridges(g) == bruteforce.find_bridges_reference(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multi_component_graphs())
+def test_long_barbell_matches_reference_on_multi_component_graphs(g):
+    assert structure._long_barbell(g) == bruteforce.find_long_barbell_reference(g)
 
 
 def test_admissibility_is_having_a_nowhere_zero_11_flow():
