@@ -4,7 +4,7 @@ Exit codes: 0 success (a mathematical "no" is a success with the verdict
 in the payload), 2 precondition violation, 3 resource cap, 4 invariant
 violation (a theorem breach or broken certificate), 5 I/O or parse
 error.  `SG_RESOURCE_CAP` overrides the default search cap of every
-command that takes `--cap`.
+command that takes `--cap`, and bounds each re-search of `check`.
 """
 
 from __future__ import annotations
@@ -268,6 +268,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_INVARIANT
 
 
+def cmd_check(args) -> int:
+    text = _read_text(args.certificate)
+    try:
+        cert = certs.Certificate.from_json(text)
+    except PreconditionError as exc:
+        raise _IOFailure(f"cannot parse {args.certificate}: {exc}") from exc
+    outcome = certs.verify_certificate(cert)
+    if not outcome.ok:
+        print(f"rejected: {outcome.reason}")
+        return EXIT_INVARIANT
+    print(f"ok: {cert.claim}: {cert.verdict}")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -340,6 +354,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     common(p, cap="cap on search nodes, and on conversion search steps")
     p.set_defaults(fn=cmd_verify)
+
+    p = sub.add_parser("check", help="verify a certificate file")
+    p.add_argument("certificate")
+    p.set_defaults(fn=cmd_check)
 
     return parser
 

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Collection, Iterable, Iterator, Sequence, Union
 
 Value = Union[int, Fraction]
 
@@ -42,7 +42,6 @@ __all__ = [
     "is_eulerian",
     "find_bridges",
     "edge_subgraph",
-    "delete_vertices",
 ]
 
 
@@ -113,6 +112,11 @@ class SignedGraph:
     @cached_property
     def negative_edges(self) -> tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.edges) if e.sign < 0)
+
+    @cached_property
+    def spanning_forest(self):
+        """Cached ``_spanning_forest``: one spanning tree per component."""
+        return _spanning_forest(self)
 
     @cached_property
     def flow_admissibility(self):
@@ -397,11 +401,10 @@ class BalanceCertificate:
 
 
 def _spread_potential(
-    g: SignedGraph, root: int, potential: list[int], tree_edge: list[int], flip: int = -1
+    g: SignedGraph, root: int, potential: list[int], tree_edge: list[int]
 ) -> list[int]:
     """Spread a switching potential from ``root`` (value 1) along a
-    spanning tree of its component, reading edge ``flip`` with its sign
-    negated.
+    spanning tree of its component.
 
     ``potential`` holds 0 at every vertex not yet reached; ``tree_edge[y]``
     receives the id of the tree edge that reached y.  The tree depends on
@@ -421,7 +424,7 @@ def _spread_potential(
             e = edges[eid]
             y = e.v if x == e.u else e.u
             if not potential[y]:
-                potential[y] = -px * e.sign if eid == flip else px * e.sign
+                potential[y] = px * e.sign
                 tree_edge[y] = eid
                 reached.append(y)
                 stack.append(y)
@@ -429,21 +432,50 @@ def _spread_potential(
 
 
 def _inconsistent_edges(
-    g: SignedGraph, edge_ids: Iterable[int], potential: list[int], flip: int = -1
+    g: SignedGraph, edge_ids: Iterable[int], potential: list[int]
 ) -> Iterator[int]:
-    """The edges whose sign (negated for ``flip``) differs from p(u)*p(v),
-    in the order given.  The tree edges of a potential spread with the
-    same ``flip`` never qualify; a loop qualifies exactly when its sign
-    is negative."""
+    """The edges whose sign differs from p(u)*p(v), in the order given.
+    The tree edges of a potential spread never qualify; a loop
+    qualifies exactly when its sign is negative."""
     edges = g.edges
     for eid in edge_ids:
         e = edges[eid]
-        sign = -e.sign if eid == flip else e.sign
-        if sign != potential[e.u] * potential[e.v]:
+        if e.sign != potential[e.u] * potential[e.v]:
             yield eid
 
 
-def _tree_path(g: SignedGraph, tree_edge: list[int], u: int, v: int) -> list[int]:
+def _spanning_forest(g: SignedGraph) -> tuple[
+    tuple[int, ...],
+    tuple[int, ...],
+    tuple[tuple[tuple[int, ...], tuple[int, ...], Sequence[int], tuple[int, ...]], ...],
+]:
+    """One spanning tree per connected component, each spread from the
+    component's smallest vertex (``_spread_potential``): the switching
+    potential and tree-edge arrays of all of them, and per component, in
+    order of smallest vertex, its vertices ascending and in the order
+    reached, its edge ids ascending, and its edges inconsistent with the
+    potential, ascending.  Cached on the graph as ``g.spanning_forest``
+    and read by admissibility and the long-barbell search; tuples, so
+    that the garbage collector stops tracking them."""
+    n = g.num_vertices
+    potential = [0] * n
+    tree_edge = [-1] * n
+    trees = []
+    for root in range(n):
+        if potential[root]:
+            continue
+        reached = _spread_potential(g, root, potential, tree_edge)
+        comp_edges: Sequence[int] = (
+            range(g.num_edges)
+            if len(reached) == n
+            else tuple(sorted(eid for x in reached for eid, end in g.incidence[x] if end == 0))
+        )
+        bad = tuple(_inconsistent_edges(g, comp_edges, potential))
+        trees.append((tuple(sorted(reached)), tuple(reached), comp_edges, bad))
+    return tuple(potential), tuple(tree_edge), tuple(trees)
+
+
+def _tree_path(g: SignedGraph, tree_edge: Sequence[int], u: int, v: int) -> list[int]:
     """Edge ids along the spanning-tree path from u to v."""
 
     def chain_to_root(x: int) -> list[int]:
@@ -462,21 +494,19 @@ def _tree_path(g: SignedGraph, tree_edge: list[int], u: int, v: int) -> list[int
 
 
 def is_balanced(g: SignedGraph) -> BalanceCertificate:
-    """Spanning-tree potential propagation, per connected component.
+    """Spanning-tree potential propagation, per connected component
+    (``g.spanning_forest``).
 
-    Scans the edges (loops included) in ascending id order; the first
-    one inconsistent with the tree potential closes the witness circuit
+    The first edge (loops included) in ascending id order that is
+    inconsistent with the tree potential closes the witness circuit
     through the tree.
     """
-    potential = [0] * g.num_vertices
-    tree_edge = [-1] * g.num_vertices
-    for root in range(g.num_vertices):
-        if not potential[root]:
-            _spread_potential(g, root, potential, tree_edge)
-    for eid in _inconsistent_edges(g, range(g.num_edges), potential):
-        e = g.edges[eid]
-        return BalanceCertificate(None, tuple(_tree_path(g, tree_edge, e.u, e.v)) + (eid,))
-    return BalanceCertificate(tuple(potential), None)
+    potential, tree_edge, trees = g.spanning_forest
+    first = min((bad[0] for _, _, _, bad in trees if bad), default=None)
+    if first is None:
+        return BalanceCertificate(potential, None)
+    e = g.edges[first]
+    return BalanceCertificate(None, tuple(_tree_path(g, tree_edge, e.u, e.v)) + (first,))
 
 
 def connected_components(g: SignedGraph) -> tuple[tuple[int, ...], ...]:
@@ -508,27 +538,28 @@ def is_eulerian(g: SignedGraph) -> bool:
 def find_bridges(g: SignedGraph) -> tuple[int, ...]:
     """Cut edges, ascending.  Loops and parallel edges are never bridges.
 
-    One spanning tree per component (``_spread_potential``); the bridges
+    One spanning tree per component (``g.spanning_forest``); the bridges
     are its edges that no other edge's tree path covers (``_tree_bridges``).
     """
-    potential = [0] * g.num_vertices
-    tree_edge = [-1] * g.num_vertices
-    reached: list[int] = []
-    for root in range(g.num_vertices):
-        if not potential[root]:
-            reached += _spread_potential(g, root, potential, tree_edge)
+    _, tree_edge, trees = g.spanning_forest
+    reached = [v for _, order, _, _ in trees for v in order]
     return tuple(_tree_bridges(g, reached, tree_edge, range(g.num_edges)))
 
 
-def _tree_bridges(
-    g: SignedGraph, reached: list[int], tree_edge: list[int], comp_edges: Sequence[int]
-) -> list[int]:
-    """The bridges among the edges ``comp_edges`` of one or more
-    components, ascending, from the spanning trees that reached them
-    (``reached`` lists every vertex after its tree parent, and a root
-    has no tree edge): the tree edges on no non-tree edge's tree path.
-    A circuit through a tree edge is the sum of the fundamental circuits
-    of its non-tree edges, so one of those covers the tree edge."""
+def _tree_crossings(
+    g: SignedGraph,
+    reached: Sequence[int],
+    tree_edge: Sequence[int],
+    comp_edges: Sequence[int],
+    marked: Collection[int] = (),
+) -> tuple[list[int], list[int]]:
+    """How many of the edges ``comp_edges`` off the spanning trees that
+    reached them have a tree path through each tree edge, and how many
+    of those are in ``marked``; both indexed by the vertex y that the
+    tree edge ``tree_edge[y]`` reached (``reached`` lists every vertex
+    after its tree parent, and a root has no tree edge).  The edges
+    counted at y are those with exactly one end below y: negating the
+    potential below y changes the consistency of exactly these."""
     edges = g.edges
     up = [0] * g.num_vertices  # tree parent
     depth = [0] * g.num_vertices
@@ -537,17 +568,32 @@ def _tree_bridges(
             x = edges[tree_edge[y]].other(y)
             up[y] = x
             depth[y] = depth[x] + 1
-    covered = set()  # y stands for the tree edge that reached y
+    cross = [0] * g.num_vertices
+    cross_marked = [0] * g.num_vertices
     for eid in comp_edges:
         x, y = edges[eid].u, edges[eid].v
         if tree_edge[x] == eid or tree_edge[y] == eid:
             continue
+        mark = eid in marked
         while x != y:
             if depth[x] < depth[y]:
                 x, y = y, x
-            covered.add(x)
+            cross[x] += 1
+            cross_marked[x] += mark
             x = up[x]
-    return sorted(tree_edge[y] for y in reached if tree_edge[y] >= 0 and y not in covered)
+    return cross, cross_marked
+
+
+def _tree_bridges(
+    g: SignedGraph, reached: Sequence[int], tree_edge: Sequence[int], comp_edges: Sequence[int]
+) -> list[int]:
+    """The bridges among the edges ``comp_edges`` of one or more
+    components, ascending, from the spanning trees that reached them:
+    the tree edges on no non-tree edge's tree path (``_tree_crossings``).
+    A circuit through a tree edge is the sum of the fundamental circuits
+    of its non-tree edges, so one of those covers the tree edge."""
+    cross, _ = _tree_crossings(g, reached, tree_edge, comp_edges)
+    return sorted(tree_edge[y] for y in reached if tree_edge[y] >= 0 and not cross[y])
 
 
 def edge_subgraph(
@@ -564,19 +610,3 @@ def edge_subgraph(
         Edge(vmap[g.edges[i].u], vmap[g.edges[i].v], g.edges[i].sign) for i in edge_ids
     )
     return SignedGraph(len(verts), edges), tuple(verts), tuple(edge_ids)
-
-
-def delete_vertices(
-    g: SignedGraph, vertices: Iterable[int]
-) -> tuple[SignedGraph, tuple[int, ...], tuple[int, ...]]:
-    """Induced subgraph after removing the given vertices (and their edges)."""
-    drop = frozenset(vertices)
-    keep = [v for v in range(g.num_vertices) if v not in drop]
-    vmap = {v: i for i, v in enumerate(keep)}
-    kept_ids = [
-        i for i, e in enumerate(g.edges) if e.u not in drop and e.v not in drop
-    ]
-    edges = tuple(
-        Edge(vmap[g.edges[i].u], vmap[g.edges[i].v], g.edges[i].sign) for i in kept_ids
-    )
-    return SignedGraph(len(keep), edges), tuple(keep), tuple(kept_ids)

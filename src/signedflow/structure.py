@@ -32,7 +32,7 @@ from .core import (
     SignedGraph,
     _inconsistent_edges,
     _spread_potential,
-    _tree_bridges,
+    _tree_crossings,
     _tree_path,
     connected_components,
     find_bridges,
@@ -357,84 +357,144 @@ def find_long_barbell(g: SignedGraph) -> SignedCircuitWitness | None:
     A long barbell exists exactly when some component has two
     vertex-disjoint unbalanced circuits: a shortest path between them
     meets each only at its end.  So a balanced component has none, and
-    neither has one with a balancing vertex, a vertex whose deletion
-    leaves the component balanced: it lies on every unbalanced circuit,
-    so any two of them share it.  Only the components that have neither
-    are searched: unbalanced circuits shortest first, and for each, the
-    balance scan of the rest of its component, run in place, supplies a
-    disjoint unbalanced circuit and a breadth-first search the connecting
-    path.  The answer is computed once per graph object and cached on it.
+    neither has one with a one-negative-edge defect (its edge lies on
+    every unbalanced circuit) or a balancing vertex, a vertex whose
+    deletion leaves the component balanced: it lies on every unbalanced
+    circuit, so any two of them share it.  In the other components the
+    unbalanced circuits are tried shortest first, loops and digons
+    before any longer circuit is listed, and for each, the balance scan
+    of the rest of its component, run in place, supplies a disjoint
+    unbalanced circuit and a breadth-first search the connecting path.
+    The answer is computed once per graph object and cached on it.
     """
     return g.long_barbell
 
 
 def _long_barbell(g: SignedGraph) -> SignedCircuitWitness | None:
-    """The search of ``find_long_barbell``, in two steps.
+    """The search of ``find_long_barbell``, in three steps, each run only
+    when the one before finds nothing.
 
-    (1) Decide first.  Every balancing vertex of an unbalanced component
-    lies on one unbalanced circuit, the tree path that closes the first
-    inconsistent edge, so only its vertices are tried, each by one scan
-    of the component with that vertex blocked.
+    (1) One spanning tree per component, the one admissibility reads
+    (``g.spanning_forest``), leaves open the unbalanced components
+    without a one-negative-edge defect in ``g.flow_admissibility``.
 
-    (2) In the components left, the unbalanced circuits c come from
-    ``enumerate_circuits``, shortest first, and the rest of c's component
-    is scanned in place with V(c) blocked.  The first circuit found
-    there, with ``_connecting_path`` from V(c) to it, is the witness.  It
-    is the one that deleting V(c), splitting the rest into components
-    and scanning each for balance as a graph of its own would give, since
-    the scan spreads the same trees and reads the same first edge.  A
-    circuit in a component that step (1) decided is skipped: it runs
-    through the balancing vertex, as every unbalanced circuit there does.
+    (2) The unbalanced loops and digons c of the open components, in
+    ``enumerate_circuits`` order, which lists them before any longer
+    circuit: the rest of c's component is scanned in place with V(c)
+    blocked (``_unbalanced_circuit``).  The first circuit found there,
+    with ``_connecting_path`` from V(c) to it, is the witness.  It is
+    the one that deleting V(c), splitting the rest into components and
+    scanning each for balance as a graph of its own would give, since
+    the scan spreads the same trees and reads the same first edge.
+
+    (3) Every balancing vertex of an open component lies on the circuit
+    that its tree closes at the first inconsistent edge, so only that
+    circuit's vertices are tried, each by one scan with the vertex
+    blocked.  The components left list their circuits and run the scan
+    of step (2) on the longer ones, shortest first.  A circuit in a
+    decided component is skipped: it runs through the balancing vertex
+    or the defect's edge, as every unbalanced circuit there does.  So
+    the witness is the first circuit in ``enumerate_circuits`` order
+    with a vertex-disjoint unbalanced partner.
     """
-    undecided: dict[int, tuple[int, ...]] = {}  # vertex -> its component
-    for comp in connected_components(g):
-        circuit = _unbalanced_circuit(g, comp, ())
-        if circuit is not None and all(
-            _unbalanced_circuit(g, comp, (v,)) is not None for v in circuit_vertices(g, circuit)
+    decided = {d.component for d in g.flow_admissibility.defects if d.kind == "one-negative-edge"}
+    _, tree_edge, trees = g.spanning_forest
+    # (component, its edges, its first inconsistent edge) per open component
+    opened = [(comp, edges, bad[0]) for comp, _, edges, bad in trees if bad and comp not in decided]
+    if not opened:
+        return None
+    open_at = {v: entry for entry in opened for v in entry[0]}
+
+    def barbell_through(c: tuple[int, ...]) -> SignedCircuitWitness | None:
+        # c with the first unbalanced circuit of the rest of its component
+        entry = open_at.get(g.edges[c[0]].u)
+        if entry is None:
+            return None
+        cverts = circuit_vertices(g, c)
+        c2 = _unbalanced_circuit(g, entry[0], entry[1], cverts)
+        if c2 is None:
+            return None
+        path = _connecting_path(g, cverts, circuit_vertices(g, c2))
+        return SignedCircuitWitness("long-barbell", (c, c2), path, graph=g)
+
+    for c in _unbalanced_loops_and_digons(g):
+        w = barbell_through(c)
+        if w is not None:
+            return w
+    for comp, edges, first in opened:
+        e = g.edges[first]
+        circuit = _tree_path(g, tree_edge, e.u, e.v) + [first]
+        if any(
+            _unbalanced_circuit(g, comp, edges, (v,)) is None for v in circuit_vertices(g, circuit)
         ):
-            undecided.update((v, comp) for v in comp)
-    if not undecided:
+            for v in comp:
+                del open_at[v]
+    if not open_at:
         return None
     for c in enumerate_circuits(g):
-        comp = undecided.get(g.edges[c[0]].u)
-        if comp is None or not is_unbalanced_circuit(g, c):
-            continue
-        cverts = circuit_vertices(g, c)
-        c2 = _unbalanced_circuit(g, comp, cverts)
-        if c2 is not None:
-            path = _connecting_path(g, cverts, circuit_vertices(g, c2))
-            return SignedCircuitWitness("long-barbell", (c, c2), path, graph=g)
+        if len(c) > 2 and is_unbalanced_circuit(g, c):
+            w = barbell_through(c)
+            if w is not None:
+                return w
     return None
+
+
+def _unbalanced_loops_and_digons(g: SignedGraph) -> list[tuple[int, ...]]:
+    """The negative loops, then the digons of two parallel edges of
+    opposite sign, as ``enumerate_circuits`` lists and orders them."""
+    loops: list[tuple[int, ...]] = []
+    parallel: dict[tuple[int, int], list[int]] = {}
+    for eid, e in enumerate(g.edges):
+        if e.u == e.v:
+            if e.sign < 0:
+                loops.append((eid,))
+        else:
+            parallel.setdefault((e.u, e.v) if e.u < e.v else (e.v, e.u), []).append(eid)
+    digons = [
+        (a, b)
+        for ids in parallel.values()
+        if len(ids) > 1
+        for i, a in enumerate(ids)
+        for b in ids[i + 1 :]
+        if g.edges[a].sign != g.edges[b].sign
+    ]
+    return loops + sorted(digons)
 
 
 def _unbalanced_circuit(
-    g: SignedGraph, comp: Sequence[int], blocked: Collection[int]
+    g: SignedGraph, comp: Sequence[int], comp_edges: Sequence[int], blocked: Collection[int]
 ) -> tuple[int, ...] | None:
-    """An unbalanced circuit of the component ``comp`` (ascending) with
-    the vertices ``blocked`` deleted, or None when what is left is
-    balanced.  Read in place: the blocked vertices count as reached, so
-    the potential spreads around them.  The parts left are spread in
-    order of their smallest vertex, and the first one with an
-    inconsistent edge gives the tree path closed by its first such edge
-    in id order, the witness of ``is_balanced`` on that part."""
+    """An unbalanced circuit of the component ``comp``, with edge ids
+    ``comp_edges`` (both ascending), with the vertices ``blocked``
+    deleted, or None when what is left is balanced.  Read in place: the
+    blocked vertices count as reached, so the potential spreads around
+    them.  The parts left are spread in order of their smallest vertex,
+    and the first one with an inconsistent edge gives the tree path
+    closed by its first such edge in id order, the witness of
+    ``is_balanced`` on that part."""
     potential = [0] * g.num_vertices
     tree_edge = [-1] * g.num_vertices
+    part = [0] * g.num_vertices  # parts numbered in order of smallest vertex
     for v in blocked:
         potential[v] = 1
+    parts = 0
     for root in comp:
-        if potential[root]:
-            continue
-        reached = _spread_potential(g, root, potential, tree_edge)
-        part_edges = sorted(
-            eid
-            for x in reached
-            for eid, end in g.incidence[x]
-            if end == 0 and g.edges[eid].v not in blocked
-        )
-        for eid in _inconsistent_edges(g, part_edges, potential):
-            e = g.edges[eid]
-            return tuple(_tree_path(g, tree_edge, e.u, e.v)) + (eid,)
-    return None
+        if not potential[root]:
+            for x in _spread_potential(g, root, potential, tree_edge):
+                part[x] = parts
+            parts += 1
+    first = min(
+        (
+            (part[g.edges[eid].u], eid)
+            for eid in _inconsistent_edges(g, comp_edges, potential)
+            if g.edges[eid].u not in blocked and g.edges[eid].v not in blocked
+        ),
+        default=None,
+    )
+    if first is None:
+        return None
+    e = g.edges[first[1]]
+    return tuple(_tree_path(g, tree_edge, e.u, e.v)) + (first[1],)
 
 
 def find_signed_circuit(g: SignedGraph) -> SignedCircuitWitness | None:
@@ -481,84 +541,62 @@ def is_flow_admissible(g: SignedGraph) -> AdmissibilityVerdict:
     no cut edge leaves a balanced component behind.  The verdict is
     computed once per graph object and cached on it.
 
-    Each component is read in place, with one spanning tree carrying its
-    switching potential.  Flipping the sign of edge e balances the
-    component exactly when some member of its switching class is
-    negative on e alone, and that needs e on every unbalanced circuit.
-    So the candidate edges are those of one unbalanced circuit (the tree
-    path of the first inconsistent edge, closed by that edge) in an
-    unbalanced component, and the bridges, the edges on no circuit, in a
-    balanced one.  They are flipped in ascending id order, and the first
-    one whose flipped potential is consistent is the defect's edge; the
-    switch set is where that potential, +1 at the smallest vertex, is -1.
+    Each component is read in place, off one spanning tree carrying its
+    switching potential p, and its inconsistent edges B (those whose
+    sign is not p(u)p(v); negative loops included).  Flipping the sign
+    of edge e balances the component exactly when some member of its
+    switching class is negative on e alone.  Flipping a non-tree edge
+    leaves p as it is, so it balances exactly when B = {e}.  Flipping
+    the tree edge into y negates p below y, which changes the
+    consistency of exactly the non-tree edges whose tree paths cross it,
+    so it balances exactly when those edges are B.  One count of the
+    crossing edges per tree edge (``_tree_crossings``) therefore judges
+    every flip.  The defect's edge is the smallest one whose flip
+    balances, and the switch set is where the flipped potential, +1 at
+    the smallest vertex, is -1.
 
-    Every spanning tree contains every bridge, and a tree with an edge
-    removed spans both sides of it.  So a side of a bridge is balanced
-    exactly when none of the component's inconsistent edges (negative
-    loops included) lies in it, and one count of those edges per tree
-    subtree judges every bridge without building a graph.  The bridges
-    come from the same tree: they are its edges that no other edge's
-    tree path covers.
+    The bridges come from the same counts: they are the tree edges that
+    nothing crosses (every spanning tree contains every bridge).  A tree
+    with a bridge removed spans both sides of it, so a side is balanced
+    exactly when none of B lies in it, and one count of B per tree
+    subtree judges every bridge without building a graph.
     """
     return g.flow_admissibility
 
 
 def _flow_admissibility(g: SignedGraph) -> AdmissibilityVerdict:
     edges = g.edges
-    n = g.num_vertices
-    potential = [0] * n
-    tree_edge = [-1] * n
+    potential, tree_edge, trees = g.spanning_forest
     defects: list[ComponentDefect] = []
-    for root in range(n):
-        if potential[root]:
+    for comp, reached, comp_edges, bad in trees:
+        cross, cross_bad = _tree_crossings(g, reached, tree_edge, comp_edges, set(bad))
+        # (edge, y) for each edge whose flip balances; y = -1 off the tree
+        flips = [(tree_edge[y], y) for y in reached[1:] if cross[y] == cross_bad[y] == len(bad)]
+        if len(bad) == 1:
+            flips.append((bad[0], -1))
+        if flips:
+            eid, y = min(flips)
+            negated = set()  # where the flipped potential differs from p
+            if y >= 0:
+                negated.add(y)
+                for v in reached[reached.index(y) + 1 :]:
+                    if edges[tree_edge[v]].other(v) in negated:
+                        negated.add(v)
+            switch_set = tuple(v for v in comp if (potential[v] < 0) != (v in negated))
+            defects.append(ComponentDefect(comp, "one-negative-edge", edge=eid, switch_set=switch_set))
             continue
-        reached = _spread_potential(g, root, potential, tree_edge)
-        comp = tuple(sorted(reached))
-        comp_edges: Sequence[int] = (
-            range(g.num_edges)
-            if len(reached) == n
-            else sorted(eid for x in reached for eid, end in g.incidence[x] if end == 0)
-        )
-        bad = list(_inconsistent_edges(g, comp_edges, potential))
-        defect = None
-        if bad:
-            e = edges[bad[0]]
-            circuit = sorted(_tree_path(g, tree_edge, e.u, e.v) + [bad[0]])
-            defect = _one_negative_edge(g, comp, comp_edges, circuit)
-        if defect is None:
-            comp_bridges = _tree_bridges(g, reached, tree_edge, comp_edges)
-            if not bad:
-                defect = _one_negative_edge(g, comp, comp_edges, comp_bridges)
-            elif comp_bridges:
-                # inconsistent edges per tree subtree; `reached` lists every
-                # vertex after its tree parent
-                below = [0] * n
-                for eid in bad:
-                    below[edges[eid].u] += 1
-                for y in reversed(reached[1:]):
-                    below[edges[tree_edge[y]].other(y)] += below[y]
-                for b in comp_bridges:
-                    e = edges[b]
-                    if below[e.u if tree_edge[e.u] == b else e.v] in (0, len(bad)):
-                        defect = ComponentDefect(comp, "balanced-side-bridge", edge=b)
-                        break
-        if defect is not None:
-            defects.append(defect)
+        bridges = sorted((tree_edge[y], y) for y in reached[1:] if not cross[y])
+        if bad and bridges:
+            below = [0] * g.num_vertices  # inconsistent edges per tree subtree
+            for eid in bad:
+                below[edges[eid].u] += 1
+            for y in reversed(reached[1:]):
+                below[edges[tree_edge[y]].other(y)] += below[y]
+            for eid, y in bridges:
+                if below[y] in (0, len(bad)):
+                    defects.append(ComponentDefect(comp, "balanced-side-bridge", edge=eid))
+                    break
     return AdmissibilityVerdict(not defects, tuple(defects))
-
-
-def _one_negative_edge(
-    g: SignedGraph, comp: tuple[int, ...], comp_edges: Sequence[int], candidates: Sequence[int]
-) -> ComponentDefect | None:
-    """The one-negative-edge defect of a component at the first candidate
-    edge whose flip leaves a consistent potential, or None."""
-    for eid in candidates:
-        flipped = [0] * g.num_vertices
-        _spread_potential(g, comp[0], flipped, [-1] * g.num_vertices, flip=eid)
-        if next(_inconsistent_edges(g, comp_edges, flipped, flip=eid), None) is None:
-            switch_set = tuple(v for v in comp if flipped[v] < 0)
-            return ComponentDefect(comp, "one-negative-edge", edge=eid, switch_set=switch_set)
-    return None
 
 
 def has_star_cut(g: SignedGraph) -> StarCut | None:

@@ -432,8 +432,7 @@ def find_tadpole(
 
     Precondition: Y-(x) is empty, i.e. every vertex a directed walk from
     x reaches negatively is also reached positively.  The conversion
-    switches Y-(x) away before calling this; without the precondition a
-    None may miss a tadpole.
+    switches Y-(x) away before calling this.
 
     Construction: walk all-positively to the nearest endpoint u' of a
     sink edge t (a both-outward edge), find a positive dipath from x to
@@ -447,7 +446,8 @@ def find_tadpole(
     everything before that edge is an all-positive walk from x, so a
     tadpole needs a sink edge at an all-positively reached vertex u'.
     Then x reaches u'' negatively (through t), so with Y-(x) empty also
-    along a positive dipath, and the splice succeeds.
+    along a positive dipath, and the splice succeeds; finding no such
+    dipath raises InvariantViolation.
     """
     tp = _tadpole_by_splicing(state, x, _Budget(cap, "tadpole search"))
     if tp is not None and not _validate_tadpole(state, tp):
@@ -493,7 +493,11 @@ def _tadpole_by_splicing(
     u2 = e.other(u1) if e.u != e.v else u1
     p_second = _positive_dipath_search(state, x, u2, budget, forbid_edge=t_edge)
     if p_second is None:
-        return None
+        raise InvariantViolation(
+            f"no positive dipath from {x} to {u2}, yet {x} reaches {u2} negatively "
+            f"through sink edge {t_edge}, so with Y-({x}) empty, find_tadpole's "
+            "precondition, it reaches it along a positive dipath too"
+        )
     shared = set(p_prime) & set(p_second)
     if not shared:
         head = tuple(p_prime) + (t_edge,) + tuple(reversed(p_second))

@@ -41,7 +41,8 @@ shares only the 2-flow search's value chaining with the package.
 find_long_barbell_reference is the long-barbell search as it was before
 it decided by a balancing vertex and scanned the rest of the graph in
 place: every unbalanced circuit, shortest first, with the rest built as
-a graph, split into component graphs and each tested by is_balanced.
+a graph (delete_vertices), split into component graphs and each tested
+by is_balanced.
 find_bridges_reference is the bridge search as it was before it read
 the bridges off the admissibility check's spanning trees: Tarjan's
 low-link DFS.
@@ -70,7 +71,6 @@ from signedflow.core import (
     Orientation,
     SignedGraph,
     connected_components,
-    delete_vertices,
     edge_subgraph,
     is_balanced,
 )
@@ -990,6 +990,21 @@ def signed_circuit_flow_reference(w: SignedCircuitWitness) -> FlowAssignment:
         place(vp, sp)
         place(vb, -1 if db + pb == sp * pp else 1)
     return _positive_form(g, per_edge)
+
+
+def delete_vertices(
+    g: SignedGraph, vertices
+) -> tuple[SignedGraph, tuple[int, ...], tuple[int, ...]]:
+    """Induced subgraph after removing the given vertices (and their
+    edges), with the original ids of its vertices and edges."""
+    drop = frozenset(vertices)
+    keep = [v for v in range(g.num_vertices) if v not in drop]
+    vmap = {v: i for i, v in enumerate(keep)}
+    kept_ids = [i for i, e in enumerate(g.edges) if e.u not in drop and e.v not in drop]
+    edges = tuple(
+        Edge(vmap[g.edges[i].u], vmap[g.edges[i].v], g.edges[i].sign) for i in kept_ids
+    )
+    return SignedGraph(len(keep), edges), tuple(keep), tuple(kept_ids)
 
 
 def _component_subgraphs(g: SignedGraph):

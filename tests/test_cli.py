@@ -9,6 +9,7 @@ from signedflow.certificates import (
     Certificate,
     flow_from_text,
     flow_to_text,
+    make_flow_certificate,
     verify_certificate,
 )
 from signedflow.cli import main
@@ -216,6 +217,56 @@ def test_flow_cap_below_one_exits_2(gfile, capsys, monkeypatch, cap_args, env):
         monkeypatch.setenv("SG_RESOURCE_CAP", env)
     assert main(["flow", gfile(signed_petersen()), "-k", "5"] + cap_args) == 2
     assert "at least 1" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# check
+
+
+@pytest.fixture
+def certfile(tmp_path):
+    def write(cert, name="cert.json"):
+        p = tmp_path / name
+        p.write_text(cert if isinstance(cert, str) else cert.to_json())
+        return str(p)
+
+    return write
+
+
+def test_check_accepts_a_certificate(gfile, certfile, capsys):
+    assert main(["flow", gfile(k4()), "-k", "4"]) == 0
+    path = certfile(capsys.readouterr().out)
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().out == "ok: flow: exists\n"
+
+
+def test_check_rejects_a_wrong_verdict(certfile, capsys):
+    cert = make_flow_certificate(k4(), FlowKind.integer(4), find_nz_k_flow(k4(), 4))
+    cert.verdict = "none"
+    assert main(["check", certfile(cert)]) == 4
+    assert capsys.readouterr().out.startswith("rejected: ")
+
+
+def test_check_cap_exit(certfile, capsys, monkeypatch):
+    # "no 5-flow" on Petersen is re-searched, which needs more than 100 nodes
+    path = certfile(make_flow_certificate(signed_petersen(), FlowKind.integer(5), None))
+    monkeypatch.setenv("SG_RESOURCE_CAP", "100")
+    assert main(["check", path]) == 3
+    assert "resource cap" in capsys.readouterr().err
+
+
+def test_check_bad_env_cap_exits_2(certfile, capsys, monkeypatch):
+    path = certfile(make_flow_certificate(k4(), FlowKind.integer(4), find_nz_k_flow(k4(), 4)))
+    monkeypatch.setenv("SG_RESOURCE_CAP", "lots")
+    assert main(["check", path]) == 2
+    assert "SG_RESOURCE_CAP" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "{", "[1, 2]"], ids=["missing", "not-json", "not-an-object"])
+def test_check_unreadable_file_exits_5(tmp_path, certfile, capsys, content):
+    path = str(tmp_path / "absent.json") if content is None else certfile(content)
+    assert main(["check", path]) == 5
+    assert capsys.readouterr().err.startswith("error: cannot ")
 
 
 # ---------------------------------------------------------------------------

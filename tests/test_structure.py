@@ -154,15 +154,15 @@ def test_long_barbell_search_without_a_balancing_vertex(corpus_full, listed):
     g = SignedGraph(3, tuple(Edge(u, v, s) for u, v in ((0, 1), (0, 2), (1, 2)) for s in (-1, 1)))
     assert corpus_full.index(g) == 1082
     assert [i for i, h in enumerate(corpus_full[:1083]) if undecided(h)] == [1082]
-    assert all(structure._unbalanced_circuit(g, (0, 1, 2), (v,)) for v in range(3))
+    assert all(structure._unbalanced_circuit(g, (0, 1, 2), range(6), (v,)) for v in range(3))
     assert find_long_barbell(g) is None
     assert bruteforce.find_long_barbell_reference(g) is None
 
 
 def test_long_barbell_in_a_second_component():
     # component {0, 1, 2}: every unbalanced circuit runs through vertex 0,
-    # a balancing vertex, so its shorter circuits are skipped; component
-    # {3, 4, 5}: negative loops at 3 and 5 on the path 3-4-5
+    # a balancing vertex, so its loop, the first circuit, has no partner;
+    # component {3, 4, 5}: negative loops at 3 and 5 on the path 3-4-5
     g = SignedGraph(
         6,
         (
@@ -171,10 +171,44 @@ def test_long_barbell_in_a_second_component():
             Edge(3, 4, 1), Edge(4, 5, -1), Edge(5, 5, -1),
         ),
     )
-    assert structure._unbalanced_circuit(g, (0, 1, 2), (0,)) is None
+    assert structure._unbalanced_circuit(g, (0, 1, 2), (0, 2, 3, 4, 5), (0,)) is None
     w = find_long_barbell(g)
     assert w == bruteforce.find_long_barbell_reference(g)
     assert (w.circuits, w.path) == (((1,), (8,)), (6, 7))
+
+
+def test_long_barbell_lists_circuits_only_when_undecided(corpus_full, fresh, listed):
+    # every 5/8 long barbell is found from a loop or a digon, so circuits
+    # are listed only for the 74 barbell-free classes that neither a
+    # one-negative-edge defect nor a balancing vertex decides
+    first = Counter()
+    for g in corpus_full:
+        w = find_long_barbell(fresh(g))
+        if w is not None:
+            first[len(w.circuits[0])] += 1
+    assert first == {1: 12_430, 2: 604}
+    assert len(listed) == 74
+    assert all(find_long_barbell(h) is None for h in listed)
+
+
+def test_long_barbell_of_two_triangles_needs_the_circuit_list(listed):
+    # two unbalanced triangles joined by the edge 2-3: no loop or digon,
+    # no one-negative-edge defect and no balancing vertex, so the barbell
+    # is found from the circuit list, at its first unbalanced circuit
+    g = SignedGraph(
+        6,
+        (
+            Edge(0, 1, -1), Edge(1, 2, 1), Edge(0, 2, 1),
+            Edge(3, 4, -1), Edge(4, 5, 1), Edge(3, 5, 1),
+            Edge(2, 3, 1),
+        ),
+    )
+    assert structure._unbalanced_loops_and_digons(g) == []
+    assert is_flow_admissible(g).admissible
+    w = find_long_barbell(g)
+    assert w == bruteforce.find_long_barbell_reference(g)
+    assert (w.circuits, w.path) == (((0, 1, 2), (3, 5, 4)), (6,))
+    assert listed == [g]
 
 
 def test_circuit_enumeration_deterministic():

@@ -168,6 +168,19 @@ def test_tadpole_meeting_a_second_source_is_an_invariant_violation():
     assert state.journal == []
 
 
+def test_tadpole_without_a_second_dipath_is_an_invariant_violation():
+    # the positive edge 0 -> 1 reaches the sink edge 1 - 2 (outward at
+    # both ends), but 2 is reached from 0 only through it, negatively:
+    # Y-(0) = {2} breaks find_tadpole's precondition, which the conversion
+    # switches away first, so the splice has no second dipath to 2
+    g = SignedGraph(3, (Edge(0, 1, 1), Edge(1, 2, -1)))
+    state = ConversionState(g, 3, [[1, -1], [1, 1]], [1, 1])
+    assert transform._dipath_reach(state, 0, transform._Budget(None, "test")) == ({0, 1}, {2})
+    with pytest.raises(InvariantViolation, match="no positive dipath from 0 to 2.*precondition"):
+        find_tadpole(state, 0)
+    assert state.journal == []
+
+
 def test_k33_z3_conversion():
     g = k33()
     fa = find_nz_zk_flow(g, 3)
