@@ -89,7 +89,7 @@ def search_integer(m, n, typ, va, ca, vb, cb, k, cap):
     Boundary and slack at a position's ends stay fixed while its
     candidates are tried, so the values kept by the slack test form one
     interval [lo, hi], solved on entry from the coefficients
-    solve._kernel_arrays guarantees, in the layout the reference kernel
+    solve._search_layout guarantees, in the layout the reference kernel
     in tests/bruteforce.py shares: ca = 1 and cb = +-1 on an ordinary
     edge, ca = 2 on a negative loop (|B + 2 val| <= S gives
     lo = -((S + B) // 2), hi = (S - B) // 2).  R1's test on w is linear

@@ -3,7 +3,9 @@
 A certificate pins the input graph (canonical text + SHA-256), a claim,
 and enough witness material to recompute the verdict from scratch;
 `verify_certificate` trusts nothing else.  All numbers serialize as
-exact fraction strings, never floats.
+exact fraction strings, never floats; the values of integer and modulo
+flows are plain integer literals, which encode and decode without
+Fraction.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ __all__ = [
 
 
 def fraction_to_str(v) -> str:
+    if type(v) is int:
+        return str(v)
     f = Fraction(v)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
@@ -58,17 +62,34 @@ def str_to_fraction(s: str) -> Fraction:
         raise PreconditionError(f"bad fraction {s!r}") from exc
 
 
-def _value_for_kind(s: str, kind: FlowKind):
+def _integer_value(s):
+    """An integer or modulo flow value: a plain integer literal
+    (``[+-]?[0-9]+``) by ``int``; anything else through Fraction, as an
+    int when whole and else the Fraction, so check_flow names the type
+    violation.  Both give the same value and type, or the same error."""
+    if type(s) is str:
+        digits = s[1:] if s[:1] in ("+", "-") else s
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(s)
+            except ValueError:
+                pass  # past int's digit limit: Fraction names it
     f = str_to_fraction(s)
+    return int(f) if f.denominator == 1 else f
+
+
+def _value_for_kind(s, kind: FlowKind):
     if kind.kind in ("integer", "modulo"):
-        if f.denominator != 1:
-            return f  # let check_flow report the type violation
-        return int(f)
-    return f
+        return _integer_value(s)
+    return str_to_fraction(s)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def graph_sha256(g: SignedGraph) -> str:
-    return hashlib.sha256(serialize_graph(g).encode()).hexdigest()
+    return _sha256(serialize_graph(g))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +211,7 @@ class VerifyOutcome:
 def _flow_payload(fa: FlowAssignment) -> dict:
     return {
         "orientation": sorted(fa.orientation.reversed_edges),
-        "values": [fraction_to_str(v) for v in fa.values],
+        "values": list(map(fraction_to_str, fa.values)),
     }
 
 
@@ -198,7 +219,7 @@ def _payload_flow(
     payload: dict, num_edges: int, kind: Optional[FlowKind] = None
 ) -> FlowAssignment:
     try:
-        rev = frozenset(int(i) for i in payload["orientation"])
+        rev = frozenset(map(int, payload["orientation"]))
         raw = payload["values"]
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed flow payload: {exc}") from exc
@@ -207,10 +228,10 @@ def _payload_flow(
     outside = sorted(i for i in rev if not 0 <= i < num_edges)
     if outside:
         raise PreconditionError(f"malformed flow payload: orientation ids {outside} out of range")
-    if kind is None:
-        vals = tuple(str_to_fraction(s) for s in raw)
+    if kind is not None and kind.kind in ("integer", "modulo"):
+        vals = tuple(map(_integer_value, raw))
     else:
-        vals = tuple(_value_for_kind(s, kind) for s in raw)
+        vals = tuple(map(str_to_fraction, raw))
     return FlowAssignment(Orientation(rev), vals)
 
 
@@ -233,10 +254,11 @@ def _stated_verdict(claim: str, payload: dict) -> str:
 
 
 def _certificate(g: SignedGraph, claim: str, payload: dict) -> Certificate:
+    text = serialize_graph(g)
     return Certificate(
         claim=claim,
-        graph_text=serialize_graph(g),
-        graph_hash=graph_sha256(g),
+        graph_text=text,
+        graph_hash=_sha256(text),
         verdict=_stated_verdict(claim, payload),
         payload=payload,
     )
@@ -328,12 +350,33 @@ def _verify_graph(cert: Certificate) -> SignedGraph:
     return g
 
 
-def _verify_flow(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
-    """Check an existence witness, or re-search a nonexistence claim with
-    `solve.find_nz_k_flow` or `solve.find_nz_zk_flow`.  A flow found
-    rejects the claim."""
+def _has_odd_degree(g: SignedGraph) -> bool:
+    """Some vertex has odd degree, a loop counting 2; counted here from
+    the edge list, apart from the rule the solvers decide k = 2 by."""
+    degree = [0] * g.num_vertices
+    for e in g.edges:
+        degree[e.u] += 1
+        degree[e.v] += 1
+    return any(d % 2 for d in degree)
+
+
+def _no_flow(g: SignedGraph, kind: str, k: int) -> bool:
+    """Whether g has no nowhere-zero flow of ``kind`` ("integer" or
+    "modulo") at k.  At k = 2 a vertex of odd degree proves it: every
+    value is odd, so each boundary is congruent to the degree mod 2.
+    Otherwise `solve.find_nz_k_flow` or `solve.find_nz_zk_flow` searches
+    again."""
     from . import solve
 
+    if k == 2 and _has_odd_degree(g):
+        return True
+    finder = solve.find_nz_k_flow if kind == "integer" else solve.find_nz_zk_flow
+    return finder(g, k) is None
+
+
+def _verify_flow(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
+    """Check an existence witness, or a nonexistence claim by `_no_flow`:
+    a flow found rejects the claim."""
     kind = FlowKind.parse(cert.payload["flow_kind"])
     if cert.verdict == "exists":
         fa = _payload_flow(cert.payload, g.num_edges, kind)
@@ -344,13 +387,9 @@ def _verify_flow(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
     if cert.verdict == "none":
         if cert.payload.get("search") != "exhaustive":
             return VerifyOutcome(False, "nonexistence without exhaustive attestation")
-        if kind.kind == "integer":
-            redo = solve.find_nz_k_flow(g, int(kind.param))
-        elif kind.kind == "modulo":
-            redo = solve.find_nz_zk_flow(g, int(kind.param))
-        else:
+        if kind.kind == "circular":
             return VerifyOutcome(False, "nonexistence certificate for circular kind")
-        if redo is not None:
+        if not _no_flow(g, kind.kind, int(kind.param)):
             return VerifyOutcome(False, "re-search found a flow the certificate denies")
         return VerifyOutcome(True)
     return VerifyOutcome(False, f"unknown verdict {cert.verdict!r}")
@@ -360,7 +399,7 @@ def _verify_flow_number(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
     """Check each stated flow number: its witness, and that nothing smaller works.
 
     For phi_i = k it suffices that no (k - 1)-flow exists (re-checked by
-    `solve.find_nz_k_flow`; nothing to check when k = 2): integer flows are
+    `_no_flow`; nothing to check when k = 2): integer flows are
     monotone in k, since a k'-flow with k' < k - 1 is also a
     (k - 1)-flow.  phi_c is recomputed by the circular search started
     from the verified phi_i.
@@ -377,7 +416,7 @@ def _verify_flow_number(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
         res = check_flow(g, fa, FlowKind.integer(k))
         if not res.ok:
             return VerifyOutcome(False, f"phi_i witness fails: {res.violation}")
-        if k > 2 and solve.find_nz_k_flow(g, k - 1) is not None:
+        if k > 2 and not _no_flow(g, "integer", k - 1):
             return VerifyOutcome(False, f"a {k - 1}-flow exists below phi_i={k}")
         phi_i = k  # verified: a k-flow and no smaller one
     if "phi_c" in payload:
@@ -537,10 +576,12 @@ def verify_certificate(cert: Certificate) -> VerifyOutcome:
     not an exception.  An invalid SG_RESOURCE_CAP is the caller's
     defect, not the certificate's: it raises PreconditionError.
 
-    A nonexistence claim is re-searched by the solver that made it, so
-    "no integer k-flow" runs the Z_k search first, each search under the
-    node cap on its own (`solve.find_nz_k_flow`); a search the verdict
-    rests on raises ResourceCapExceeded when it hits the cap.
+    A nonexistence claim at k = 2 on a graph with a vertex of odd degree
+    is accepted by this module's own degree count.  Any other is
+    re-searched by the solver that made it, so "no integer k-flow" runs
+    the Z_k search first, each search under the node cap on its own
+    (`solve.find_nz_k_flow`); a search the verdict rests on raises
+    ResourceCapExceeded when it hits the cap.
     """
     from . import solve
 
@@ -563,5 +604,7 @@ def verify_certificate(cert: Certificate) -> VerifyOutcome:
         return outcome
     except PreconditionError as exc:
         return VerifyOutcome(False, str(exc))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (ArithmeticError, KeyError, IndexError, TypeError, ValueError) as exc:
+        # ArithmeticError: JSON's Infinity, or a zero denominator, where a
+        # number is read
         return VerifyOutcome(False, f"malformed certificate: {type(exc).__name__}: {exc}")

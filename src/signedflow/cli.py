@@ -157,7 +157,7 @@ def cmd_flow(args) -> int:
         kind = FlowKind.integer(args.k)
         fa = solve.find_nz_k_flow(g, args.k, cap=args.cap, stats=stats)
     cert = certs.make_flow_certificate(g, kind, fa)
-    cert.resources.update(stats)  # nodes, and zk_nodes for an integer search
+    cert.resources.update(stats)  # nodes, zk_nodes for an integer search, decided at k = 2
     out.write("flow-cert.json", cert.to_json(), "certificate")
     if fa is not None and out.dir is not None:
         out.write("flow.txt", certs.flow_to_text(fa), "flow")

@@ -137,7 +137,8 @@ class SignedGraph:
     def search_answers(self) -> dict:
         """Finished ``solve._search`` answers, keyed by (kind, k) with kind
         "Z_k" or "integer": the kernel's values tuple, or None when the
-        search was exhausted.  A capped search is not recorded."""
+        search was exhausted or decided without one.  A capped search is
+        not recorded."""
         return {}
 
     @cached_property
@@ -151,22 +152,43 @@ class SignedGraph:
         return len(self.incidence[v])
 
 
+_SIGNS = {"+": 1, "-": -1}
+
+
 def parse_graph(text: str) -> SignedGraph:
     """Parse the plain-text graph format.
 
     Format: optional ``#`` comment lines, one ``p <num_vertices> <num_edges>``
     header, then exactly num_edges lines ``e <u> <v> <+|->`` with 1-based
     vertex identifiers.  Edge order in the file is the edge identity.
+    Fields are separated by any whitespace and numbers are read by
+    ``int``.  A malformed line raises GraphFormatError naming its line
+    number (blank and comment lines counted) and the first check it fails.
     """
-    header: tuple[int, int] | None = None
+    n = m = -1  # no header yet
     edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "p":
-            if header is not None:
+        tag = parts[0]
+        if tag == "e":
+            if n < 0:
+                raise GraphFormatError(f"line {lineno}: edge before header")
+            if len(parts) != 4:
+                raise GraphFormatError(f"line {lineno}: edge needs 3 fields")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: bad vertex id") from None
+            sign = _SIGNS.get(parts[3])
+            if sign is None:
+                raise GraphFormatError(f"line {lineno}: sign must be + or -")
+            if not (0 < u <= n and 0 < v <= n):
+                raise GraphFormatError(f"line {lineno}: vertex out of range 1..{n}")
+            edges.append(Edge(u - 1, v - 1, sign))
+        elif tag == "p":
+            if n >= 0:
                 raise GraphFormatError(f"line {lineno}: duplicate header")
             if len(parts) != 3:
                 raise GraphFormatError(f"line {lineno}: header needs 2 fields")
@@ -176,31 +198,13 @@ def parse_graph(text: str) -> SignedGraph:
                 raise GraphFormatError(f"line {lineno}: bad header numbers") from None
             if n < 0 or m < 0:
                 raise GraphFormatError(f"line {lineno}: negative header numbers")
-            header = (n, m)
-        elif parts[0] == "e":
-            if header is None:
-                raise GraphFormatError(f"line {lineno}: edge before header")
-            if len(parts) != 4:
-                raise GraphFormatError(f"line {lineno}: edge needs 3 fields")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: bad vertex id") from None
-            if parts[3] not in ("+", "-"):
-                raise GraphFormatError(f"line {lineno}: sign must be + or -")
-            n = header[0]
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphFormatError(f"line {lineno}: vertex out of range 1..{n}")
-            edges.append(Edge(u - 1, v - 1, 1 if parts[3] == "+" else -1))
-        else:
-            raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
-    if header is None:
+        elif tag[0] != "#":
+            raise GraphFormatError(f"line {lineno}: unknown record {tag!r}")
+    if n < 0:
         raise GraphFormatError("missing 'p' header")
-    if len(edges) != header[1]:
-        raise GraphFormatError(
-            f"header announces {header[1]} edges, file has {len(edges)}"
-        )
-    return SignedGraph(header[0], tuple(edges))
+    if len(edges) != m:
+        raise GraphFormatError(f"header announces {m} edges, file has {len(edges)}")
+    return SignedGraph(n, tuple(edges))
 
 
 def serialize_graph(g: SignedGraph) -> str:

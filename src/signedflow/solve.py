@@ -76,18 +76,27 @@ def solver_backend_name(backend: Optional[str] = None) -> str:
     return "python"
 
 
-def _assignment_order(g: SignedGraph) -> list[int]:
-    """Edge positions in DFS discovery order.
+def _search_layout(g: SignedGraph):
+    """The assignment order and the kernel arrays, in one pass; read
+    through the per-graph cache ``SignedGraph.search_layout``.
 
-    Vertices are explored depth-first from the lowest id, smallest
-    neighbour first; when a vertex is first visited, its not yet
-    discovered incident edges are appended in ascending id order.
-    Clustering edges around vertices this way lets the kernel's slack
-    prune close boundaries early.
+    The order lists edge ids in DFS discovery order.  Vertices are
+    explored depth-first from the lowest id, smallest neighbour first;
+    when a vertex is first visited, its not yet discovered incident edges
+    are appended in ascending id order.  Those are its loops and its
+    edges to unvisited vertices, since an edge is discovered with the
+    first of its ends visited.  Clustering edges around vertices this way
+    lets the kernel's slack prune close boundaries early.
+
+    Per position, the typ/va/ca/vb/cb arrays (see _solver_py) describe
+    that edge under the reference orientation.  Returns
+    ``(order, (typ, va, ca, vb, cb))``, all tuples.
     """
-    order: list[int] = []
-    seen = [False] * g.num_edges
+    edges = g.edges
+    incidence = g.incidence
     visited = [False] * g.num_vertices
+    order: list[int] = []
+    rows: list[tuple[int, int, int, int, int]] = []
     for root in range(g.num_vertices):
         if visited[root]:
             continue
@@ -98,50 +107,21 @@ def _assignment_order(g: SignedGraph) -> list[int]:
                 continue
             visited[v] = True
             nbrs = set()
-            for eid, _end in g.incidence[v]:
-                if not seen[eid]:
-                    seen[eid] = True
-                    order.append(eid)
-                e = g.edges[eid]
-                nbrs.add(e.v if e.u == v else e.u)
-            for w in sorted(nbrs, reverse=True):
+            for eid, end in incidence[v]:
+                e = edges[eid]
+                if e.u == e.v:
+                    if end == 0:  # a loop lists both its half-edges at v
+                        order.append(eid)
+                        # a negative loop's half-edges both point out
+                        rows.append((1, v, 2, 0, 0) if e.sign < 0 else (2, v, 0, 0, 0))
+                    continue
+                w = e.v if end == 0 else e.u
                 if not visited[w]:
-                    stack.append(w)
-    return order
-
-
-def _kernel_arrays(g: SignedGraph, order: list[int]):
-    """typ/va/ca/vb/cb arrays (see _solver_py) under the reference orientation."""
-    m = len(order)
-    typ = [0] * m
-    va = [0] * m
-    ca = [0] * m
-    vb = [0] * m
-    cb = [0] * m
-    for pos, eid in enumerate(order):
-        e = g.edges[eid]
-        if e.u == e.v:
-            if e.sign < 0:
-                typ[pos] = 1
-                va[pos] = e.u
-                ca[pos] = 2  # both half-edges point out
-            else:
-                typ[pos] = 2
-                va[pos] = e.u
-        else:
-            typ[pos] = 0
-            va[pos] = e.u
-            vb[pos] = e.v
-            ca[pos] = 1
-            cb[pos] = -1 if e.sign > 0 else 1
-    return typ, va, ca, vb, cb
-
-
-def _search_layout(g: SignedGraph):
-    """The assignment order and the kernel arrays, as tuples; read through
-    the per-graph cache ``SignedGraph.search_layout``."""
-    order = _assignment_order(g)
-    return tuple(order), tuple(tuple(a) for a in _kernel_arrays(g, order))
+                    order.append(eid)
+                    rows.append((0, e.u, 1, e.v, -e.sign))
+                    nbrs.add(w)
+            stack += sorted(nbrs, reverse=True)
+    return tuple(order), tuple(zip(*rows)) or ((),) * 5
 
 
 def _positive_form(g: SignedGraph, per_edge: list[int]) -> FlowAssignment:
@@ -161,22 +141,32 @@ def _search(
     """Run the ``kind`` kernel over g's arrays; per-edge values under the
     reference orientation, or None when the search space is exhausted.
 
-    A finished answer is recorded in ``g.search_answers`` under (kind, k),
-    and a later call on the same object returns it without a search,
-    under any cap, since it walks no node: ``stats["nodes"]`` is then 0
-    and ``kind`` is appended to ``stats["reused"]``.  A capped search
-    records nothing and raises ResourceCapExceeded."""
+    At k = 2 a graph with a vertex of odd degree is answered None with no
+    search: ``stats["nodes"]`` is 0 and ``stats["decided"]`` is
+    "odd-degree".  A nowhere-zero 2-flow or Z_2-flow has an odd value on
+    every edge, so each vertex's boundary is congruent to its degree mod 2
+    (a loop counts 2), and an odd one is not 0 mod 2.
+
+    A finished or decided answer is recorded in ``g.search_answers`` under
+    (kind, k), and a later call on the same object returns it without a
+    search, under any cap, since it walks no node: ``stats["nodes"]`` is
+    then 0 and ``kind`` is appended to ``stats["reused"]``.  A capped
+    search records nothing and raises ResourceCapExceeded."""
     if not (isinstance(k, int) and k >= 2):
         raise PreconditionError("k must be an integer >= 2")
     cap = _resolve_cap(cap)
-    order, arrays = g.search_layout
     answers = g.search_answers
     if (kind, k) in answers:
         vals = answers[kind, k]
         if stats is not None:
             stats["nodes"] = 0
             stats.setdefault("reused", []).append(kind)
+    elif k == 2 and any(len(half_edges) % 2 for half_edges in g.incidence):
+        vals = answers[kind, k] = None
+        if stats is not None:
+            stats.update(nodes=0, decided="odd-degree")
     else:
+        order, arrays = g.search_layout
         kernel, what = _KINDS[kind]
         status, vals, nodes = getattr(_solver_py, kernel)(
             len(order), g.num_vertices, *arrays, k, cap)
@@ -187,6 +177,7 @@ def _search(
         vals = answers[kind, k] = None if status == _solver_py.EXHAUSTED else tuple(vals)
     if vals is None:
         return None
+    order = g.search_layout[0]
     per_edge = [0] * g.num_edges
     for pos, eid in enumerate(order):
         per_edge[eid] = vals[pos]
@@ -208,9 +199,12 @@ def find_nz_k_flow(
     has the node cap to itself; a capped integer search raises
     ResourceCapExceeded.  ``stats["nodes"]`` counts the integer tree (0
     when the Z_k search decides), ``stats["zk_nodes"]`` the Z_k one; both
-    are set before a capped integer search raises.  The integer search's
-    pruning (a positive first branching value, no stranded last edge)
-    cuts only branches without a flow; see ``_solver_py.search_integer``.
+    are set before a capped integer search raises.  At k = 2 a vertex of
+    odd degree rules out a Z_2-flow, so "none" is decided with no search
+    and ``stats["decided"]`` says "odd-degree" (see ``_search``).  The
+    integer search's pruning (a positive first branching value, no
+    stranded last edge) cuts only branches without a flow; see
+    ``_solver_py.search_integer``.
 
     Both answers are recorded on g (``_search``), the Z_k one shared with
     ``find_nz_zk_flow``.  A search answered from the record walks 0 nodes
@@ -241,9 +235,11 @@ def find_nz_zk_flow(
 ) -> Optional[FlowAssignment]:
     """Nowhere-zero modulo-k flow with values in 1..k-1, or None (exact).
 
-    The answer is recorded on g and shared with ``find_nz_k_flow``'s Z_k
-    search; one read from the record walks 0 nodes under any cap and sets
-    ``stats["reused"] = ["Z_k"]`` (see ``_search``)."""
+    At k = 2 a vertex of odd degree decides "none" with no search, and
+    ``stats["decided"]`` says "odd-degree".  The answer is recorded on g
+    and shared with ``find_nz_k_flow``'s Z_k search; one read from the
+    record walks 0 nodes under any cap and sets ``stats["reused"] =
+    ["Z_k"]`` (see ``_search``)."""
     per_edge = _search(g, k, cap, stats, "Z_k")
     return None if per_edge is None else FlowAssignment(Orientation.reference(), tuple(per_edge))
 
@@ -518,8 +514,8 @@ def circular_flow_number(
     Negating every edge leaves the optimum unchanged, so the lowest
     such edge stays unreversed.
 
-    The edges are oriented one at a time, depth first, in
-    `_assignment_order` (read from ``SignedGraph.search_layout``).  A
+    The edges are oriented one at a time, depth first, in the search
+    kernels' assignment order (``SignedGraph.search_layout``).  A
     vertex is complete once all its edges are oriented, which happens at
     a fixed depth whatever the signs.  For a set X of complete vertices,
     sum each edge's coefficients over X and split them by sign into out

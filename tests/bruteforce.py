@@ -30,7 +30,14 @@ per tree subtree: it rebuilds a graph for every edge flip and every edge
 deletion, with its own component split and its own balance scan
 (is_balanced_reference, the scan before it shared its potential spread).
 find_nz_k_flow_reference is the integer k-flow search as it was before
-it ran the Z_k search first: the integer kernel alone.
+it ran the Z_k search first, or decided k = 2 by degree parity: the
+integer kernel alone, over the layout of search_layout_reference.
+search_layout_reference is the search kernels' assignment order and
+per-position arrays as they were built before the one-pass
+solve._search_layout: a DFS that tracks discovered edges and neighbour
+sets, then a second pass over the order for the arrays.
+value_for_kind_reference is the certificate value decoder as it was
+before plain integer literals skipped Fraction.
 integer_none_outcome_reference is the certificate verifier's outcome on
 "no integer k-flow" by that plain integer re-search.
 signed_circuit_flow_reference is the signed-circuit flow as it was
@@ -63,7 +70,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from signedflow import simplex
+from signedflow import _solver_py, simplex
 from signedflow._solver_py import CAPPED, EXHAUSTED, FOUND
 from signedflow.core import (
     Edge,
@@ -74,9 +81,9 @@ from signedflow.core import (
     edge_subgraph,
     is_balanced,
 )
-from signedflow.certificates import VerifyOutcome
-from signedflow.errors import PreconditionError
-from signedflow.solve import _chain_values, _positive_form, _search, find_nz_k_flow
+from signedflow.certificates import VerifyOutcome, str_to_fraction
+from signedflow.errors import PreconditionError, ResourceCapExceeded
+from signedflow.solve import _chain_values, _positive_form, _resolve_cap, find_nz_k_flow
 from signedflow.structure import (
     SignedCircuitWitness,
     _circuit_walk,
@@ -897,13 +904,97 @@ def flow_admissibility_reference(g: SignedGraph):
     return AdmissibilityVerdict(not defects, tuple(defects))
 
 
+def _assignment_order_reference(g: SignedGraph) -> list[int]:
+    """Edge positions in DFS discovery order (see solve._search_layout)."""
+    order: list[int] = []
+    seen = [False] * g.num_edges
+    visited = [False] * g.num_vertices
+    for root in range(g.num_vertices):
+        if visited[root]:
+            continue
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if visited[v]:
+                continue
+            visited[v] = True
+            nbrs = set()
+            for eid, _end in g.incidence[v]:
+                if not seen[eid]:
+                    seen[eid] = True
+                    order.append(eid)
+                e = g.edges[eid]
+                nbrs.add(e.v if e.u == v else e.u)
+            for w in sorted(nbrs, reverse=True):
+                if not visited[w]:
+                    stack.append(w)
+    return order
+
+
+def _kernel_arrays_reference(g: SignedGraph, order: list[int]):
+    """typ/va/ca/vb/cb arrays (see _solver_py) under the reference orientation."""
+    m = len(order)
+    typ = [0] * m
+    va = [0] * m
+    ca = [0] * m
+    vb = [0] * m
+    cb = [0] * m
+    for pos, eid in enumerate(order):
+        e = g.edges[eid]
+        if e.u == e.v:
+            if e.sign < 0:
+                typ[pos] = 1
+                va[pos] = e.u
+                ca[pos] = 2  # both half-edges point out
+            else:
+                typ[pos] = 2
+                va[pos] = e.u
+        else:
+            typ[pos] = 0
+            va[pos] = e.u
+            vb[pos] = e.v
+            ca[pos] = 1
+            cb[pos] = -1 if e.sign > 0 else 1
+    return typ, va, ca, vb, cb
+
+
+def search_layout_reference(g: SignedGraph):
+    """solve._search_layout by two passes: (order, (typ, va, ca, vb, cb))."""
+    order = _assignment_order_reference(g)
+    return tuple(order), tuple(tuple(a) for a in _kernel_arrays_reference(g, order))
+
+
 def find_nz_k_flow_reference(
     g: SignedGraph, k: int, cap: Optional[int] = None, stats: Optional[dict] = None
 ) -> Optional[FlowAssignment]:
-    """find_nz_k_flow by the integer kernel alone, with no Z_k search first,
-    run on a fresh copy of g, so no answer recorded on g stands in for it."""
-    per_edge = _search(SignedGraph(g.num_vertices, g.edges), k, cap, stats, "integer")
-    return None if per_edge is None else _positive_form(g, per_edge)
+    """find_nz_k_flow by the integer kernel alone, with no Z_k search first
+    and no rule deciding k = 2, over the reference layout of g; no answer
+    recorded on g stands in for it.  The cap and its exception are those
+    of the package's integer search."""
+    if not (isinstance(k, int) and k >= 2):
+        raise PreconditionError("k must be an integer >= 2")
+    cap = _resolve_cap(cap)
+    order, arrays = search_layout_reference(g)
+    status, vals, nodes = _solver_py.search_integer(len(order), g.num_vertices, *arrays, k, cap)
+    if stats is not None:
+        stats["nodes"] = nodes
+    if status == CAPPED:
+        raise ResourceCapExceeded("k-flow search", cap=cap, spent=nodes)
+    if status == EXHAUSTED:
+        return None
+    per_edge = [0] * g.num_edges
+    for pos, eid in enumerate(order):
+        per_edge[eid] = vals[pos]
+    return _positive_form(g, per_edge)
+
+
+def value_for_kind_reference(s, kind):
+    """A certificate flow value decoded through Fraction: an int for the
+    integer and modulo kinds when it is whole, else the Fraction."""
+    f = str_to_fraction(s)
+    if kind.kind in ("integer", "modulo") and f.denominator == 1:
+        return int(f)
+    return f
 
 
 def integer_none_outcome_reference(g: SignedGraph, k: int) -> VerifyOutcome:

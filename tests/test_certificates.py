@@ -26,6 +26,7 @@ from signedflow.certificates import (
     str_to_fraction,
     verify_certificate,
 )
+from signedflow.certificates import _payload_flow, _value_for_kind
 from signedflow.core import (
     Edge,
     FlowAssignment,
@@ -313,6 +314,26 @@ def test_malformed_certificate_rejected_not_raised(mutate):
     assert not out.ok and "malformed" in out.reason
 
 
+@pytest.mark.parametrize(
+    "mutate,reason",
+    [
+        (lambda p: p["values"].__setitem__(0, float("-inf")),
+         "OverflowError: cannot convert Infinity to integer ratio"),
+        (lambda p: p["orientation"].append(float("inf")),
+         "OverflowError: cannot convert float infinity to integer"),
+        (lambda p: p.update(flow_kind="circular:1/0"), "ZeroDivisionError: Fraction(1, 0)"),
+    ],
+    ids=["infinite-value", "infinite-edge-id", "zero-denominator-kind"],
+)
+def test_unconvertible_number_rejected_not_raised(mutate, reason):
+    # JSON admits Infinity, which Fraction and int refuse with
+    # OverflowError, and a kind's fraction may have a zero denominator
+    raw = json.loads(flow_exists_cert().to_json())
+    mutate(raw["payload"])
+    out = verify_certificate(Certificate.from_json(json.dumps(raw)))
+    assert out == VerifyOutcome(False, f"malformed certificate: {reason}")
+
+
 def test_wrong_schema_version_refused():
     out = verify_certificate(
         retamper(flow_exists_cert(), lambda raw: raw.update(schema_version=99))
@@ -447,6 +468,59 @@ def test_each_re_search_has_the_cap_to_itself(monkeypatch):
     assert exc.value.spent == 1001
     monkeypatch.setenv("SG_RESOURCE_CAP", "1000")
     assert verify_certificate(make_flow_certificate(g, FlowKind.integer(4), None)).ok
+
+
+def test_k2_none_verified_by_the_verifiers_own_degree_count(monkeypatch, corpus_4_6):
+    # at k = 2 an odd degree proves "none" without the solvers: their
+    # finders are never called on such a graph, and every "none"
+    # certificate verifies exactly when the brute force finds no flow
+    from signedflow import solve
+
+    searched = []
+
+    def counting(finder):
+        def wrapper(g, k, *args, **kwargs):
+            searched.append(k)
+            return finder(g, k, *args, **kwargs)
+        return wrapper
+
+    for name in ("find_nz_k_flow", "find_nz_zk_flow"):
+        monkeypatch.setattr(solve, name, counting(getattr(solve, name)))
+    decided = 0
+    for g in corpus_4_6:
+        degree = [0] * g.num_vertices
+        for e in g.edges:
+            degree[e.u] += 1
+            degree[e.v] += 1
+        odd = any(d % 2 for d in degree)
+        decided += odd
+        searched.clear()
+        for kind, has_flow in ((FlowKind.integer(2), bruteforce.has_integer_k_flow),
+                               (FlowKind.modulo(2), bruteforce.has_zk_flow)):
+            out = verify_certificate(make_flow_certificate(g, kind, None))
+            assert out.ok == (not has_flow(g, 2)), g.edges
+            if not out.ok:
+                assert out.reason == "re-search found a flow the certificate denies"
+        assert (searched == []) == odd, g.edges
+    assert decided == 1277
+
+
+def test_flow_number_verifier_counts_degrees_below_phi_i_3(monkeypatch):
+    # phi_i = 3 rests on "no 2-flow", which an odd degree proves: the
+    # certificate of K_3,3 verifies with the solvers' k = 2 search removed
+    from signedflow import solve
+
+    g = k33()
+    cert = make_flow_number_certificate(g, flow_numbers(g))
+    assert cert.payload["phi_i"] == 3
+    real = solve.find_nz_k_flow
+
+    def no_k2(g_, k, *args, **kwargs):
+        assert k != 2, "the verifier asked the solver for k = 2"
+        return real(g_, k, *args, **kwargs)
+
+    monkeypatch.setattr(solve, "find_nz_k_flow", no_k2)
+    assert verify_certificate(cert).ok
 
 
 def test_verifier_searches_again_after_the_caller_recorded(monkeypatch, petersen, fresh):
@@ -647,6 +721,42 @@ def test_eulerian_member_that_is_no_signed_circuit_rejected(shape, kind):
     cert = make_eulerian_certificate(g, EulerianDecomposition((member,)))
     out = verify_certificate(retamper(cert, lambda raw: None))
     assert out == VerifyOutcome(False, f"member 0 is not a {kind}")
+
+
+# JSON leaves for a flow value: digit-like text with signs, spaces,
+# underscores, non-ASCII digits, decimal points and exponents; any short
+# text; past int's digit limit; and the non-strings JSON can hold
+_value_leaves = (
+    st.text(alphabet="0123456789+-_ ./eE\u0663\u00b2x\t", max_size=8)
+    | st.text(max_size=4)
+    | st.sampled_from(["2.0", "1e2", "1/1", "\u0663", "1_0", " 3 ", "-0", "+7", "007",
+                       "-4/2", "3/2", "+", "", "9" * 5000, "-" + "9" * 5000])
+    | st.integers() | st.booleans() | st.floats() | st.none()
+)
+
+
+def _decoded(decode):
+    """(type, value) of a decoded value, or (type, message) of its error."""
+    try:
+        value = decode()
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc)
+    return type(value), value
+
+
+@settings(max_examples=500, deadline=None)
+@given(leaf=_value_leaves, kind=st.sampled_from(
+    [FlowKind.integer(3), FlowKind.modulo(5), FlowKind.circular(Fraction(5, 2))]))
+def test_value_decoder_matches_the_fraction_path(leaf, kind):
+    # plain integer literals skip Fraction; every leaf still decodes to the
+    # value and type, or fails with the error and message, of the Fraction
+    # path, in a certificate payload and in a flow file alike
+    want = _decoded(lambda: bruteforce.value_for_kind_reference(leaf, kind))
+    assert _decoded(lambda: _value_for_kind(leaf, kind)) == want
+    assert _decoded(lambda: _payload_flow({"orientation": [], "values": [leaf]}, 1, kind)
+                    .values[0]) == want
+    if isinstance(leaf, str) and leaf.split() == [leaf]:
+        assert _decoded(lambda: flow_from_text(f"0 {leaf}\n", 1, kind).values[0]) == want
 
 
 def test_graph_hash_is_canonical():

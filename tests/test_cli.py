@@ -179,8 +179,10 @@ def test_flow_circular_records_lp_calls(gfile, capsys):
         (["-k", "5"], {"nodes": 0, "zk_nodes": 9_972}),
         (["-k", "6"], {"nodes": 5_032, "zk_nodes": 41}),
         (["--modulo", "5"], {"nodes": 9_972}),
+        (["-k", "2"], {"nodes": 0, "zk_nodes": 0, "decided": "odd-degree"}),
+        (["--modulo", "2"], {"nodes": 0, "decided": "odd-degree"}),
     ],
-    ids=["k5-none-by-zk", "k6-exists", "modulo"],
+    ids=["k5-none-by-zk", "k6-exists", "modulo", "k2-odd-degree", "modulo-2-odd-degree"],
 )
 def test_flow_records_search_nodes(gfile, capsys, mode, resources):
     # an integer search reports its own tree and the Z_k search's apart

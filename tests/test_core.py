@@ -68,6 +68,51 @@ def test_parse_rejects(text):
         parse_graph(text)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("p 1 0\n# c\np 1 0\n", "line 3: duplicate header"),
+        ("p 2 1 3\n", "line 1: header needs 2 fields"),
+        ("\n\np 2\n", "line 3: header needs 2 fields"),
+        ("p 2 x\n", "line 1: bad header numbers"),
+        ("p 1.0 0\n", "line 1: bad header numbers"),
+        ("p -1 0\n", "line 1: negative header numbers"),
+        ("p 1 -1\n", "line 1: negative header numbers"),
+        ("# c\ne 1 2 +\np 2 1\n", "line 2: edge before header"),
+        ("p 2 1\ne 1 2\n", "line 2: edge needs 3 fields"),
+        ("p 2 1\ne 1 2 + +\n", "line 2: edge needs 3 fields"),
+        ("p 2 1\ne 1 x +\n", "line 2: bad vertex id"),
+        ("p 2 1\ne 1 x *\n", "line 2: bad vertex id"),
+        ("p 2 1\n  \ne 1 2 *\n", "line 3: sign must be + or -"),
+        ("p 2 1\ne 1 3 *\n", "line 2: sign must be + or -"),
+        ("p 2 1\ne 1 2 -+\n", "line 2: sign must be + or -"),
+        ("p 2 1\ne 1 3 +\n", "line 2: vertex out of range 1..2"),
+        ("p 2 1\ne 0 1 -\n", "line 2: vertex out of range 1..2"),
+        ("p 2 1\nx 1 2\n", "line 2: unknown record 'x'"),
+        ("p 2 1\ne1 2 +\n", "line 2: unknown record 'e1'"),
+        ("p 2 1\n  #x\nE 1 2 +\n", "line 3: unknown record 'E'"),
+        ("", "missing 'p' header"),
+        ("# only a comment\n\n", "missing 'p' header"),
+        ("p 2 2\ne 1 2 +\n", "header announces 2 edges, file has 1"),
+        ("p 2 0\ne 1 2 +\n", "header announces 0 edges, file has 1"),
+    ],
+)
+def test_parse_rejection_names_its_line_and_branch(text, message):
+    # each branch's exact message, and the line counted over comments and
+    # blank lines; the first failing check of a line is the one reported
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == message
+
+
+def test_parse_accepts_what_int_accepts():
+    # vertex ids and header numbers are read by int(): signs,
+    # underscores between digits and non-ASCII digits are accepted, and
+    # any whitespace separates fields
+    g = parse_graph("p +3 0_2\n\te \u0661 \u0663  -\ne 0_2 +2 +\n")
+    assert g == SignedGraph(3, (Edge(0, 2, -1), Edge(1, 1, 1)))
+
+
 def test_serialize_round_trip(petersen):
     text = serialize_graph(petersen)
     assert parse_graph(text) == petersen

@@ -13,7 +13,8 @@ rules, the status and the witness are the same; an exhausted search
 without the root rule walks twice the root's subtrees, and the
 last-slot rules never add a node.
 search_modulo has no node-for-node reference yet, so its statuses and
-node counts on Petersen and g_family(3) are pinned.
+node counts on Petersen and g_family(3) are pinned, run on the kernel
+directly (the finder decides k = 2 on these graphs without it).
 """
 
 import pytest
@@ -23,14 +24,14 @@ from signedflow import _solver_py
 from signedflow.core import Edge, FlowKind, SignedGraph, check_flow
 from signedflow.corpus import g_family, random_signed_graph
 from signedflow.errors import ResourceCapExceeded
-from signedflow.solve import _assignment_order, _kernel_arrays, find_nz_zk_flow
+from signedflow.solve import _search_layout, find_nz_zk_flow
 
 from bruteforce import search_integer_reference
 
 
 def _arrays(g):
-    order = _assignment_order(g)
-    return (len(order), g.num_vertices, *_kernel_arrays(g, order))
+    order, arrays = _search_layout(g)
+    return (len(order), g.num_vertices, *arrays)
 
 
 def _agree(g, k, cap):
@@ -232,11 +233,21 @@ def test_kernel_matches_reference_on_random_graphs(seed, num_vertices, extra, k,
 )
 def test_modulo_kernel_pinned(petersen, fresh, name, k, found, nodes):
     g = fresh(petersen if name == "petersen" else g_family(3))
+    args = _arrays(g)
+    status, _, walked = _solver_py.search_modulo(*args, k, 0)
+    assert (status == _solver_py.FOUND, walked) == (found, nodes)
+    # a cap just short of the full count stops exactly one node past it
+    assert _solver_py.search_modulo(*args, k, nodes - 1)[::2] == (_solver_py.CAPPED, nodes)
     stats = {}
     za = find_nz_zk_flow(g, k, stats=stats)
-    assert (za is not None, stats["nodes"]) == (found, nodes)
+    assert (za is not None) == found
     if found:
         assert check_flow(g, za, FlowKind.modulo(k)).ok
+    if k == 2:
+        # both graphs have a vertex of odd degree: decided with no search
+        assert stats == {"nodes": 0, "decided": "odd-degree"}
+        return
+    assert stats == {"nodes": nodes}
     # on g the recorded answer would be returned under any cap
     with pytest.raises(ResourceCapExceeded) as exc:
         find_nz_zk_flow(fresh(g), k, cap=nodes - 1)

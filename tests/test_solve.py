@@ -47,6 +47,11 @@ def k4():
     return SignedGraph(4, tuple(Edge(u, v, 1) for u in range(4) for v in range(u + 1, 4)))
 
 
+def odd_degree(g):
+    """Some vertex has odd degree, a loop counting 2."""
+    return any(n % 2 for n in Counter(x for e in g.edges for x in (e.u, e.v)).values())
+
+
 # ---------------------------------------------------------------------------
 # integer / modulo search
 
@@ -147,6 +152,15 @@ def test_solver_backend_name_names_the_one_kernel():
         solve.solver_backend_name("compiled")
 
 
+def test_search_layout_matches_the_two_pass_reference(corpus_full, petersen):
+    # the one-pass order and kernel arrays are those of the DFS with its
+    # discovered-edge and neighbour sets, then a pass for the arrays
+    graphs = list(corpus_full) + [petersen] + [g_family(t) for t in (1, 2, 3, 4)]
+    graphs += [SignedGraph(0, ()), SignedGraph(3, (Edge(2, 2, -1), Edge(2, 2, 1)))]
+    for g in graphs:
+        assert solve._search_layout(g) == bruteforce.search_layout_reference(g), g.edges
+
+
 def test_deterministic_witnesses(petersen):
     assert find_nz_k_flow(petersen, 6) == find_nz_k_flow(petersen, 6)
     assert find_nz_zk_flow(petersen, 6) == find_nz_zk_flow(petersen, 6)
@@ -155,7 +169,8 @@ def test_deterministic_witnesses(petersen):
 def test_zk_first_matches_the_integer_kernel_alone(corpus_4_6, petersen, fresh):
     # the Z_k search only ever answers "none"; every flow, and every "none"
     # it cannot prove, is the integer search's.  Fresh objects, so every
-    # search walks its tree
+    # search walks its tree, except at k = 2 on a graph with a vertex of
+    # odd degree, where none runs
     cases = [(g, k) for g in corpus_4_6 for k in range(2, 6)]
     cases += [(petersen, k) for k in range(2, 7)]
     cases += [(g_family(t), k) for t in (1, 2, 3) for k in range(2, 5)]
@@ -166,7 +181,10 @@ def test_zk_first_matches_the_integer_kernel_alone(corpus_4_6, petersen, fresh):
         got = find_nz_k_flow(fresh(g), k, stats=stats)
         assert got == bruteforce.find_nz_k_flow_reference(g, k, stats=plain), (g, k)
         zk_none = find_nz_zk_flow(fresh(g), k, stats=zk) is None
-        assert stats == {"nodes": 0 if zk_none else plain["nodes"], "zk_nodes": zk["nodes"]}
+        decided = {"decided": "odd-degree"} if k == 2 and odd_degree(g) else {}
+        assert zk.keys() - {"nodes"} == decided.keys()
+        nodes = 0 if zk_none else plain["nodes"]
+        assert stats == {"nodes": nodes, "zk_nodes": zk["nodes"], **decided}
         decided_by_zk += zk_none
         integer_none += got is None and not zk_none
     assert (len(cases), decided_by_zk, integer_none) == (6634, 4529, 377)
@@ -231,6 +249,50 @@ def test_recorded_answers_are_reused_in_either_order(corpus_4_6, petersen, fresh
             assert find_nz_zk_flow(h, k, stats=zk_again) == za
             assert zk_again == {"nodes": 0, "reused": ["Z_k"]}
     assert (len(cases), flows["Z_k"], flows["integer"]) == (8295, 2856, 2271)
+
+
+def test_k2_odd_degree_decided_without_a_search(corpus_4_6, petersen, fresh):
+    # a nowhere-zero 2-flow or Z_2-flow is odd on every edge, so a vertex
+    # of odd degree rules out both: the answer is the brute force's, no
+    # node is walked, and the kernel run directly on the graph exhausts
+    kinds = (
+        (find_nz_k_flow, bruteforce.has_integer_k_flow, _solver_py.search_integer,
+         {"nodes": 0, "zk_nodes": 0, "decided": "odd-degree"}),
+        (find_nz_zk_flow, bruteforce.has_zk_flow, _solver_py.search_modulo,
+         {"nodes": 0, "decided": "odd-degree"}),
+    )
+    decided = 0
+    for g in corpus_4_6:
+        odd = odd_degree(g)
+        decided += odd
+        for finder, has_flow, kernel, decided_stats in kinds:
+            stats = {}
+            got = finder(fresh(g), 2, stats=stats)
+            assert (got is not None) == has_flow(g, 2), g.edges
+            assert (stats == decided_stats) == odd, (g.edges, stats)
+            if odd:
+                order, arrays = bruteforce.search_layout_reference(g)
+                status = kernel(len(order), g.num_vertices, *arrays, 2, 0)[0]
+                assert status == _solver_py.EXHAUSTED, g.edges
+    assert (len(corpus_4_6), decided) == (1623, 1277)
+    # every graph of the hard-search benchmark has a vertex of degree 3
+    for g in [petersen] + [g_family(t) for t in (1, 2, 3)]:
+        for finder, _, _, decided_stats in kinds:
+            stats = {}
+            assert finder(fresh(g), 2, stats=stats) is None
+            assert stats == decided_stats
+
+
+def test_a_decided_answer_is_recorded(petersen, fresh):
+    g = fresh(petersen)
+    first, again, zk_again = {}, {}, {}
+    assert find_nz_k_flow(g, 2, stats=first) is None
+    assert first == {"nodes": 0, "zk_nodes": 0, "decided": "odd-degree"}
+    assert g.search_answers == {("Z_k", 2): None}
+    assert find_nz_k_flow(g, 2, stats=again) is None
+    assert again == {"nodes": 0, "zk_nodes": 0, "reused": ["Z_k"]}
+    assert find_nz_zk_flow(g, 2, stats=zk_again) is None
+    assert zk_again == {"nodes": 0, "reused": ["Z_k"]}
 
 
 def test_a_capped_search_is_not_recorded(petersen, fresh):

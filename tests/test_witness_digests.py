@@ -5,9 +5,12 @@ a fixed slice of the corpus.  Together they pin the eulerian decomposition
 and grid normalization byte for byte, so a change to the circuit walks
 underneath them cannot move a witness unnoticed.  The integer digest pins
 the k-flow search's answers the same way, so a pruning added to the kernel
-cannot change a status or a first witness unnoticed.  A second eulerian
-digest keeps only each member's kind and edge sets, so it tells a change in
-which edges a member holds from a change in the order they are traced in.
+cannot change a status or a first witness unnoticed.  The flow-certificate
+digest pins the bytes of every k-flow and Z_k-flow certificate, node
+counts included, so a change to how values are encoded cannot move them
+unnoticed.  A second eulerian digest keeps only each member's kind and
+edge sets, so it tells a change in which edges a member holds from a
+change in the order they are traced in.
 A mismatch prints the recomputed digest.
 """
 
@@ -17,12 +20,13 @@ import pytest
 
 from signedflow.certificates import (
     make_eulerian_certificate,
+    make_flow_certificate,
     make_normalization_certificate,
     verify_certificate,
 )
-from signedflow.core import is_eulerian
+from signedflow.core import FlowKind, SignedGraph, is_eulerian
 from signedflow.corpus import g_family
-from signedflow.solve import find_nz_k_flow, flow_numbers
+from signedflow.solve import find_nz_k_flow, find_nz_zk_flow, flow_numbers
 from signedflow.structure import find_long_barbell, is_flow_admissible
 from signedflow.transform import eulerian_decompose, normalize_circular_flow
 
@@ -30,6 +34,7 @@ EULERIAN_DIGEST = "327bcd045f4602ffe88c880d5d4906d1fc4eb7a2a66a3efcba6d78418f3af
 EULERIAN_MEMBERS_DIGEST = "495cf46229a98c21f518cb6a9ba467eaaee7e878c570159372147f1754feb7bf"
 NORMALIZATION_DIGEST = "bb8b0813bdf9fe6757229a86c187e54e481cd3e9f5636738ed712de84b47d23d"
 INTEGER_WITNESS_DIGEST = "28313aa1f8be7afc537bd739ed45ce0d01c55686f92d6a82cc2a726ab276a2f8"
+FLOW_CERTIFICATE_DIGEST = "9a13d4c258bd8a80c65ef3f60033ce477456a440f7c643eb922a5915947a2552"
 
 
 def _digest(lines) -> tuple[str, int]:
@@ -107,3 +112,23 @@ def test_integer_witness_digest(corpus_4_6, petersen):
     digest, count = _digest(answers())
     assert count == 5 * (len(corpus_4_6) + 4)
     assert digest == INTEGER_WITNESS_DIGEST, f"recomputed integer witness digest {digest}"
+
+
+def test_flow_certificate_digest(corpus_4_6):
+    # k = 2 is left out: its odd-degree "none" answers are decided without
+    # a search, so their resources.nodes is 0.  Fresh objects, so every
+    # node count is that of a search that walks its tree
+    def certificates():
+        for g in corpus_4_6:
+            if not is_flow_admissible(g):
+                continue
+            for k in range(3, 7):
+                for finder, kind in ((find_nz_k_flow, FlowKind.integer(k)),
+                                     (find_nz_zk_flow, FlowKind.modulo(k))):
+                    stats = {}
+                    fa = finder(SignedGraph(g.num_vertices, g.edges), k, stats=stats)
+                    yield make_flow_certificate(g, kind, fa, nodes=stats["nodes"]).to_json()
+
+    digest, count = _digest(certificates())
+    assert count == 515 * 4 * 2
+    assert digest == FLOW_CERTIFICATE_DIGEST, f"recomputed flow certificate digest {digest}"
