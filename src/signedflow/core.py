@@ -89,6 +89,8 @@ class SignedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        if self.num_vertices < 0:
+            raise ValueError(f"vertex count {self.num_vertices} is negative")
         for i, e in enumerate(self.edges):
             if not (0 <= e.u < self.num_vertices and 0 <= e.v < self.num_vertices):
                 raise ValueError(f"edge {i} endpoints {e.u},{e.v} out of range")

@@ -3,16 +3,21 @@
 The exhaustive enumerator emits one representative per equivalence class
 under relabeling x switching.  Everything the suites measure is invariant
 under both, so collapsing classes loses no coverage and keeps desk-scale
-runs fast; class soundness is tested pairwise on small runs.
+runs fast; class soundness is tested pairwise on small runs.  Signatures
+are generated in a pivot normal form, not found by marking orbits: at
+each pivot (a pair joining two components of the pairs before it) at
+most half the parallel edges are positive, and only a tie at a pivot or
+an automorphism costs a comparison (``_signature_classes``).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import getitem, mul
+from operator import getitem, itemgetter
 from typing import Iterator
 
 from .core import Edge, FlowAssignment, FlowKind, Orientation, SignedGraph, check_flow
@@ -133,43 +138,18 @@ def wheel_w5() -> SignedGraph:
     return SignedGraph(6, tuple(edges))
 
 
-def _switch_flip_vector(g: SignedGraph, subset: frozenset[int]) -> tuple[int, ...]:
-    out = []
-    for e in g.edges:
-        if e.u != e.v and ((e.u in subset) != (e.v in subset)):
-            out.append(-1)
-        else:
-            out.append(1)
-    return tuple(out)
-
-
 def w5_all_signatures() -> list[SignedGraph]:
     """Every switching-inequivalent signature of the 5-wheel.
 
     Representatives are the lexicographically smallest sign vector of
-    each class (positive < negative), in sorted order; 32 in all.
+    each class (positive < negative), in sorted order; 32 in all.  With
+    signs negated, they are ``_signature_classes`` of the edges in order.
     """
     g = wheel_w5()
-    m = g.num_edges
-    flips = [
-        _switch_flip_vector(g, frozenset(s))
-        for r in range(g.num_vertices)
-        for s in itertools.combinations(range(1, g.num_vertices), r)
-    ]
-    seen: set[tuple[int, ...]] = set()
-    reps: list[tuple[int, ...]] = []
-    # lex order with +1 before -1: generate via 0/1 masks
-    for mask in range(1 << m):
-        signs = tuple(-1 if mask >> (m - 1 - i) & 1 else 1 for i in range(m))
-        if signs in seen:
-            continue
-        reps.append(signs)
-        for fl in flips:
-            seen.add(tuple(s * f for s, f in zip(signs, fl)))
-    return [
-        SignedGraph(g.num_vertices, tuple(Edge(e.u, e.v, s) for e, s in zip(g.edges, signs)))
-        for signs in reps
-    ]
+    pairs = tuple((min(e.u, e.v), max(e.u, e.v)) for e in g.edges)
+    return [SignedGraph(6, tuple(Edge(e.u, e.v, -1 if d else 1)
+                                 for e, d in zip(g.edges, digits)))
+            for digits in _signature_classes(6, pairs, [tuple(range(6))])]
 
 
 # ---------------------------------------------------------------------------
@@ -177,24 +157,14 @@ def w5_all_signatures() -> list[SignedGraph]:
 
 
 def _connected_spanning(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    touched = [False] * n
-    for u, v in pairs:
-        touched[u] = touched[v] = True
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    if not all(touched):
-        return False
-    root = find(0)
-    return all(find(v) == root for v in range(n))
+    reach = 1  # vertex mask reached from vertex 0; pairs are grown until stable
+    while True:
+        before = reach
+        for u, v in pairs:
+            if (reach >> u | reach >> v) & 1:
+                reach |= 1 << u | 1 << v
+        if reach == before:
+            return reach == (1 << n) - 1
 
 
 def _degree_sorting_orders(n: int, deg: list[int]) -> Iterator[tuple[int, ...]]:
@@ -296,53 +266,72 @@ def _degree_sorted_multisets(n: int, m: int) -> Iterator[tuple[tuple[int, int], 
 def _signature_classes(
     n: int, pairs: tuple[tuple[int, int], ...], auts: list[tuple[int, ...]]
 ) -> Iterator[tuple[int, ...]]:
-    """One sign vector per switching x automorphism class, lex-first.
+    """One signature per switching x automorphism class, the lex-first.
 
-    Parallel edges are interchangeable, so a signature is held as the
-    number of positive edges on each distinct pair, read as the digits
-    of a mixed-radix index with the first pair most significant.
-    Increasing index is lex order of sign vectors (negative first), the
-    order in which candidates are tried, and orbits are marked in a flat
-    table over that index.
+    A signature is held as its digits: per distinct pair (group), in
+    order of first appearance, the number d of its c parallel edges that
+    are positive.  Increasing digits is lex order of sign vectors
+    (negative first), and the classes come in that order.
+
+    A pivot is a non-loop group joining two components of the groups
+    before it (Kruskal order).  The pivots are a spanning forest, so what
+    a switching does is fixed by the pivots it flips, and it changes no
+    group before the first of them, whose d it takes to c - d.  So x is
+    switching-least iff d <= c - d at every pivot and no switching that
+    flips only tied pivots (2d = c) makes x smaller.  Only such digits
+    are generated; a candidate with a tie is compared with its tie
+    flips, and each automorphism image of it with the least of that
+    image's switching class.  ``auts`` is the automorphism group, as
+    vertex -> position maps.
     """
-    groups = sorted(set(pairs))
-    mult = [pairs.count(p) for p in groups]
-    index = {p: j for j, p in enumerate(groups)}
-    place = [1] * len(groups)
-    for j in range(len(groups) - 1, 0, -1):
-        place[j - 1] = place[j] * (mult[j] + 1)
-    # A move (switching at a subset of {1..n-1}, then an automorphism)
-    # takes the digit d_j of pair j to the pair aut(j), complemented to
-    # mult_j - d_j when pair j crosses the cut.  So the image's index is
-    # affine in the digits: const + sum_j weight_j * d_j, with weight_j
-    # the place of aut(j), negated when j crosses, and const the sum of
-    # place * mult over the crossing pairs.  The orbit is a set, so
-    # equal moves are kept once.
-    targets = []
-    for aut in auts:
-        tp = []
-        for u, v in groups:
-            a, b = aut[u], aut[v]
-            tp.append(place[index[(a, b) if a <= b else (b, a)]])
-        targets.append(tp)
-    flips = []
-    # even masks are the subsets of {1..n-1}
-    for cut in range(0, 1 << n, 2):
-        crossing = [(cut >> u ^ cut >> v) & 1 for u, v in groups]
-        flips.append((crossing, [1 - 2 * f for f in crossing]))
-    moves: set[tuple[int, tuple[int, ...]]] = set()
-    for tp in targets:
-        full = list(map(mul, tp, mult))
-        for crossing, sign in flips:
-            moves.add((sum(map(mul, full, crossing)), tuple(map(mul, tp, sign))))
-    per_pair = [[(-1,) * (c - d) + (1,) * d for d in range(c + 1)] for c in mult]
-    seen = bytearray(place[0] * (mult[0] + 1))
-    for i, digits in enumerate(itertools.product(*(range(c + 1) for c in mult))):
-        if seen[i]:
+    groups = list(dict.fromkeys(pairs))
+    comp = [1 << v for v in range(n)]  # vertex mask of each vertex's component
+    steps = []  # (u, v, c, flip): at a pivot, the side of u to switch, else 0
+    for u, v in groups:
+        flip = 0
+        if not comp[u] >> v & 1:
+            flip = comp[u]
+            joined = flip | comp[v]
+            comp = [joined if joined >> w & 1 else k for w, k in enumerate(comp)]
+        steps.append((u, v, pairs.count((u, v)), flip))
+    ties = [(j, c // 2) for j, (_, _, c, flip) in enumerate(steps) if flip and c % 2 == 0]
+    # x[a(j)] at each group j is x's image under a's inverse, also in auts
+    moved = set()
+    if len(auts) > 1:
+        index = {p: j for j, p in enumerate(groups)}
+        moved = {tuple(index[min(a[u], a[v]), max(a[u], a[v])] for u, v in groups) for a in auts}
+        moved.discard(tuple(range(len(groups))))
+    images = [itemgetter(*src) for src in moved]
+
+    def below(y: tuple[int, ...], x: tuple[int, ...]) -> bool:
+        # whether a switching of y is lex-smaller than x; live holds the
+        # switchings that keep y least and equal to x so far: a pivot's
+        # digit fixes its flip, or doubles them when it ties
+        live = [0]
+        for (u, v, c, flip), d, want in zip(steps, y, x):
+            keep = []
+            for s in live:
+                e = c - d if (s >> u ^ s >> v) & 1 else d
+                if flip and 2 * e > c:
+                    e, s = c - e, s ^ flip
+                if e < want:
+                    return True
+                if e == want:
+                    keep += (s, s ^ flip) if flip and 2 * e == c else (s,)
+            if not keep:
+                return False
+            live = keep
+        return False
+
+    for x in itertools.product(*(range(c // 2 + 1 if flip else c + 1)
+                                 for _, _, c, flip in steps)):
+        if ties and any(x[j] == h for j, h in ties) and below(x, x):
             continue
-        for const, weight in moves:
-            seen[const + sum(map(mul, weight, digits))] = 1
-        yield sum(map(getitem, per_pair, digits), ())
+        for image in images:
+            if below(image(x), x):
+                break
+        else:
+            yield x
 
 
 def enumerate_signed_graphs(
@@ -355,27 +344,23 @@ def enumerate_signed_graphs(
     list) order; signatures per graph stream lex-first.  Loops and
     parallel edges are included; the edgeless one-vertex graph is not.
 
-    An edge list is kept only if it is its own canonical form, and a
-    canonical form lists vertex degrees (a loop counting 2) in
-    nondecreasing order, so an edge list that does not is never
-    generated: edge lists grow pair by pair in lex order, and a prefix
-    is extended only while the degrees no later pair can change are
-    sorted and the pairs still to come can lift the rest into order
-    (``_degree_sorted_multisets``).
+    Only edge lists with nondecreasing vertex degrees (a loop counting
+    2) are generated (``_degree_sorted_multisets``), since a canonical
+    form has them; one is kept if it is its own canonical form.  Its
+    signatures are the lex-first of each class: at every pivot, a pair
+    joining two components of the pairs before it, at most half the
+    parallel edges are positive.  One with a pivot at exactly half is
+    kept only if no switching of its tied pivots gives a lex-smaller
+    signature, and, where the edge list has automorphisms, only if no
+    automorphism image switches to one (``_signature_classes``).
     """
-    if not (1 <= max_v <= MAX_ENUM_VERTICES):
-        raise PreconditionError(f"max_v must be in 1..{MAX_ENUM_VERTICES}")
-    if not (1 <= max_e <= MAX_ENUM_EDGES):
-        raise PreconditionError(f"max_e must be in 1..{MAX_ENUM_EDGES}")
-    # Edge is frozen, so every graph can share one object per (u, v, sign)
-    interned: dict[tuple[int, int, int], Edge] = {}
-
-    def edge(u: int, v: int, s: int) -> Edge:
-        e = interned.get((u, v, s))
-        if e is None:
-            e = interned[u, v, s] = Edge(u, v, s)
-        return e
-
+    bounds = (("max_v", max_v, MAX_ENUM_VERTICES), ("max_e", max_e, MAX_ENUM_EDGES))
+    for name, bound, top in bounds:
+        if isinstance(bound, bool) or not isinstance(bound, int) or not 1 <= bound <= top:
+            raise PreconditionError(f"{name} must be an integer in 1..{top}, got {bound!r}")
+    # Edge is frozen, so every graph shares one object per (u, v, sign)
+    edge = {(u, v, s): Edge(u, v, s)
+            for u in range(max_v) for v in range(u, max_v) for s in (-1, 1)}
     for n in range(1, max_v + 1):
         for m in range(max(1, n - 1), max_e + 1):
             for pairs in _degree_sorted_multisets(n, m):
@@ -388,9 +373,11 @@ def enumerate_signed_graphs(
                 auts = _canonical_automorphisms(n, pairs, deg)
                 if auts is None:
                     continue
-                by_sign = [{1: edge(u, v, 1), -1: edge(u, v, -1)} for u, v in pairs]
-                for signs in _signature_classes(n, pairs, auts):
-                    yield SignedGraph(n, tuple(map(getitem, by_sign, signs)))
+                # per group and digit d, its edges: c - d negative, then d positive
+                runs = [[(edge[u, v, -1],) * (c - d) + (edge[u, v, 1],) * d
+                         for d in range(c + 1)] for (u, v), c in Counter(pairs).items()]
+                for digits in _signature_classes(n, pairs, auts):
+                    yield SignedGraph(n, sum(map(getitem, runs, digits), ()))
 
 
 def random_signed_graph(

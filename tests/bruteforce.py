@@ -17,7 +17,13 @@ vertex sets, the oracle for the connected sets the search checks.
 enumerate_signed_graphs_reference is the corpus enumerator as it was
 before the degree-order prefilter, with its own connectivity,
 canonical-form, automorphism and orbit code: the package's corpus must
-stream exactly the same graphs.
+stream exactly the same graphs.  Its _signature_classes, which marks
+whole switching x automorphism orbits, is the oracle for the signature
+step signedflow.corpus._signature_classes, which generates the pivot
+normal form directly and compares only ties and automorphism images.
+w5_all_signatures_reference is the 5-wheel's signature sweep as it was
+before it used that step: every sign vector, each new one marking its
+switching orbit.
 degree_sorted_multisets_reference is the degree-order prefilter over
 every edge multiset that the corpus's pruned generator replaced.
 decompose_two_regular_reference is the 2-factor splitter the cubic tools
@@ -555,7 +561,11 @@ def _signature_orbit(
 def _signature_classes(
     n: int, pairs: tuple[tuple[int, int], ...], auts: list[tuple[int, ...]]
 ) -> Iterator[tuple[int, ...]]:
-    """One sign vector per switching x automorphism class, lex-first."""
+    """One sign vector per switching x automorphism class, lex-first.
+
+    Every sign pattern is visited, and the whole orbit of each class's
+    first pattern is marked: the oracle for the corpus's signature step.
+    """
     per_class: list[list[tuple[int, ...]]] = []
     start = 0
     while start < len(pairs):
@@ -594,6 +604,28 @@ def degree_sorted_multisets_reference(n: int, m: int) -> Iterator[tuple[tuple[in
             deg[v] += 1
         if deg == sorted(deg):
             yield pairs
+
+
+def w5_all_signatures_reference(g: SignedGraph) -> list[SignedGraph]:
+    """Every switching class of the signatures of g, lex-first (+ < -).
+
+    The 5-wheel's signature sweep as it was before it shared the corpus's
+    signature step: every sign vector in lex order, each new one marking
+    its orbit under all 2^(n-1) switchings.
+    """
+    n, m = g.num_vertices, g.num_edges
+    flips = []
+    for r in range(n):
+        for sub in itertools.combinations(range(1, n), r):
+            flips.append(tuple(-1 if (e.u in sub) != (e.v in sub) else 1 for e in g.edges))
+    seen: set[tuple[int, ...]] = set()
+    reps = []
+    for signs in itertools.product((1, -1), repeat=m):
+        if signs not in seen:
+            reps.append(signs)
+            seen.update(tuple(map(int.__mul__, signs, fl)) for fl in flips)
+    return [SignedGraph(n, tuple(Edge(e.u, e.v, s) for e, s in zip(g.edges, signs)))
+            for signs in reps]
 
 
 def enumerate_signed_graphs_reference(max_v: int, max_e: int) -> Iterator[SignedGraph]:

@@ -105,6 +105,16 @@ def test_parse_rejection_names_its_line_and_branch(text, message):
     assert str(exc.value) == message
 
 
+def test_graph_refuses_what_the_parser_refuses():
+    # the constructor keeps the parser's range checks: no negative vertex
+    # count, no endpoint outside the vertex set
+    with pytest.raises(ValueError, match="vertex count -1 is negative"):
+        SignedGraph(-1, ())
+    with pytest.raises(ValueError, match="out of range"):
+        SignedGraph(2, (Edge(0, 2, 1),))
+    assert SignedGraph(0, ()).num_edges == 0
+
+
 def test_parse_accepts_what_int_accepts():
     # vertex ids and header numbers are read by int(): signs,
     # underscores between digits and non-ASCII digits are accepted, and

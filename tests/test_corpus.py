@@ -3,14 +3,23 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bruteforce import degree_sorted_multisets_reference, enumerate_signed_graphs_reference
+from bruteforce import (
+    _canonical_pairs,
+    _pair_automorphisms,
+    degree_sorted_multisets_reference,
+    enumerate_signed_graphs_reference,
+    w5_all_signatures_reference,
+)
+from bruteforce import _signature_classes as _signature_classes_reference
 from signedflow.core import Edge, SignedGraph, connected_components, serialize_graph, switch
 from signedflow.corpus import (
     MAX_ENUM_EDGES,
     MAX_ENUM_VERTICES,
     CorpusSpec,
     _degree_sorted_multisets,
+    _signature_classes,
     enumerate_signed_graphs,
     g_family,
     g_family_circular_witness,
@@ -68,6 +77,10 @@ def test_w5_signature_classes():
 
     counts = Counter(len(s.negative_edges) for s in sigs)
     assert counts == {0: 1, 1: 5, 2: 10, 3: 10, 4: 5, 5: 1}
+
+
+def test_w5_signatures_match_orbit_reference():
+    assert w5_all_signatures() == w5_all_signatures_reference(wheel_w5())
 
 
 def test_w5_classes_pairwise_inequivalent():
@@ -171,10 +184,51 @@ def test_enumeration_is_deterministic():
 
 
 def test_enumeration_bounds_checked():
-    with pytest.raises(PreconditionError):
-        list(enumerate_signed_graphs(6, 8))
-    with pytest.raises(PreconditionError):
-        list(enumerate_signed_graphs(0, 2))
+    # a bound out of range, not an int, or a bool is refused before the
+    # first graph streams: 2.5 used to reach range(), True to count as 1
+    for mv, me in [(6, 8), (0, 2), (2, 9), (2, 0), (2.5, 3), (3, 2.0), (True, 2), (2, True),
+                   ("3", 2)]:
+        with pytest.raises(PreconditionError, match="must be an integer in 1.."):
+            next(enumerate_signed_graphs(mv, me))
+
+
+@st.composite
+def connected_multigraphs(draw, max_v=6, max_e=9, max_mult=4):
+    """A connected vertex-pair multiset: a random spanning tree, then
+    extra pairs, each pair up to max_mult times, max_e pairs in all."""
+    n = draw(st.integers(1, max_v))
+    mult: dict[tuple[int, int], int] = {}
+    budget = max_e
+    for i in range(1, n):
+        pair = (draw(st.integers(0, i - 1)), i)
+        mult[pair] = draw(st.integers(1, min(max_mult, budget - (n - 1 - i))))
+        budget -= mult[pair]
+    while budget and (not mult or draw(st.booleans())):
+        pair = tuple(sorted((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))))
+        room = min(budget, max_mult - mult.get(pair, 0))
+        if room:
+            more = draw(st.integers(1, room))
+            mult[pair] = mult.get(pair, 0) + more
+            budget -= more
+    return n, tuple(sorted(p for p, c in mult.items() for _ in range(c)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_multigraphs())
+@example((6, ((0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (3, 4), (3, 4), (4, 5), (4, 5))))
+@example((4, ((0, 1), (0, 1), (0, 2), (0, 2), (0, 3), (0, 3), (1, 2), (1, 3), (2, 3))))
+def test_signature_step_matches_orbit_reference(graph):
+    # beyond the enumeration cap (6 vertices, 9 edges): the pivot normal
+    # form with its tie and automorphism checks picks the same lex-first
+    # sign vector per class, in the same order, as marking whole orbits;
+    # even multiplicities are what make pivot ties
+    n, pairs = graph
+    canon, _ = _canonical_pairs(n, pairs)
+    auts = _pair_automorphisms(n, canon)
+    counts = [canon.count(p) for p in dict.fromkeys(canon)]
+    got = [sum(((-1,) * (c - d) + (1,) * d for c, d in zip(counts, digits)), ())
+           for digits in _signature_classes(n, canon, auts)]
+    assert got == list(_signature_classes_reference(n, canon, auts))
 
 
 def _class_forms(g):
