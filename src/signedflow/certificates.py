@@ -494,18 +494,10 @@ def _verify_decomposition(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
             return VerifyOutcome(False, f"part {idx} has a value outside {{0,1}}")
         if any(b != 0 for b in boundary(g, part)):
             return VerifyOutcome(False, f"part {idx} has nonzero boundary")
-    ref = parts[0].orientation
-
-    def signed(fa_: FlowAssignment, i: int):
-        v = fa_.values[i]
-        return -v if i in fa_.orientation.reversed_edges else v
-
-    for i in range(g.num_edges):
-        total = sum(
-            (-p.values[i] if i in ref.reversed_edges else p.values[i]) for p in parts
-        )
-        if total != signed(fa, i):
-            return VerifyOutcome(False, f"edge {i} sums to {total}, input {signed(fa, i)}")
+    want = fa.signed_values()
+    for i, total in enumerate(map(sum, zip(*(p.signed_values() for p in parts)))):
+        if total != want[i]:
+            return VerifyOutcome(False, f"edge {i} sums to {total}, input {want[i]}")
     return VerifyOutcome(True)
 
 

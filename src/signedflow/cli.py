@@ -19,7 +19,6 @@ from .core import (
     FlowAssignment,
     FlowKind,
     GraphFormatError,
-    Orientation,
     SignedGraph,
     find_bridges,
     is_balanced,
@@ -199,13 +198,8 @@ def cmd_decompose(args) -> int:
     if args.flow is None or args.k is None:
         raise PreconditionError("decompose needs --flow and -k, or --eulerian")
     fa = _load_flow(args.flow, g, FlowKind.integer(args.k))
-    if any(v < 0 for v in fa.values):
-        # fold signs into the orientation so the decomposition sees 1..k-1
-        neg = frozenset(i for i, v in enumerate(fa.values) if v < 0)
-        fa = FlowAssignment(
-            Orientation(fa.orientation.reversed_edges ^ neg),
-            tuple(abs(v) for v in fa.values),
-        )
+    # fold signs into the orientation so the decomposition sees 1..k-1
+    fa = FlowAssignment.from_signed(fa.signed_values())
     parts = transform.decompose_into_2_flows(g, fa, args.k)
     cert = certs.make_decomposition_certificate(g, args.k, fa, parts)
     out.write("two-flow-decomposition.json", cert.to_json(), "certificate")

@@ -8,6 +8,13 @@ rule ``tau(h1) * tau(h2) == -sign(e)``.  For a positive edge the two
 half-edges therefore point the same way (one out, one in: an ordinary
 directed edge); for a negative edge they point both out or both in.
 
+A flow is read under an orientation, and reversing an edge negates its
+value.  That sign rule is stated once, here: ``FlowAssignment.signed_values``
+reads a flow's values under the reference orientation,
+``FlowAssignment.from_signed`` folds signed values back into positive values
+and a flip set, and ``lift_flow`` carries a flow on an ``edge_subgraph`` back
+to its host.  ``Orientation.directions`` states the same rule for half-edges.
+
 Vertices are dense 0-based integers internally.  The text file format is
 1-based (see :func:`parse_graph`).  Edge identity is positional: the
 index into ``SignedGraph.edges``.
@@ -42,6 +49,7 @@ __all__ = [
     "is_eulerian",
     "find_bridges",
     "edge_subgraph",
+    "lift_flow",
 ]
 
 
@@ -89,6 +97,8 @@ class SignedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.num_vertices, bool) or not isinstance(self.num_vertices, int):
+            raise ValueError(f"vertex count {self.num_vertices!r} is not an integer")
         if self.num_vertices < 0:
             raise ValueError(f"vertex count {self.num_vertices} is negative")
         for i, e in enumerate(self.edges):
@@ -259,12 +269,34 @@ class Orientation:
         return tuple(out)
 
 
+def _negate_reversed(
+    reversed_edges: Collection[int], values: Iterable[Value]
+) -> tuple[Value, ...]:
+    """The values with those of the reversed edges negated.  This maps
+    values under an orientation to the reference one and back."""
+    return tuple(-v if i in reversed_edges else v for i, v in enumerate(values))
+
+
 @dataclass(frozen=True)
 class FlowAssignment:
-    """Edge values under an orientation.  Values are int or Fraction."""
+    """Edge values under an orientation.  Values are int or Fraction, and
+    keep their type through every operation here."""
 
     orientation: Orientation
     values: tuple[Value, ...]
+
+    def signed_values(self) -> tuple[Value, ...]:
+        """The same flow's values under the reference orientation."""
+        return _negate_reversed(self.orientation.reversed_edges, self.values)
+
+    @classmethod
+    def from_signed(cls, values: Iterable[Value]) -> "FlowAssignment":
+        """The flow with these values under the reference orientation,
+        folded to non-negative values: an edge with a negative value is
+        reversed instead."""
+        values = tuple(values)
+        rev = frozenset(i for i, v in enumerate(values) if v < 0)
+        return cls(Orientation(rev), tuple(abs(v) for v in values))
 
 
 def boundary(g: SignedGraph, fa: FlowAssignment) -> tuple[Value, ...]:
@@ -274,14 +306,19 @@ def boundary(g: SignedGraph, fa: FlowAssignment) -> tuple[Value, ...]:
     """
     if len(fa.values) != g.num_edges:
         raise ValueError("value list length mismatch")
+    return tuple(_boundary(g, fa.orientation.directions(g), fa.values))
+
+
+def _boundary(
+    g: SignedGraph, dirs: Sequence[Sequence[int]], values: Sequence[Value]
+) -> list[Value]:
+    """Per-vertex boundary of values under explicit half-edge directions
+    (``dirs[e]`` = tau at end 0, tau at end 1), as a list."""
     bnd: list[Value] = [0] * g.num_vertices
-    dirs = fa.orientation.directions(g)
-    for i, e in enumerate(g.edges):
-        t0, t1 = dirs[i]
-        f = fa.values[i]
+    for e, (t0, t1), f in zip(g.edges, dirs, values):
         bnd[e.u] += t0 * f
         bnd[e.v] += t1 * f
-    return tuple(bnd)
+    return bnd
 
 
 @dataclass(frozen=True)
@@ -516,24 +553,9 @@ def is_balanced(g: SignedGraph) -> BalanceCertificate:
 
 
 def connected_components(g: SignedGraph) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * g.num_vertices
-    comps = []
-    for root in range(g.num_vertices):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for eid, _ in g.incidence[x]:
-                y = g.edges[eid].other(x)
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    """Each component's vertices ascending, in order of smallest vertex,
+    read off ``g.spanning_forest``."""
+    return tuple(comp for comp, _, _, _ in g.spanning_forest[2])
 
 
 def is_eulerian(g: SignedGraph) -> bool:
@@ -616,3 +638,17 @@ def edge_subgraph(
         Edge(vmap[g.edges[i].u], vmap[g.edges[i].v], g.edges[i].sign) for i in edge_ids
     )
     return SignedGraph(len(verts), edges), tuple(verts), tuple(edge_ids)
+
+
+def lift_flow(
+    g: SignedGraph, eback: Sequence[int], sub: FlowAssignment, orientation: Orientation
+) -> FlowAssignment:
+    """The flow on g of a flow ``sub`` on an ``edge_subgraph`` of g with
+    edge map ``eback``, under ``orientation``.  Each edge of g carries the
+    sum of its copies' signed values, since ``edge_subgraph`` repeats an
+    edge listed twice, and 0 off the subgraph; the boundary at each
+    subgraph vertex is the one it had in the subgraph."""
+    total: list[Value] = [0] * g.num_edges
+    for old, v in zip(eback, sub.signed_values()):
+        total[old] += v
+    return FlowAssignment(orientation, _negate_reversed(orientation.reversed_edges, total))

@@ -62,7 +62,7 @@ def g_family(t: int) -> SignedGraph:
     3+2i with the five remaining K4 edges (all positive).  The last two
     edges are the negative loops at 0 and at 1.
     """
-    if not (isinstance(t, int) and t >= 1):
+    if isinstance(t, bool) or not (isinstance(t, int) and t >= 1):
         raise PreconditionError("t must be an integer >= 1")
     edges = []
     for i in range(t):

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    Edge,
     FlowAssignment,
     FlowKind,
     Orientation,
@@ -22,6 +21,7 @@ from .core import (
     check_flow,
     edge_subgraph,
     is_eulerian,
+    lift_flow,
 )
 from .errors import InvariantViolation, NotFlowAdmissibleError, PreconditionError, ResourceCapExceeded
 from .structure import (
@@ -124,12 +124,6 @@ def _search_layout(g: SignedGraph):
     return tuple(order), tuple(zip(*rows)) or ((),) * 5
 
 
-def _positive_form(g: SignedGraph, per_edge: list[int]) -> FlowAssignment:
-    """Signed reference-orientation values -> positive values + flip set."""
-    rev = frozenset(i for i, v in enumerate(per_edge) if v < 0)
-    return FlowAssignment(Orientation(rev), tuple(abs(v) for v in per_edge))
-
-
 # search kind -> (kernel in _solver_py, what a capped search raises); the
 # kernel is looked up by name at call time, so a wrapper bound there runs
 _KINDS = {"Z_k": ("search_modulo", "Z_k-flow search"), "integer": ("search_integer", "k-flow search")}
@@ -161,7 +155,7 @@ def _search(
         if stats is not None:
             stats["nodes"] = 0
             stats.setdefault("reused", []).append(kind)
-    elif k == 2 and any(len(half_edges) % 2 for half_edges in g.incidence):
+    elif k == 2 and not is_eulerian(g):
         vals = answers[kind, k] = None
         if stats is not None:
             stats.update(nodes=0, decided="odd-degree")
@@ -224,7 +218,7 @@ def find_nz_k_flow(
     if stats is not None:
         stats.update(zk, nodes=0, zk_nodes=zk["nodes"])
     per_edge = None if none else _search(g, k, cap, stats, "integer")
-    return None if per_edge is None else _positive_form(g, per_edge)
+    return None if per_edge is None else FlowAssignment.from_signed(per_edge)
 
 
 def find_nz_zk_flow(
@@ -281,12 +275,6 @@ def _eulerian_circuit(g: SignedGraph, used: list[bool], start: int):
     return out
 
 
-def _ref_tau(e: Edge, end: int) -> int:
-    if e.sign < 0:
-        return 1
-    return 1 if end == 0 else -1
-
-
 def _chain_values(
     g: SignedGraph, walk, first_sign: int
 ) -> tuple[dict[int, int], int, int]:
@@ -296,13 +284,13 @@ def _chain_values(
     values (reference orientation), the contribution of the first step
     at the walk's start, and of the last step at the walk's end.
     """
+    tau = Orientation.reference().directions(g)
     vals: dict[int, int] = {}
     dep_contrib = 0
     p = 0
     for i, (eid, dep, arr) in enumerate(walk):
-        e = g.edges[eid]
-        td = _ref_tau(e, dep)
-        ta = _ref_tau(e, arr)
+        td = tau[eid][dep]
+        ta = tau[eid][arr]
         if i == 0:
             f = first_sign * td  # depart contribution = first_sign
             dep_contrib = td * f
@@ -342,7 +330,7 @@ def find_2_flow_on_even_graph(g: SignedGraph) -> Optional[FlowAssignment]:
             return None
         for eid, f in vals.items():
             per_edge[eid] = f
-    fa = _positive_form(g, per_edge)
+    fa = FlowAssignment.from_signed(per_edge)
     res = check_flow(g, fa, FlowKind.integer(2))
     if not res.ok:
         raise InvariantViolation(f"constructed 2-flow invalid: {res.violation}")
@@ -383,12 +371,9 @@ def signed_circuit_flow(w: SignedCircuitWitness) -> FlowAssignment:
     fa = find_2_flow_on_even_graph(sub)
     if fa is None:
         raise InvariantViolation("signed circuit with its path doubled has no 2-flow")
-    per_edge = [0] * g.num_edges
-    for j, eid in enumerate(eback):
-        per_edge[eid] += -fa.values[j] if j in fa.orientation.reversed_edges else fa.values[j]
-    if per_edge[min(w.edge_ids)] < 0:
-        per_edge = [-f for f in per_edge]
-    return _positive_form(g, per_edge)
+    per_edge = lift_flow(g, eback, fa, Orientation.reference()).values
+    sign = -1 if per_edge[min(w.edge_ids)] < 0 else 1
+    return FlowAssignment.from_signed(sign * f for f in per_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -431,25 +416,6 @@ def integer_flow_number(
         if fa is not None:
             return FlowNumbers(phi_i=k, witnesses={"phi_i": fa})
     return FlowNumbers(phi_i=None)
-
-
-def _orientation_coeffs(g: SignedGraph, lp_edges: list[int]):
-    """Per lp-edge (vertex, coefficient) pairs under the reference orientation.
-
-    A positive edge points out of u and into v, a negative edge out of
-    both ends, and a negative loop gives its vertex 2.  Reversing an
-    edge negates its coefficients.
-    """
-    ref = []
-    for eid in lp_edges:
-        e = g.edges[eid]
-        if e.u == e.v:
-            ref.append(((e.u, 2),))
-        elif e.sign > 0:
-            ref.append(((e.u, 1), (e.v, -1)))
-        else:
-            ref.append(((e.u, 1), (e.v, 1)))
-    return ref
 
 
 def _set_weight(g: SignedGraph, lp_edges: list[int], mask: int) -> int:
@@ -579,10 +545,18 @@ def _circular_flow_number(
         fa2 = find_nz_k_flow(g, 2)
         if fa2 is not None:
             return FlowNumbers(phi_c=Fraction(2), witnesses={"phi_c": fa2})
-    ref = _orientation_coeffs(g, lp_edges)
     mlp = len(lp_edges)
     pos_of = {eid: pos for pos, eid in enumerate(lp_edges)}
-    order = [pos_of[eid] for eid in g.search_layout[0] if eid in pos_of]
+    layout, (typ, va, ca, vb, cb) = g.search_layout
+    order = [pos_of[eid] for eid in layout if eid in pos_of]
+    # per LP edge, its (vertex, coefficient) pairs under the reference
+    # orientation: the kernels' row of a non-loop (typ 0) or a negative
+    # loop (typ 1); reversing the edge negates them
+    ref: list[tuple[tuple[int, int], ...]] = [()] * mlp
+    for i, eid in enumerate(layout):
+        if eid in pos_of:
+            pairs = ((va[i], ca[i]), (vb[i], cb[i]))
+            ref[pos_of[eid]] = pairs if typ[i] == 0 else pairs[:1]
     at: dict[int, list[tuple[int, int]]] = {}  # vertex -> (lp edge, coefficient)
     for pos, pairs in enumerate(ref):
         for v, c0 in pairs:

@@ -28,11 +28,13 @@ from .core import (
     FlowKind,
     Orientation,
     SignedGraph,
+    _boundary,
     boundary,
     check_flow,
     connected_components,
     edge_subgraph,
     is_eulerian,
+    lift_flow,
 )
 from .errors import (
     InvariantViolation,
@@ -157,13 +159,7 @@ class ConversionState:
     # -- derived views ---------------------------------------------------
 
     def refresh(self) -> None:
-        bnd = [0] * self.graph.num_vertices
-        for eid, e in enumerate(self.graph.edges):
-            t0, t1 = self.dirs[eid]
-            f = self.values[eid]
-            bnd[e.u] += t0 * f
-            bnd[e.v] += t1 * f
-        self.bnd = bnd
+        bnd = self.bnd = _boundary(self.graph, self.dirs, self.values)
         self.eta = sum(abs(b) for b in bnd)
         self.sources = tuple(v for v, b in enumerate(bnd) if b > 0)
 
@@ -758,12 +754,6 @@ def decompose_into_2_flows(
     return [FlowAssignment(fa.orientation, tuple(p)) for p in parts]
 
 
-def _restrict_orientation(orient: Orientation, eback: Sequence[int]) -> Orientation:
-    return Orientation(
-        frozenset(j for j, old in enumerate(eback) if old in orient.reversed_edges)
-    )
-
-
 def _decompose_rec(
     g: SignedGraph, f: list[int], k: int, orient: Orientation
 ) -> list[list[int]]:
@@ -781,11 +771,7 @@ def _decompose_rec(
             two = find_2_flow_on_even_graph(sub)
             if two is None:
                 raise InvariantViolation("odd-value subgraph admits no 2-flow")
-            for j, old in enumerate(eback):
-                v = 1 if j not in two.orientation.reversed_edges else -1
-                if old in orient.reversed_edges:
-                    v = -v
-                g0[old] = v
+            g0 = lift_flow(g, eback, two, orient).values
         half1, half2 = [], []
         for i in range(m):
             a, b = f[i] + g0[i], f[i] - g0[i]
@@ -801,8 +787,10 @@ def _decompose_rec(
     g0 = [0] * m
     if core:
         sub, _vb, eback = edge_subgraph(g, core)
-        sub_orient = _restrict_orientation(orient, eback)
-        sub_fa = FlowAssignment(sub_orient, tuple(f[old] for old in eback))
+        # every value on the core is positive, so folding its signed
+        # values gives each edge the orientation it has in orient
+        signed = FlowAssignment(orient, tuple(f)).signed_values()
+        sub_fa = FlowAssignment.from_signed(signed[old] for old in eback)
         ok = check_flow(sub, sub_fa, FlowKind.modulo(km1))
         if not ok.ok:
             raise InvariantViolation(
@@ -811,8 +799,7 @@ def _decompose_rec(
         # k - 1 is odd, the input was just checked, and a subgraph of a
         # barbell-free graph is barbell-free
         conv, _ = _convert(sub, sub_fa, km1, TRANSFORM_SEARCH_CAP)
-        for j, old in enumerate(eback):
-            g0[old] = int(conv.values[j])
+        g0 = lift_flow(g, eback, conv, orient).values
     f1 = []
     rest = []
     for i in range(m):
@@ -1030,13 +1017,9 @@ def normalize_circular_flow(
     m = g.num_edges
     # fold everything positive; the push never drives a value below 1,
     # so the orientation is fixed from here on
-    rev = set(fa.orientation.reversed_edges)
-    phi = [Fraction(v) for v in fa.values]
-    for eid in range(m):
-        if phi[eid] < 0:
-            phi[eid] = -phi[eid]
-            rev.symmetric_difference_update({eid})
-    orient = Orientation(frozenset(rev))
+    folded = FlowAssignment.from_signed(fa.signed_values())
+    orient = folded.orientation
+    phi = [Fraction(v) for v in folded.values]
     upper = Fraction(p, q)
     pushes: list[tuple[tuple[int, ...], int, Fraction]] = []
 
@@ -1051,17 +1034,7 @@ def normalize_circular_flow(
         witness = find_signed_circuit(sub)
         if witness is None:
             break
-        circuit_flow = signed_circuit_flow(witness)
-        phi1 = [0] * m
-        for j, old in enumerate(eback):
-            v = int(circuit_flow.values[j])
-            if v == 0:
-                continue
-            if j in circuit_flow.orientation.reversed_edges:
-                v = -v
-            if old in orient.reversed_edges:
-                v = -v
-            phi1[old] = v
+        phi1 = lift_flow(g, eback, signed_circuit_flow(witness), orient).values
         support = [e for e in range(m) if phi1[e] != 0]
         if not support:
             raise InvariantViolation("signed circuit flow has empty support")

@@ -59,6 +59,8 @@ by is_balanced.
 find_bridges_reference is the bridge search as it was before it read
 the bridges off the admissibility check's spanning trees: Tarjan's
 low-link DFS.
+connected_components_reference is the component split as it was before
+it read the components off those spanning trees: a DFS of its own.
 switch_orientation and edge_boundary are no oracles but the two
 bookkeeping laws the package relies on without a function of its own:
 switching carries an orientation, and a flow with it, to the switched
@@ -89,7 +91,7 @@ from signedflow.core import (
 )
 from signedflow.certificates import VerifyOutcome, str_to_fraction
 from signedflow.errors import PreconditionError, ResourceCapExceeded
-from signedflow.solve import _chain_values, _positive_form, _resolve_cap, find_nz_k_flow
+from signedflow.solve import _chain_values, _resolve_cap, find_nz_k_flow
 from signedflow.structure import (
     SignedCircuitWitness,
     _circuit_walk,
@@ -1017,7 +1019,7 @@ def find_nz_k_flow_reference(
     per_edge = [0] * g.num_edges
     for pos, eid in enumerate(order):
         per_edge[eid] = vals[pos]
-    return _positive_form(g, per_edge)
+    return FlowAssignment.from_signed(per_edge)
 
 
 def value_for_kind_reference(s, kind):
@@ -1112,7 +1114,7 @@ def signed_circuit_flow_reference(w: SignedCircuitWitness) -> FlowAssignment:
         place(va, 1)
         place(vp, sp)
         place(vb, -1 if db + pb == sp * pp else 1)
-    return _positive_form(g, per_edge)
+    return FlowAssignment.from_signed(per_edge)
 
 
 def delete_vertices(
@@ -1198,6 +1200,27 @@ def find_bridges_reference(g: SignedGraph) -> tuple[int, ...]:
                     if low[x] > disc[px]:
                         bridges.append(in_edge)
     return tuple(sorted(bridges))
+
+
+def connected_components_reference(g: SignedGraph) -> tuple[tuple[int, ...], ...]:
+    seen = [False] * g.num_vertices
+    comps = []
+    for root in range(g.num_vertices):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for eid, _ in g.incidence[x]:
+                y = g.edges[eid].other(x)
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+                    stack.append(y)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
 def switch_orientation(g: SignedGraph, o: Orientation, vertices) -> Orientation:

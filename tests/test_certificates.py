@@ -39,7 +39,12 @@ from signedflow.core import (
 from signedflow.corpus import enumerate_signed_graphs, g_family, signed_petersen
 from signedflow.errors import PreconditionError, ResourceCapExceeded
 from signedflow.solve import find_nz_k_flow, find_nz_zk_flow, flow_numbers
-from signedflow.structure import SignedCircuitWitness, find_long_barbell, is_flow_admissible
+from signedflow.structure import (
+    SignedCircuitWitness,
+    classify_signed_circuit,
+    find_long_barbell,
+    is_flow_admissible,
+)
 from signedflow.transform import (
     ConversionState,
     EulerianDecomposition,
@@ -666,6 +671,69 @@ def test_tampered_off_grid_detected(normalization_cert):
 
     out = verify_certificate(retamper(normalization_cert, mutate))
     assert not out.ok and "off-grid" in out.reason
+
+
+def _complement_orientation(flow):
+    # every edge reversed relative to the flow: the same values then
+    # read as the negated flow, which is still a valid flow
+    m = len(flow["values"])
+    flow["orientation"] = sorted(set(range(m)) - set(flow["orientation"]))
+
+
+def _long_barbell_member_cert():
+    # two negative loops joined by a path edge, stated as one long barbell
+    g = SignedGraph(2, (Edge(0, 0, -1), Edge(0, 1, 1), Edge(1, 1, -1)))
+    witness = classify_signed_circuit(g, (0, 1, 2))
+    assert witness.kind == "long-barbell"
+    return make_eulerian_certificate(g, EulerianDecomposition((witness,)))
+
+
+def _negate_values(flow):
+    flow["values"] = [str(-int(v)) for v in flow["values"]]
+
+
+def _first_value(flow, value):
+    def mutate(raw):
+        raw["payload"][flow]["values"][0] = value
+    return mutate
+
+
+def _reverse_first_push(raw):
+    push = raw["payload"]["pushes"][0]
+    push[1] = -push[1]
+
+
+@pytest.mark.parametrize(
+    "make,mutate,reason",
+    [
+        ("conversion_cert", _first_value("input", "3"),
+         "input fails modulo check: support != E (edge 0)"),
+        ("conversion_cert", _first_value("output", "0"),
+         "output fails integer check: support != E (edge 0)"),
+        ("conversion_cert", lambda raw: _complement_orientation(raw["payload"]["output"]),
+         "output orientation differs from input"),
+        ("conversion_cert", lambda raw: _negate_values(raw["payload"]["output"]),
+         "journal replay does not reach certified output"),
+        (_decomposition_cert, lambda raw: raw["payload"]["parts"].pop(),
+         "2 parts for k=4"),
+        (_decomposition_cert, lambda raw: _complement_orientation(raw["payload"]["input"]),
+         "edge 0 sums to 1, input -1"),
+        (_long_barbell_member_cert, lambda raw: None, "member 0 is a long barbell"),
+        (_eulerian_cert, lambda raw: raw["payload"]["members"].pop(),
+         "members do not partition the edge set"),
+        ("normalization_cert", _reverse_first_push, "push journal mismatch"),
+    ],
+    ids=[
+        "conversion-input", "conversion-output", "conversion-orientation",
+        "conversion-replay", "decomposition-part-count", "decomposition-sum",
+        "eulerian-long-barbell", "eulerian-partition", "normalization-pushes",
+    ],
+)
+def test_each_verifier_rejection_fires(request, make, mutate, reason):
+    # one tampering per rejection, each reaching its own check
+    cert = request.getfixturevalue(make) if isinstance(make, str) else make()
+    out = verify_certificate(retamper(cert, mutate))
+    assert out == VerifyOutcome(False, reason)
 
 
 def test_tampered_eulerian_kind_detected():

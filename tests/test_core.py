@@ -6,6 +6,7 @@ import pytest
 
 import bruteforce
 from signedflow.core import (
+    CheckResult,
     Edge,
     FlowAssignment,
     FlowKind,
@@ -112,6 +113,11 @@ def test_graph_refuses_what_the_parser_refuses():
         SignedGraph(-1, ())
     with pytest.raises(ValueError, match="out of range"):
         SignedGraph(2, (Edge(0, 2, 1),))
+    # nor a count the parser's int() could not give: a float once let an
+    # endpoint past the last vertex through, and a bool passed as 0 or 1
+    for count, edges in ((2.5, (Edge(0, 2, 1),)), (True, ()), (False, ()), ("3", ())):
+        with pytest.raises(ValueError, match="is not an integer"):
+            SignedGraph(count, edges)
     assert SignedGraph(0, ()).num_edges == 0
 
 
@@ -256,6 +262,29 @@ def test_check_flow_circular_bounds():
     assert check_flow(g, FlowAssignment(REF, (Fraction(3, 2),) * 3), FlowKind.circular(r)).ok
     res = check_flow(g, FlowAssignment(REF, (Fraction(8, 5),) * 3), FlowKind.circular(r))
     assert not res.ok  # 8/5 > r - 1
+
+
+@pytest.mark.parametrize(
+    "kind,values,violation",
+    [
+        (FlowKind.integer(3), (1, 1), "value list length mismatch"),
+        (FlowKind.integer(1), (1, 1, 1), "k must be an integer >= 2"),
+        (FlowKind.integer(3), (Fraction(1, 2), 1, 1), "non-integer value (edge 0)"),
+        (FlowKind.modulo(1), (1, 1, 1), "k must be an integer >= 2"),
+        (FlowKind.modulo(3), (Fraction(1, 2), 1, 1), "non-integer value (edge 0)"),
+        (FlowKind.modulo(3), (3, 1, 1), "support != E (edge 0)"),
+        (FlowKind.modulo(3), (-1, 1, 1), "value not reduced to 1..k-1 (edge 0)"),
+        (FlowKind.modulo(3), (1, 1, 2), "boundary != 0 mod 3 (vertex 0)"),
+        (FlowKind.circular(Fraction(3, 2)), (1, 1, 1), "r must be >= 2"),
+        (FlowKind.circular(3), (0, 1, 1), "support != E (edge 0)"),
+        (FlowKind.circular(3), (3, 3, 3), "value out of range (edge 0)"),
+        (FlowKind.circular(3), (1, 1, Fraction(3, 2)), "boundary != 0 (vertex 0)"),
+        (FlowKind("gaussian", 2), (1, 1, 1), "unknown flow kind 'gaussian'"),
+    ],
+)
+def test_check_flow_names_each_violation(kind, values, violation):
+    res = check_flow(triangle(), FlowAssignment(REF, values), kind)
+    assert res == CheckResult(False, violation)
 
 
 def test_flow_kind_parse_round_trip():

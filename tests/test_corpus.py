@@ -49,6 +49,13 @@ def test_g_family_shape():
         assert len(negs) == 2
 
 
+def test_g_family_bounds_checked():
+    # as in the corpus bounds, a bool is refused, not read as 0 or 1
+    for t in (0, -1, 1.5, 2.0, "2", True, False, None):
+        with pytest.raises(PreconditionError, match="t must be an integer >= 1"):
+            g_family(t)
+
+
 def test_g_family_witness_is_circular_3_flow():
     from signedflow.core import check_flow, FlowKind
 

@@ -12,10 +12,14 @@ from signedflow.core import (
     SignedGraph,
     boundary,
     check_flow,
+    connected_components,
+    edge_subgraph,
     is_balanced,
+    lift_flow,
     serialize_graph,
     switch,
 )
+from signedflow.corpus import random_signed_graph
 from signedflow import solve
 from signedflow.errors import NotFlowAdmissibleError
 from signedflow.solve import find_nz_k_flow, find_nz_zk_flow, flow_numbers
@@ -28,7 +32,14 @@ from signedflow.transform import (
     normalize_circular_flow,
 )
 
-from bruteforce import edge_boundary, incidence, subset_bound, switch_orientation, tadpole_exists
+from bruteforce import (
+    connected_components_reference,
+    edge_boundary,
+    incidence,
+    subset_bound,
+    switch_orientation,
+    tadpole_exists,
+)
 
 REF = Orientation.reference()
 
@@ -52,6 +63,12 @@ def vertex_subsets(draw, g):
 def test_switch_is_an_involution(g, data):
     s = data.draw(vertex_subsets(g))
     assert serialize_graph(switch(switch(g, s), s)) == serialize_graph(g)
+
+
+@given(signed_graphs(max_v=7))
+def test_components_match_reference(g):
+    # read off the cached spanning forest, in the reference's order
+    assert connected_components(g) == connected_components_reference(g)
 
 
 @given(signed_graphs(), st.data())
@@ -108,6 +125,55 @@ def test_vertex_plus_edge_boundaries_cancel(g, data):
         edge_boundary(g, fa, i) for i, e in enumerate(g.edges) if e.sign < 0
     )
     assert total == 0
+
+
+_nonzero = (st.integers(-6, 6) | st.fractions(-6, 6, max_denominator=6)).filter(bool)
+
+
+@st.composite
+def flows_on(draw, g):
+    """Nonzero int and Fraction values on g's edges, under any flip set."""
+    m = g.num_edges
+    values = tuple(draw(st.lists(_nonzero, min_size=m, max_size=m)))
+    return FlowAssignment(Orientation(frozenset(draw(st.sets(st.integers(0, m - 1))))), values)
+
+
+@st.composite
+def random_graph_flows(draw):
+    n = draw(st.integers(1, 5))
+    g = random_signed_graph(draw(st.integers(0, 2**16)), n, draw(st.integers(max(n - 1, 1), 8)))
+    return g, draw(flows_on(g))
+
+
+def _types(values):
+    return [type(v) for v in values]
+
+
+@given(random_graph_flows())
+def test_folding_keeps_the_boundary_and_the_signed_values(case):
+    g, fa = case
+    signed = fa.signed_values()
+    assert _types(signed) == _types(fa.values)
+    folded = FlowAssignment.from_signed(signed)
+    assert all(v > 0 for v in folded.values)
+    assert boundary(g, folded) == boundary(g, fa)
+    back = folded.signed_values()
+    assert back == signed and _types(back) == _types(signed)
+
+
+@given(random_graph_flows(), st.data())
+def test_a_lifted_sub_flow_keeps_its_boundary(case, data):
+    # edge ids may repeat, as a doubled path's do; the lift sums the copies
+    g, host = case
+    ids = data.draw(st.lists(st.integers(0, g.num_edges - 1), min_size=1, max_size=10))
+    sub, vback, eback = edge_subgraph(g, ids)
+    sub_fa = data.draw(flows_on(sub))
+    lifted = lift_flow(g, eback, sub_fa, host.orientation)
+    assert lifted.orientation == host.orientation
+    want = [0] * g.num_vertices
+    for v, b in zip(vback, boundary(sub, sub_fa)):
+        want[v] = b
+    assert list(boundary(g, lifted)) == want
 
 
 @given(signed_graphs(), st.data())

@@ -500,7 +500,7 @@ def test_circuit_flow_matches_hand_chained_reference():
         for w in _signed_circuits(g):
             kinds[w.kind] += 1
             new, old = (
-                [-v if i in fa.orientation.reversed_edges else v for i, v in enumerate(fa.values)]
+                list(fa.signed_values())
                 for fa in (signed_circuit_flow(w), bruteforce.signed_circuit_flow_reference(w))
             )
             assert new in (old, [-v for v in old]), (g, w)

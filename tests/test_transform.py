@@ -14,6 +14,7 @@ from signedflow.core import (
     SignedGraph,
     boundary,
     check_flow,
+    parse_graph,
 )
 from signedflow.corpus import signed_petersen, g_family, g_family_circular_witness, w5_all_signatures
 from signedflow.errors import (
@@ -42,13 +43,6 @@ def k33():
 
 def long_barbell_graph():
     return SignedGraph(3, (Edge(0, 0, -1), Edge(2, 2, -1), Edge(0, 1, 1), Edge(1, 2, 1)))
-
-
-def signed_values(fa):
-    return [
-        -v if i in fa.orientation.reversed_edges else v
-        for i, v in enumerate(fa.values)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +143,7 @@ def check_conversion(g, fa, k, out):
     res = check_flow(g, out, FlowKind.integer(k))
     assert res.ok, res.violation
     assert out.orientation == fa.orientation
-    for a, b in zip(signed_values(out), fa.values):
+    for a, b in zip(out.signed_values(), fa.values):
         assert (int(a) - int(b)) % k == 0
 
 
@@ -234,6 +228,31 @@ def test_w5_counterexample_defeats_even_k():
         run_modflow_conversion(bad, fa, 4, allow_even_k=True, cap=50_000)
 
 
+def test_relocation_minus_then_stuck(monkeypatch):
+    # The smallest input that reaches the relocation step.  Non-admissible
+    # (one negative edge after switching), so no integer 4-flow exists;
+    # the run minuses edge 0 productively, relocates the source from
+    # vertex 2 to vertex 1 by minusing edge 2, and then has no step left.
+    # Over 5/8 the relocation never runs at odd k, and every run at
+    # k = 4, 6, 8 that reaches it ends stuck the same way.
+    g = parse_graph("p 3 5\ne 1 2 -\ne 1 2 +\ne 2 3 -\ne 2 3 -\ne 3 3 +\n")
+    fa = FlowAssignment(REF, (2, 2, 1, 3, 1))
+    assert check_flow(g, fa, FlowKind.modulo(4)).ok
+    seen = []
+    relocate = transform._relocation_minus
+
+    def spy(state, edges, x, y, stats):
+        before = state.eta
+        relocate(state, edges, x, y, stats)
+        seen.append((list(state.journal), (x, y), before, state.eta, state.bnd))
+
+    monkeypatch.setattr(transform, "_relocation_minus", spy)
+    with pytest.raises(InvariantViolation, match="no applicable conversion step"):
+        run_modflow_conversion(g, fa, 4, allow_even_k=True)
+    journal = [("minus", (0,)), ("switch", (1,)), ("minus", (2,))]
+    assert seen == [(journal, (2, 1), 4, 4, [0, 4, 0])]
+
+
 @pytest.mark.parametrize("cap", [0, -1])
 def test_conversion_cap_below_one_rejected(cap):
     g = k33()
@@ -272,16 +291,8 @@ def test_conversion_is_deterministic(petersen):
 # sum of 2-flows
 
 
-def positive_form(fa):
-    rev = frozenset(i for i, v in enumerate(fa.values) if v < 0)
-    return FlowAssignment(
-        Orientation(fa.orientation.reversed_edges ^ rev),
-        tuple(abs(v) for v in fa.values),
-    )
-
-
 def test_petersen_six_flow_decomposes(petersen):
-    fa = positive_form(find_nz_k_flow(petersen, 6))
+    fa = find_nz_k_flow(petersen, 6)
     parts = decompose_into_2_flows(petersen, fa, 6)
     assert len(parts) == 5
     for part in parts:
@@ -293,7 +304,7 @@ def test_petersen_six_flow_decomposes(petersen):
 
 def test_k_defaults_to_max_plus_one():
     g = k33()
-    fa = positive_form(find_nz_k_flow(g, 3))
+    fa = find_nz_k_flow(g, 3)
     parts = decompose_into_2_flows(g, fa)
     assert len(parts) == 2
 

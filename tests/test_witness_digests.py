@@ -10,7 +10,12 @@ digest pins the bytes of every k-flow and Z_k-flow certificate, node
 counts included, so a change to how values are encoded cannot move them
 unnoticed.  A second eulerian digest keeps only each member's kind and
 edge sets, so it tells a change in which edges a member holds from a
-change in the order they are traced in.
+change in the order they are traced in.  The conversion digest pins the
+journal of every modulo-to-integer conversion on the barbell-free 4/6
+classes at k = 3, 5, 7, and the two-flow digest the parts of every 2-flow
+decomposition on the admissible ones at k = 2..6, so a change to how
+signed values are folded or lifted through a subgraph cannot move them
+unnoticed.
 A mismatch prints the recomputed digest.
 """
 
@@ -19,6 +24,8 @@ import hashlib
 import pytest
 
 from signedflow.certificates import (
+    make_conversion_certificate,
+    make_decomposition_certificate,
     make_eulerian_certificate,
     make_flow_certificate,
     make_normalization_certificate,
@@ -28,13 +35,20 @@ from signedflow.core import FlowKind, SignedGraph, is_eulerian
 from signedflow.corpus import g_family
 from signedflow.solve import find_nz_k_flow, find_nz_zk_flow, flow_numbers
 from signedflow.structure import find_long_barbell, is_flow_admissible
-from signedflow.transform import eulerian_decompose, normalize_circular_flow
+from signedflow.transform import (
+    decompose_into_2_flows,
+    eulerian_decompose,
+    normalize_circular_flow,
+    run_modflow_conversion,
+)
 
 EULERIAN_DIGEST = "327bcd045f4602ffe88c880d5d4906d1fc4eb7a2a66a3efcba6d78418f3af349"
 EULERIAN_MEMBERS_DIGEST = "495cf46229a98c21f518cb6a9ba467eaaee7e878c570159372147f1754feb7bf"
 NORMALIZATION_DIGEST = "bb8b0813bdf9fe6757229a86c187e54e481cd3e9f5636738ed712de84b47d23d"
 INTEGER_WITNESS_DIGEST = "28313aa1f8be7afc537bd739ed45ce0d01c55686f92d6a82cc2a726ab276a2f8"
 FLOW_CERTIFICATE_DIGEST = "9a13d4c258bd8a80c65ef3f60033ce477456a440f7c643eb922a5915947a2552"
+CONVERSION_DIGEST = "3e089b318317e7639a78125137d0dc45e5bcb5aeea80422d82cc971fb0cc9d30"
+TWO_FLOW_DIGEST = "fb1f6f65432465cbf0cae2ceebd6067f244cdaa5b77f07a158293dc93be6ee00"
 
 
 def _digest(lines) -> tuple[str, int]:
@@ -132,3 +146,45 @@ def test_flow_certificate_digest(corpus_4_6):
     digest, count = _digest(certificates())
     assert count == 515 * 4 * 2
     assert digest == FLOW_CERTIFICATE_DIGEST, f"recomputed flow certificate digest {digest}"
+
+
+@pytest.fixture(scope="module")
+def barbell_free_4_6(corpus_4_6):
+    return [g for g in corpus_4_6 if find_long_barbell(g) is None]
+
+
+def test_conversion_certificates_digest(barbell_free_4_6):
+    # fresh objects, so no answer recorded by an earlier test is reused
+    def certificates():
+        for g in barbell_free_4_6:
+            for k in (3, 5, 7):
+                h = SignedGraph(g.num_vertices, g.edges)
+                fa = find_nz_zk_flow(h, k)
+                if fa is None:
+                    continue
+                out, state = run_modflow_conversion(h, fa, k)
+                cert = make_conversion_certificate(h, k, fa, out, state.journal)
+                assert verify_certificate(cert).ok
+                yield cert.to_json()
+
+    digest, count = _digest(certificates())
+    assert count == 870
+    assert digest == CONVERSION_DIGEST, f"recomputed conversion digest {digest}"
+
+
+def test_two_flow_certificates_digest(barbell_free_4_6):
+    def certificates():
+        for g in barbell_free_4_6:
+            if not is_flow_admissible(g):
+                continue
+            for k in range(2, 7):
+                fa = find_nz_k_flow(g, k)
+                if fa is None:
+                    continue
+                cert = make_decomposition_certificate(g, k, fa, decompose_into_2_flows(g, fa, k))
+                assert verify_certificate(cert).ok
+                yield cert.to_json()
+
+    digest, count = _digest(certificates())
+    assert count == 1309
+    assert digest == TWO_FLOW_DIGEST, f"recomputed two-flow digest {digest}"
