@@ -66,6 +66,10 @@ class Edge:
     def __post_init__(self) -> None:
         if self.sign not in (-1, 1):
             raise ValueError(f"edge sign must be +1 or -1, got {self.sign}")
+        if not (type(self.u) is int and type(self.v) is int):  # the common case, checked fast
+            for end in (self.u, self.v):
+                if isinstance(end, bool) or not isinstance(end, int):
+                    raise ValueError(f"edge endpoint {end!r} is not an integer")
 
     @property
     def is_loop(self) -> bool:

@@ -507,6 +507,18 @@ def circular_flow_number(
     the best ones.  The result is the least pair of t and reversed edge
     ids: the answer and witness of a sweep over every orientation.
 
+    Identical parallel edges (equal `Edge`s: same ends in the same order,
+    same sign, such as repeated negative loops at one vertex) other than
+    the lowest LP edge are twins.  Swapping two twins' orientations swaps
+    two LP columns, so both leaves have the same set ratios and the same
+    optimum t.  Twins are oriented in ascending id order, and the search
+    refuses −1 for a twin while the one oriented just before it is +1, so
+    it keeps only orientations whose reversed twins are the lowest ids of
+    their class.  Of the leaves a twin swap relates, the kept one has the
+    least sorted tuple of reversed ids, so the least pair of t and
+    reversed ids is always a kept leaf, and the answer and witness are
+    unchanged.
+
     `flow_numbers` starts the search from the bound phi_i − 1, which
     holds because every integer k-flow is a circular k-flow; the answer
     and witness are those of the unseeded search.  With `stats`, the
@@ -564,6 +576,15 @@ def _circular_flow_number(
     depth = [0] * mlp
     for i, pos in enumerate(order):
         depth[pos] = i
+    # Per position, its twin oriented just before it, or -1; position 0
+    # has no twins.  The layout lists twins in ascending id order.
+    prev_twin = [-1] * mlp
+    last: dict = {}
+    for pos in order:
+        if pos:
+            e = g.edges[lp_edges[pos]]
+            prev_twin[pos] = last.get(e, -1)
+            last[e] = pos
     done_at = {v: max(depth[pos] for pos, _ in pairs) for v, pairs in at.items()}
     # Per depth, each set whose last vertex completes there: its vertices,
     # the coefficient c of that depth's edge summed over them, and T.
@@ -631,9 +652,12 @@ def _circular_flow_number(
             dx = abs(base + c)
             if (total + dx) * lo2 > hi2 * (total - dx):
                 hi2, lo2 = total + dx, total - dx
+        twin = prev_twin[pos]
         for s, nhi, nlo in ((1, hi1, lo1),) if pos == 0 else ((1, hi1, lo1), (-1, hi2, lo2)):
             if nlo == 0 if bound is None else nhi * bound[1] > bound[0] * nlo:
                 continue
+            if s < 0 and twin >= 0 and sign[twin] > 0:
+                continue  # a kept leaf's LP with two columns swapped
             sign[pos] = s
             for v, c0 in ref[pos]:
                 d[v] -= s * c0

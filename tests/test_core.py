@@ -121,6 +121,19 @@ def test_graph_refuses_what_the_parser_refuses():
     assert SignedGraph(0, ()).num_edges == 0
 
 
+def test_edge_refuses_endpoints_that_are_not_integers():
+    # a float endpoint once passed the range check and broke the first
+    # layout; a bool passed as vertex 0 or 1; a numpy integer is no int
+    import numpy as np
+
+    for end in (1.0, True, np.int64(1)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Edge(0, end, 1)
+        with pytest.raises(ValueError, match="is not an integer"):
+            Edge(end, 0, -1)
+    assert Edge(0, 1, 1).v == 1
+
+
 def test_parse_accepts_what_int_accepts():
     # vertex ids and header numbers are read by int(): signs,
     # underscores between digits and non-ASCII digits are accepted, and

@@ -22,7 +22,8 @@ from signedflow.core import (
 from signedflow.corpus import random_signed_graph
 from signedflow import solve
 from signedflow.errors import NotFlowAdmissibleError
-from signedflow.solve import find_nz_k_flow, find_nz_zk_flow, flow_numbers
+from signedflow.solve import circular_flow_number, find_nz_k_flow, find_nz_zk_flow, flow_numbers
+from signedflow.structure import is_flow_admissible
 from signedflow.transform import (
     ConversionState,
     _Budget,
@@ -32,6 +33,7 @@ from signedflow.transform import (
     normalize_circular_flow,
 )
 
+import bruteforce
 from bruteforce import (
     connected_components_reference,
     edge_boundary,
@@ -271,3 +273,28 @@ def test_connected_sets_carry_the_subset_bound(g, data):
     assert one_sided == brute_one_sided
     if not one_sided:
         assert best == brute_best
+
+
+@st.composite
+def twin_multigraphs(draw, max_v=3, max_e=7):
+    # a few distinct edges, each repeated 1-3 times, at shuffled ids:
+    # identical parallel edges, repeated negative loops at one vertex, and
+    # twins of the lowest LP edge
+    n = draw(st.integers(1, max_v))
+    vert = st.integers(0, n - 1)
+    kinds = draw(st.lists(st.builds(Edge, vert, vert, st.sampled_from((1, -1))), min_size=1, max_size=3))
+    edges = [e for e in kinds for _ in range(draw(st.integers(1, 3)))]
+    assume(len(edges) <= max_e)
+    return SignedGraph(n, tuple(draw(st.permutations(edges))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(twin_multigraphs())
+def test_twin_rule_matches_orientation_sweep(g):
+    # the circular search orients each class of twins once; the sweep
+    # tries every orientation, and both keep the least (t, reversed ids)
+    assume(is_flow_admissible(g))
+    swept = repr(bruteforce.circular_sweep(g))
+    for entry in (circular_flow_number, flow_numbers):
+        fn = entry(g)
+        assert repr((fn.phi_c, fn.witnesses["phi_c"])) == swept, entry.__name__

@@ -665,6 +665,30 @@ def test_lp_calls_below_parent_ceilings(circular_oracle):
         assert calls[name] < PARENT_LP_CALLS[name], name
 
 
+# flow_numbers LP calls over the admissible 4/7 classes, exact, since
+# each class of identical parallel edges is oriented once (6,957 before)
+C47_LP_CALLS = 4002
+
+
+def test_c47_lp_calls_pinned(circular_oracle):
+    assert sum(lps for name, *_, lps in circular_oracle if name.startswith("c47:")) == C47_LP_CALLS
+
+
+def test_twins_of_the_lowest_lp_edge():
+    # three negative loops at one vertex: position 0 is never reversed, so
+    # only edges 1 and 2 are twins; folding edge 0 into their class would
+    # refuse every orientation with zero boundary
+    g = SignedGraph(1, (Edge(0, 0, -1),) * 3)
+    swept = repr(bruteforce.circular_sweep(g))
+    for entry in (circular_flow_number, flow_numbers):
+        stats = {}
+        fn = entry(SignedGraph(1, g.edges), stats=stats)
+        assert repr((fn.phi_c, fn.witnesses["phi_c"])) == swept, entry.__name__
+        assert fn.witnesses["phi_c"].orientation.reversed_edges == {1}
+        # edge 2 reversed alone is the same LP with two columns swapped
+        assert (stats["lp_calls"], stats["tie_skips"]) == (1, 1), entry.__name__
+
+
 @pytest.mark.parametrize("entry", [circular_flow_number, flow_numbers])
 @pytest.mark.parametrize("g", [k4(), g_family(2), signed_petersen()], ids=["k4", "g2", "petersen"])
 def test_stats_count_lp_calls(monkeypatch, entry, g):
