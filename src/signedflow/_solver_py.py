@@ -27,15 +27,10 @@ negated, so the status and the first witness are those of the plain
 search.
 
 Node accounting: each candidate value tried at a position is one node,
-kept or refused.  search_integer solves for the kept candidates in
-closed form and jumps over the refused ones, counting a node for each,
-so its count (and its tree and witness) equal those of trying every
-candidate in turn under the same rules, as its reference does.  Under
-the root rule an exhausted search counts N' = p + (N - p) / 2 nodes,
-where N is the count with both signs tried at the root and p the
-positive loops pinned before it.  A nonzero cap ends a search with
-status 2 and nodes == cap + 1 as soon as the count passes the cap,
-within a jump too; a cap of 0 means none.
+kept or refused, and each pinned positive loop is one node.  A nonzero
+cap ends a search with status 2 and nodes == cap + 1 at the first node
+past the cap; a cap of 0 means none, and a negative cap is passed by
+the first node.
 
 Statuses: 0 witness found, 1 search space exhausted (an exactness
 claim), 2 node cap hit before either.
@@ -47,121 +42,70 @@ FOUND = 0
 EXHAUSTED = 1
 CAPPED = 2
 
-_R2 = (2, 0, 0)  # the last-slot rule of a negative loop
-
 
 def search_integer(m, n, typ, va, ca, vb, cb, k, cap):
     """Nowhere-zero integer flow, values in +-{1..k-1}.
 
-    Candidates at a position are tried in the order 1, -1, 2, -2, ...;
-    one is kept when every touched vertex has |partial boundary| at most
-    its slack, the largest swing its unassigned edges can still produce,
-    and no touched vertex is left with a last slot no value can close.
+    Candidates at a position are tried in the order 1, -1, 2, -2, ...,
+    one node each: a candidate is applied, then refused if it breaks the
+    slack window at either end or a last-slot rule, and kept otherwise.
     The root, the first position that is not a positive loop, tries
     only 1, 2, ..., k-1.  This is exact: the negation of a flow whose
-    root value is -c is a flow with root value +c, and every pruning
-    test is the same for both, so the subtree under -c mirrors the one
-    under +c.  So the status and the first witness are those of trying
-    both signs (a witness under -c has a mirror under +c, tried
-    earlier), and an exhausted search counts p + (N - p) / 2 nodes for
-    the N of trying both signs, p the positive loops before the root.
-    The root's boundary is zero, so its window is symmetric and its
-    first candidate is 1, as before.
-    Returns (status, values, nodes).
+    root value is -c is a flow with root value +c, and every rule is the
+    same for both, so the subtree under -c mirrors the one under +c.
+    The status and the first witness are those of trying both signs,
+    and an exhausted search counts p + (N - p) / 2 nodes for the N of
+    trying both signs, p the positive loops before the root.
+    Returns (status, values, nodes), the same as
+    tests/bruteforce.search_integer_reference with both rules on.
 
-    Last slots.  Call v an endpoint of the current position, B(v) its
-    boundary once the candidate is applied, and suppose v has exactly
-    one unassigned slot left (positive loops do not count).  Which slot
-    that is depends only on the assignment order, so the setup pass
-    finds it once per vertex, at v's second-to-last position.
+    Last slots.  Call v an endpoint of the current position and B(v)
+    its boundary once the candidate is applied, and suppose v has
+    exactly one unassigned slot left (positive loops do not count).
+    Which slot that is depends only on the assignment order, so one
+    backward pass records it at v's second-to-last position.
       R1: an ordinary half-edge of e = (v, w).  Zero boundary at v
           forces e's value to f = -c_v(e) B(v), so the candidate is
           refused when B(v) = 0, or when w's other unassigned edges
-          cannot absorb f: |B(w) + c_w(e) f| > slack(w) - (k - 1), with
-          the candidate applied to B(w) when w is the other endpoint.
+          cannot absorb f: |B(w) + c_w(e) f| > slack(w) - (k - 1).
       R2: a negative loop, which adds 2f.  The candidate is refused
-          when B(v) is 0 or odd.
-    Both only cut subtrees that hold no flow, so the status and the
-    first witness are those of the search without them, and both are
-    unchanged when every value is negated, so the root rule stays
-    exact.
-
-    Boundary and slack at a position's ends stay fixed while its
-    candidates are tried, so the values kept by the slack test form one
-    interval [lo, hi], solved on entry from the coefficients
-    solve._search_layout guarantees, in the layout the reference kernel
-    in tests/bruteforce.py shares: ca = 1 and cb = +-1 on an ordinary
-    edge, ca = 2 on a negative loop (|B + 2 val| <= S gives
-    lo = -((S + B) // 2), hi = (S - B) // 2).  R1's test on w is linear
-    in the value too, so it narrows [lo, hi] the same way.  What is
-    left is at most two holes, the values that make B(v) zero at an
-    end with a last slot, and R2's parity; a candidate falling on one
-    is refused where it stands.
-    The search jumps straight to the next candidate inside the interval
-    and counts one node for every candidate jumped over or refused, as
-    though it had been tried and refused, so the search tree, the
-    witness and the node count are those of trying the candidates one
-    by one.  With a positive cap the search returns CAPPED with
-    nodes == cap + 1 once the count passes the cap, also when a jump
-    crosses it; a negative cap is passed by the first node."""
+          when B(v) is 0 or odd."""
     values = [0] * m
     if m == 0:
         return FOUND, values, 0
+    k1 = k - 1
     bnd = [0] * n
     slack = [0] * n
-    rel = [0] * m  # slack each end of a position gives up while it is assigned
-    # rules[p], for a position p that is some vertex's second-to-last,
-    # pairs the rules that the last slots of p's first and second end
-    # set: R2 as (2, 0, 0), R1 as (kind, w, g) with g = c_v(e) c_w(e),
-    # which is cb of e, and kind 1 when w is p's other end, else 0.
-    # Built from the back: last[v] is -1 until v's last position is
-    # seen, then that position, then m once its rule is set.
-    rules = [None] * m
+    # tail[p]: (v, w, g) for each end v of p whose last slot follows p,
+    # with w the slot's other end and g = c_v c_w for R1, or w = -1 for
+    # R2.  last[v] is -1 until v's last position is seen, then that
+    # position, then m once v's second-to-last is recorded.
+    tail = [()] * m
     last = [-1] * n
-    k1 = k - 1
     for pos in range(m - 1, -1, -1):
         t = typ[pos]
         if t == 2:
             continue
-        a = va[pos]
-        b = vb[pos] if t == 0 else -1
-        ra = rb = None
-        q = last[a]
-        if q < 0:
-            last[a] = pos
-        elif q < m:
-            last[a] = m
-            if typ[q] == 1:
-                ra = _R2
-            else:
-                w = vb[q] if va[q] == a else va[q]
-                ra = (1 if w == b else 0, w, cb[q])
-        if t == 0:
-            rel[pos] = k1
-            slack[a] += k1
-            slack[b] += k1
-            q = last[b]
+        r = k1 if t == 0 else 2 * k1
+        for v in (va[pos], vb[pos]) if t == 0 else (va[pos],):
+            slack[v] += r
+            q = last[v]
             if q < 0:
-                last[b] = pos
+                last[v] = pos
             elif q < m:
-                last[b] = m
+                last[v] = m
                 if typ[q] == 1:
-                    rb = _R2
+                    tail[pos] += ((v, -1, 0),)
                 else:
-                    w = vb[q] if va[q] == b else va[q]
-                    rb = (1 if w == a else 0, w, cb[q])
-        else:
-            rel[pos] = 2 * k1
-            slack[a] += 2 * k1
-        if ra is not None or rb is not None:
-            rules[pos] = (ra, rb)
+                    tail[pos] += ((v, vb[q] if va[q] == v else va[q], ca[q] * cb[q]),)
     if cap <= 0:
         cap = 1 << 62 if cap == 0 else 0  # none, or passed by the first node
-    top = 2 * (k - 1)  # candidate index i has value i // 2 + 1, negated for odd i
-    win = [None] * m  # per position: index bounds of [lo, hi], and its holes
-    root = 0  # the first branching position
+    signed = [c for v in range(1, k) for c in (v, -v)]
+    positive = range(1, k)
+    root = 0
     while root < m and typ[root] == 2:
         root += 1
+    idx = [0] * m  # the index of the candidate each position holds
     nodes = 0
     pos = 0
     while True:
@@ -176,195 +120,63 @@ def search_integer(m, n, typ, va, ca, vb, cb, k, cap):
                 return FOUND, values, nodes
             continue
         a = va[pos]
-        r = rel[pos]
-        sa = slack[a] - r
-        slack[a] = sa
-        x = bnd[a]
-        holes = None  # (value, value, parity refused), or None
-        if t == 0:
-            lo = -sa - x
-            hi = sa - x
-            b = vb[pos]
-            sb = slack[b] - r
-            slack[b] = sb
-            y = bnd[b]
-            s = cb[pos]
-            if s > 0:
-                if -sb - y > lo:
-                    lo = -sb - y
-                if sb - y < hi:
-                    hi = sb - y
-            else:
-                if y - sb > lo:
-                    lo = y - sb
-                if y + sb < hi:
-                    hi = y + sb
-            both = rules[pos]
-            if both is not None:
-                # B(a) = x + val and B(b) = y + s val once val is applied
-                ua, ub = both
-                ha = hb = 0
-                par = -1
-                if ua is not None:
-                    ha = -x
-                    kind, w, g = ua
-                    if kind == 2:
-                        par = ~x & 1
-                    elif kind == 0:
-                        # |B(w) - g (x + val)| <= R
-                        rw = slack[w] - k1
-                        c = g * bnd[w] - x
-                        if c - rw > lo:
-                            lo = c - rw
-                        if c + rw < hi:
-                            hi = c + rw
-                    else:
-                        # w = b: |(y - g x) + (s - g) val| <= R
-                        rw = sb - k1
-                        z = y - g * x
-                        if s == g:
-                            if z > rw or -z > rw:
-                                hi = lo - 1
-                        else:
-                            z *= s
-                            if -((rw + z) >> 1) > lo:
-                                lo = -((rw + z) >> 1)
-                            if (rw - z) >> 1 < hi:
-                                hi = (rw - z) >> 1
-                if ub is not None:
-                    hb = -s * y
-                    kind, w, g = ub
-                    if kind == 2:
-                        if par < 0:
-                            par = ~y & 1
-                        elif par != ~y & 1:
-                            hi = lo - 1
-                    elif kind == 0:
-                        # |B(w) - g (y + s val)| <= R
-                        rw = slack[w] - k1
-                        c = s * (g * bnd[w] - y)
-                        if c - rw > lo:
-                            lo = c - rw
-                        if c + rw < hi:
-                            hi = c + rw
-                    else:
-                        # w = a: |(x - g y) + (1 - g s) val| <= R
-                        rw = sa - k1
-                        z = x - g * y
-                        if s == g:
-                            if z > rw or -z > rw:
-                                hi = lo - 1
-                        else:
-                            if -((rw + z) >> 1) > lo:
-                                lo = -((rw + z) >> 1)
-                            if (rw - z) >> 1 < hi:
-                                hi = (rw - z) >> 1
-                holes = (ha, hb, par)
+        b = vb[pos]
+        c_a = ca[pos]
+        c_b = cb[pos]
+        r = k1 if t == 0 else 2 * k1  # the slack each end gives up
+        cands = positive if pos == root else signed
+        i = idx[pos]
+        if i == 0:  # a fresh position
+            slack[a] -= r
+            if t == 0:
+                slack[b] -= r
+        while i < len(cands):
+            val = cands[i]
+            nodes += 1
+            if nodes > cap:
+                return CAPPED, values, cap + 1
+            bnd[a] += c_a * val
+            if t == 0:
+                bnd[b] += c_b * val
+            if (
+                abs(bnd[a]) <= slack[a]
+                and (t or abs(bnd[b]) <= slack[b])
+                and (not tail[pos] or _last_slots_ok(bnd, slack, tail[pos], k1))
+            ):
+                break
+            bnd[a] -= c_a * val
+            if t == 0:
+                bnd[b] -= c_b * val
+            i += 1
         else:
-            lo = -((sa + x) // 2)
-            hi = (sa - x) // 2
-            both = rules[pos]
-            if both is not None:
-                # B(a) = x + 2 val once val is applied
-                ua = both[0]
-                if x & 1:
-                    if ua[0] == 2:
-                        hi = lo - 1
-                else:
-                    holes = (-(x >> 1), 0, -1)
-                if ua[0] == 0:
-                    # |B(w) - g (x + 2 val)| <= R
-                    w = ua[1]
-                    rw = slack[w] - k1
-                    z = x - ua[2] * bnd[w]
-                    if -((rw + z) >> 1) > lo:
-                        lo = -((rw + z) >> 1)
-                    if (rw - z) >> 1 < hi:
-                        hi = (rw - z) >> 1
-        i = 0
-        j = top
-        if lo <= hi:
-            elo = 2 * lo - 2 if lo > 1 else 0
-            ehi = 2 * hi - 2 if hi < k - 1 else top - 2
-            olo = -2 * hi - 1 if hi < -1 else 1
-            ohi = -2 * lo - 1 if lo > 1 - k else top - 1
-            if elo <= ehi:
-                j = elo
-            if olo < j and olo <= ohi:
-                j = olo
-            win[pos] = (elo, ehi, olo, ohi, holes)
-        while True:
-            if j < top:
-                val = -(j >> 1) - 1 if j & 1 else (j >> 1) + 1
-                if holes is None or not (val == holes[0] or val == holes[1] or val & 1 == holes[2]):
-                    nodes += j - i + 1
-                    if nodes > cap:
-                        return CAPPED, values, cap + 1
-                    values[pos] = val
-                    bnd[a] += val
-                    if t == 0:
-                        bnd[b] += cb[pos] * val
-                    else:
-                        bnd[a] += val
-                    pos += 1
-                    if pos == m:
-                        return FOUND, values, nodes
-                    break
-                # refused by a last slot: one node, counted here (a later
-                # node or the position's exhaustion checks the cap)
-                if pos == root:
-                    nodes += 1
-                    i = j + 2
-                    j = i if i <= ehi else top
-                    continue
-                nodes += j - i + 1
-                i = j + 1
-            else:
-                if pos == root:
-                    # the root's untried candidates are its positive values
-                    # from index i on, one node each
-                    nodes += (top - i) >> 1
-                    if nodes > cap:
-                        return CAPPED, values, cap + 1
-                    return EXHAUSTED, values, nodes
-                nodes += top - i
-                if nodes > cap:
-                    return CAPPED, values, cap + 1
-                slack[a] += r
-                if t == 0:
-                    slack[b] += r
+            # every candidate refused: give the slack back, step back to
+            # the last branching position and move it to its next candidate
+            if pos == root:
+                return EXHAUSTED, values, nodes
+            slack[a] += r
+            if t == 0:
+                slack[b] += r
+            idx[pos] = 0
+            pos -= 1
+            while typ[pos] == 2:  # stops at the root at the latest
                 pos -= 1
-                while typ[pos] == 2:  # stops at the root at the latest
-                    pos -= 1
-                t = typ[pos]
-                a = va[pos]
-                r = rel[pos]
-                val = values[pos]
-                bnd[a] -= val
-                if t == 0:
-                    b = vb[pos]
-                    bnd[b] -= cb[pos] * val
-                else:
-                    bnd[a] -= val
-                elo, ehi, olo, ohi, holes = win[pos]
-                if pos == root:
-                    # the next root candidate is val + 1, at index 2 * val; the
-                    # root's even indices run from 0 to ehi
-                    i = 2 * val
-                    j = i if i <= ehi else top
-                    continue
-                i = 2 * val - 1 if val > 0 else -2 * val  # one past val's index
-            # the next candidate from i on inside [lo, hi], else top
-            j = i + (i & 1)
-            if j < elo:
-                j = elo
-            if j > ehi:
-                j = top
-            d = i | 1
-            if d < olo:
-                d = olo
-            if d < j and d <= ohi:
-                j = d
+            _unapply(bnd, typ, va, ca, vb, cb, pos, values)
+            idx[pos] += 1
+            continue
+        idx[pos] = i
+        values[pos] = val
+        pos += 1
+        if pos == m:
+            return FOUND, values, nodes
+
+
+def _last_slots_ok(bnd, slack, tail, k1):
+    """R1 and R2 for the ends in tail, with the candidate applied."""
+    for v, w, g in tail:
+        x = bnd[v]
+        if x == 0 or (x & 1 if w < 0 else abs(bnd[w] - g * x) > slack[w] - k1):
+            return False
+    return True
 
 
 def _unapply(bnd, typ, va, ca, vb, cb, pos, values):

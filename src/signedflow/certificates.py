@@ -16,16 +16,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from . import solve
 from .core import (
     FlowAssignment,
     FlowKind,
     Orientation,
     SignedGraph,
+    boundary,
     check_flow,
     parse_graph,
     serialize_graph,
 )
 from .errors import PreconditionError
+from .structure import classify_signed_circuit
+from .transform import ConversionState, _unwind, normalize_circular_flow
 
 SCHEMA_VERSION = 1
 
@@ -366,8 +370,6 @@ def _no_flow(g: SignedGraph, kind: str, k: int) -> bool:
     value is odd, so each boundary is congruent to the degree mod 2.
     Otherwise `solve.find_nz_k_flow` or `solve.find_nz_zk_flow` searches
     again."""
-    from . import solve
-
     if k == 2 and _has_odd_degree(g):
         return True
     finder = solve.find_nz_k_flow if kind == "integer" else solve.find_nz_zk_flow
@@ -404,8 +406,6 @@ def _verify_flow_number(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
     (k - 1)-flow.  phi_c is recomputed by the circular search started
     from the verified phi_i.
     """
-    from . import solve
-
     payload = cert.payload
     if "phi_i" not in payload and "phi_c" not in payload:
         return VerifyOutcome(False, "flow-number certificate claims no flow number")
@@ -439,8 +439,6 @@ def _verify_conversion(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
     converter switches only sinks and zero-boundary vertices and ends on a
     minus step, so a switch at a source or at the end is rejected; an
     inert switch inside a journal is still not detected."""
-    from .transform import ConversionState, _unwind
-
     k = int(cert.payload["k"])
     fa_in = _payload_flow(cert.payload["input"], g.num_edges, FlowKind.modulo(k))
     fa_out = _payload_flow(cert.payload["output"], g.num_edges, FlowKind.integer(k))
@@ -477,8 +475,6 @@ def _verify_conversion(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
 
 
 def _verify_decomposition(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
-    from .core import boundary
-
     k = int(cert.payload["k"])
     fa = _payload_flow(cert.payload["input"], g.num_edges, FlowKind.integer(k))
     parts = [_payload_flow(p, g.num_edges, FlowKind.integer(2)) for p in cert.payload["parts"]]
@@ -502,8 +498,6 @@ def _verify_decomposition(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
 
 
 def _verify_eulerian(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
-    from .structure import classify_signed_circuit
-
     def split(circuits, path):
         # each circuit's edge set, and the path's, free of walking order
         return sorted(sorted(int(i) for i in c) for c in circuits), sorted(int(i) for i in path)
@@ -526,8 +520,6 @@ def _verify_eulerian(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
 
 
 def _verify_normalization(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
-    from .transform import normalize_circular_flow
-
     p = int(cert.payload["p"])
     q = int(cert.payload["q"])
     fa_in = _payload_flow(cert.payload["input"], g.num_edges)
@@ -575,8 +567,6 @@ def verify_certificate(cert: Certificate) -> VerifyOutcome:
     (`solve.find_nz_k_flow`); a search the verdict rests on raises
     ResourceCapExceeded when it hits the cap.
     """
-    from . import solve
-
     solve._resolve_cap(None)
     for name, want in _FIELD_TYPES:
         if not isinstance(getattr(cert, name), want):

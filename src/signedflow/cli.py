@@ -26,7 +26,7 @@ from .core import (
     parse_graph,
     serialize_graph,
 )
-from .corpus import CorpusSpec, signed_petersen
+from .corpus import CorpusSpec, enumerate_signed_graphs, signed_petersen
 from .errors import (
     InvariantViolation,
     PreconditionError,
@@ -240,8 +240,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .corpus import enumerate_signed_graphs
-
     graphs = list(enumerate_signed_graphs(args.max_v, args.max_e))
     if args.suite == "cubic-z4":
         graphs.append(signed_petersen())

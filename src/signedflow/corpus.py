@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import getitem, itemgetter
 from typing import Iterator
 
-from .core import Edge, FlowAssignment, FlowKind, Orientation, SignedGraph, check_flow
+from .core import Edge, FlowAssignment, FlowKind, Orientation, SignedGraph, boundary, check_flow
 from .errors import InvariantViolation, PreconditionError
 
 MAX_ENUM_VERTICES = 5
@@ -84,8 +84,6 @@ def g_family_circular_witness(t: int) -> FlowAssignment:
     units through the loops costs 3/2 per loop because a loop meets its
     vertex twice.
     """
-    from .core import boundary
-
     g = g_family(t)
     per_edge: list[Fraction] = [Fraction(0)] * g.num_edges
     rev: set[int] = set()

@@ -25,6 +25,7 @@ The three kinds of signed circuit:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
@@ -325,8 +326,6 @@ def _connecting_path(
     g: SignedGraph, from_verts: frozenset[int], to_verts: frozenset[int]
 ) -> tuple[int, ...] | None:
     """Shortest path whose internal vertices avoid both endpoint sets."""
-    from collections import deque
-
     prev: dict[int, tuple[int, int]] = {}
     seen = set(from_verts)
     queue = deque(from_verts)

@@ -724,8 +724,11 @@ def decompose_into_2_flows(
     """Write a positive k-flow as exactly k-1 non-negative 2-flows.
 
     All parts share fa's orientation, take values in {0, 1} and sum
-    edgewise to fa.  k defaults to max(f)+1.
+    edgewise to fa.  k defaults to max(f)+1.  The inner conversions
+    share the cap of run_modflow_conversion: SG_RESOURCE_CAP, else
+    TRANSFORM_SEARCH_CAP steps each.
     """
+    cap = _resolve_cap(None, TRANSFORM_SEARCH_CAP)
     vals = [int(v) for v in fa.values]
     if any(Fraction(v) != v for v in fa.values):
         raise PreconditionError("decomposition needs integer values")
@@ -739,7 +742,7 @@ def decompose_into_2_flows(
         raise PreconditionError(f"input is not an integer {k}-flow: {res.violation}")
     if find_long_barbell(g) is not None:
         raise PreconditionError("graph contains a long barbell")
-    parts = _decompose_rec(g, vals, k, fa.orientation)
+    parts = _decompose_rec(g, vals, k, fa.orientation, cap)
     if len(parts) != k - 1:
         raise InvariantViolation(f"expected {k - 1} parts, got {len(parts)}")
     for part in parts:
@@ -755,9 +758,10 @@ def decompose_into_2_flows(
 
 
 def _decompose_rec(
-    g: SignedGraph, f: list[int], k: int, orient: Orientation
+    g: SignedGraph, f: list[int], k: int, orient: Orientation, cap: int = TRANSFORM_SEARCH_CAP
 ) -> list[list[int]]:
-    """Recursive split of a non-negative k-flow (values under orient)."""
+    """Recursive split of a non-negative k-flow (values under orient);
+    each conversion at an even level stops after cap steps."""
     m = g.num_edges
     if k == 2:
         if any(v not in (0, 1) for v in f):
@@ -780,7 +784,7 @@ def _decompose_rec(
             half1.append(a // 2)
             half2.append(b // 2)
         k2 = (k + 1) // 2
-        return _decompose_rec(g, half1, k2, orient) + _decompose_rec(g, half2, k2, orient)
+        return _decompose_rec(g, half1, k2, orient, cap) + _decompose_rec(g, half2, k2, orient, cap)
     # k even: pull out one 2-flow through a modulo-(k-1) conversion
     km1 = k - 1
     core = sorted(i for i in range(m) if 0 < f[i] < km1)
@@ -798,7 +802,7 @@ def _decompose_rec(
             )
         # k - 1 is odd, the input was just checked, and a subgraph of a
         # barbell-free graph is barbell-free
-        conv, _ = _convert(sub, sub_fa, km1, TRANSFORM_SEARCH_CAP)
+        conv, _ = _convert(sub, sub_fa, km1, cap)
         g0 = lift_flow(g, eback, conv, orient).values
     f1 = []
     rest = []
@@ -808,7 +812,7 @@ def _decompose_rec(
             raise InvariantViolation("even split produced a bad quotient")
         f1.append(d // km1)
         rest.append(f[i] - d // km1)
-    return [f1] + _decompose_rec(g, rest, km1, orient)
+    return [f1] + _decompose_rec(g, rest, km1, orient, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ def _two_flow_item(g: SignedGraph, cap: Optional[int]):
             failures.append(_fail(g, f"k={k}: odd-value parity violated"))
         try:
             parts = transform.decompose_into_2_flows(g, fa, k)
-        except (InvariantViolation, AssertionError) as exc:
+        except InvariantViolation as exc:
             failures.append(_fail(g, f"k={k}: decomposition failed: {exc}"))
             continue
         if len(parts) != k - 1:

@@ -7,11 +7,14 @@ shared with the pruned solvers on purpose — agreement between the two
 is one of the acceptance gates.  The one exception is the orientation
 sweep for circular flow numbers: it calls the package's exact LP and
 2-flow search, so that its witnesses can be compared byte for byte.
-The pruned integer kernel as it was before candidate jumps is kept
-here too, as search_integer_reference: the kernel must walk its tree
-node for node, so the oracle is the same search without the jumps.
-Its last_slot mode adds the kernel's two last-slot refusals as plain
-per-candidate tests, found by scanning the positions still to come.
+The pruned integer kernel is kept here too, as search_integer_reference,
+with each of its rules a mode that can be left off: the kernel must walk
+the same tree node for node.  Its last_slot mode adds the kernel's two
+last-slot refusals as plain per-candidate tests, found by scanning the
+positions still to come where the kernel reads them from a table.
+subset_component_table and nowhere_zero_zk_flow_count count nowhere-zero
+Z_k-flows by Beck and Zaslavsky's inclusion-exclusion over edge subsets,
+the oracle for "no Z_k-flow" that shares no code with any search.
 subset_bound is the circular search's vertex-cut bound over all 2^n
 vertex sets, the oracle for the connected sets the search checks.
 enumerate_signed_graphs_reference is the corpus enumerator as it was
@@ -73,7 +76,9 @@ columns.  Keep inputs small.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -159,6 +164,58 @@ def has_integer_k_flow(g, k: int) -> bool:
 
 def has_zk_flow(g, k: int) -> bool:
     return bool(all_zk_flows(g, k).shape[0])
+
+
+def subset_component_table(g) -> Counter:
+    """How many edge subsets S have each (|S|, b(S), u(S)): b and u count
+    the balanced and unbalanced components of the spanning subgraph
+    (V, S), an isolated vertex balanced.  A union-find keeps each
+    vertex's sign parity to its root; an edge closing a cycle of odd
+    parity, a negative loop included, unbalances its component."""
+    n = g.num_vertices
+    table = Counter()
+    for mask in range(1 << g.num_edges):
+        parent = list(range(n))
+        parity = [0] * n  # sign parity of the path to parent
+        unbalanced = [False] * n
+
+        def find(x):
+            p = 0
+            while parent[x] != x:
+                p ^= parity[x]
+                x = parent[x]
+            return x, p
+
+        size = 0
+        for j, e in enumerate(g.edges):
+            if mask >> j & 1:
+                size += 1
+                (ru, pu), (rv, pv) = find(e.u), find(e.v)
+                p = pu ^ pv ^ (e.sign < 0)
+                if ru == rv:
+                    unbalanced[ru] |= bool(p)
+                else:
+                    parent[ru], parity[ru] = rv, p
+                    unbalanced[rv] |= unbalanced[ru]
+        roots = [v for v in range(n) if parent[v] == v]
+        u = sum(unbalanced[r] for r in roots)
+        table[size, len(roots) - u, u] += 1
+    return table
+
+
+def nowhere_zero_zk_flow_count(g, k: int, table: Optional[Counter] = None) -> int:
+    """The number of nowhere-zero Z_k-flows on g, by Beck and Zaslavsky's
+    inclusion-exclusion: an edge subset S carries
+    k^(|S| - n + b(S)) gcd(2, k)^u(S) Z_k-flows, zero values allowed, and
+    the nowhere-zero count is the alternating sum over S by |E - S|.
+    The table of subset_component_table(g) serves every k."""
+    if table is None:
+        table = subset_component_table(g)
+    m, n = g.num_edges, g.num_vertices
+    return sum(
+        (-1) ** (m - size) * k ** (size - n + b) * gcd(2, k) ** u * count
+        for (size, b, u), count in table.items()
+    )
 
 
 def boundary_of(g, orientation_flips, values) -> list:
@@ -309,7 +366,7 @@ def subset_bound(g, reversed_edges):
 def search_integer_reference(
     m, n, typ, va, ca, vb, cb, k, cap, root_positive=False, last_slot=False
 ):
-    """The integer kernel before candidate jumps: the oracle for
+    """The integer kernel with its rules as modes: the oracle for
     signedflow._solver_py.search_integer, same arguments and statuses.
 
     Every candidate 1, -1, 2, -2, ... is applied and tested in turn, one

@@ -1,11 +1,11 @@
 """The search kernels against their references.
 
-search_integer jumps over the candidates its closed-form interval
-refuses and counts them as nodes, tries only positive values at the
-root (the first position that is not a positive loop), and refuses a
-candidate that leaves a touched vertex a last slot no value can close
-(the last-slot rules R1 and R2).  It must walk the same tree as the
-reference that tries each candidate in turn under the same rules: same
+search_integer tries each candidate in turn, one node each, only
+positive values at the root (the first position that is not a positive
+loop), and refuses a candidate that breaks the slack window or leaves a
+touched vertex a last slot no value can close (the last-slot rules R1
+and R2), read from a table built once per search.  It must walk the
+same tree as the reference, which scans ahead for the last slots: same
 status, same node count (the cap included), and the same witness when
 it finds a flow.  The reference's modes must agree with each other:
 with and without the root rule, and with and without the last-slot
@@ -169,9 +169,9 @@ def _graph(n, *edges):
             id="pendant-root",
         ),
         # the second negative loop at 0 (boundary 2) has the window
-        # [-2, 0]; the jump over 1 lands on -1, which R1 refuses (it
-        # zeroes vertex 0 ahead of its last slot, the edge to 1), then
-        # 2 is jumped and -2 kept
+        # [-2, 0]: the window refuses 1, R1 refuses -1 (it zeroes vertex
+        # 0 ahead of its last slot, the edge to 1), the window refuses
+        # 2, and -2 is kept
         pytest.param(
             _graph(2, (0, 0, -1), (0, 0, -1), (0, 1, -1), (1, 1, -1), (1, 1, 1)),
             _solver_py.FOUND,

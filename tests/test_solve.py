@@ -17,7 +17,13 @@ from signedflow.core import (
     check_flow,
     switch,
 )
-from signedflow.corpus import enumerate_signed_graphs, g_family, signed_petersen, w5_all_signatures
+from signedflow.corpus import (
+    enumerate_signed_graphs,
+    g_family,
+    signed_petersen,
+    w5_all_signatures,
+    wheel_w5,
+)
 from signedflow.errors import InvariantViolation, PreconditionError, ResourceCapExceeded
 from signedflow.solve import (
     circular_flow_number,
@@ -116,7 +122,7 @@ def test_bad_k_rejected():
 
 def test_cap_raises_never_lies(petersen, fresh):
     # both searches run past 1000 nodes on Petersen at k = 5; the count
-    # stops one node past the cap, also where a jump would cross it.  A
+    # stops one node past the cap, at the first node that passes it.  A
     # capped search records no answer, so each one on g searches again
     g = fresh(petersen)
     for fn in (find_nz_k_flow, find_nz_zk_flow):
@@ -143,6 +149,35 @@ def test_monotone_in_k(corpus_3_4):
         for k in (2, 3, 4):
             if find_nz_k_flow(g, k) is not None:
                 assert find_nz_k_flow(g, k + 1) is not None
+
+
+def test_zk_flow_count_matches_the_brute_force(corpus_3_4):
+    # the Beck-Zaslavsky count is exact, not only its sign
+    for g in corpus_3_4:
+        table = bruteforce.subset_component_table(g)
+        for k in (2, 3, 4, 5):
+            assert bruteforce.nowhere_zero_zk_flow_count(g, k, table) == len(
+                bruteforce.all_zk_flows(g, k)
+            ), (g.edges, k)
+    w5 = wheel_w5()
+    table = bruteforce.subset_component_table(w5)
+    # (k - 2)^5 - (k - 2): the dual count of the 5-wheel's proper colourings
+    assert [bruteforce.nowhere_zero_zk_flow_count(w5, k, table) for k in range(2, 7)] == [
+        0, 0, 30, 240, 1020
+    ]
+
+
+def test_zk_search_decides_as_the_flow_count():
+    # "no Z_k-flow" from the search against a count that shares no code
+    # with it, on every 4/7 class at k = 2..8
+    decided = Counter()
+    for g in enumerate_signed_graphs(4, 7):
+        table = bruteforce.subset_component_table(g)
+        for k in range(2, 9):
+            found = find_nz_zk_flow(g, k) is not None
+            assert (bruteforce.nowhere_zero_zk_flow_count(g, k, table) > 0) == found, (g.edges, k)
+            decided[found] += 1
+    assert sum(decided.values()) == 5674 * 7 and decided[False] and decided[True]
 
 
 def test_solver_backend_name_names_the_one_kernel():

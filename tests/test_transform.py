@@ -335,6 +335,18 @@ def test_decompose_barbell_guard_and_failure():
         transform._decompose_rec(g, [int(v) for v in fa.values], 3, fa.orientation)
 
 
+@pytest.mark.parametrize(
+    "env,error", [("1", ResourceCapExceeded), ("0", PreconditionError)], ids=("cap-1", "cap-0")
+)
+def test_decompose_obeys_resource_cap(petersen, monkeypatch, env, error):
+    # the Z_5 conversions inside a 6-flow's split run under the same cap
+    # as run_modflow_conversion, and a bad cap is refused before any work
+    fa = FlowAssignment.from_signed(find_nz_k_flow(petersen, 6).signed_values())
+    monkeypatch.setenv("SG_RESOURCE_CAP", env)
+    with pytest.raises(error):
+        decompose_into_2_flows(petersen, fa, 6)
+
+
 # ---------------------------------------------------------------------------
 # eulerian decomposition
 
