@@ -101,13 +101,15 @@ class SignedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.num_vertices, bool) or not isinstance(self.num_vertices, int):
-            raise ValueError(f"vertex count {self.num_vertices!r} is not an integer")
-        if self.num_vertices < 0:
-            raise ValueError(f"vertex count {self.num_vertices} is negative")
-        for i, e in enumerate(self.edges):
-            if not (0 <= e.u < self.num_vertices and 0 <= e.v < self.num_vertices):
-                raise ValueError(f"edge {i} endpoints {e.u},{e.v} out of range")
+        n = self.num_vertices
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"vertex count {n!r} is not an integer")
+        if n < 0:
+            raise ValueError(f"vertex count {n} is negative")
+        for e in self.edges:
+            if not (0 <= e.u < n and 0 <= e.v < n):
+                # an equal edge is out of range too, so index finds this one
+                raise ValueError(f"edge {self.edges.index(e)} endpoints {e.u},{e.v} out of range")
 
     @property
     def num_edges(self) -> int:

@@ -3,11 +3,14 @@
 The exhaustive enumerator emits one representative per equivalence class
 under relabeling x switching.  Everything the suites measure is invariant
 under both, so collapsing classes loses no coverage and keeps desk-scale
-runs fast; class soundness is tested pairwise on small runs.  Signatures
-are generated in a pivot normal form, not found by marking orbits: at
-each pivot (a pair joining two components of the pairs before it) at
-most half the parallel edges are positive, and only a tie at a pivot or
-an automorphism costs a comparison (``_signature_classes``).
+runs fast; class soundness is tested pairwise on small runs.  Edge lists
+are walked with sorted vertex degrees only, and the canonical test reads
+one relabel table per degree sequence: every degree-sorting vertex order
+as a permutation of pair indices.  Signatures come in a pivot normal
+form: at each pivot (a pair joining two components of the pairs before
+it) at most half the parallel edges are positive, and only a tie at a
+pivot or an automorphism costs a comparison (``_signature_rule``); an
+edge list with neither takes every candidate as it comes.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import getitem, itemgetter
-from typing import Iterator
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from .core import Edge, FlowAssignment, FlowKind, Orientation, SignedGraph, boundary, check_flow
 from .errors import InvariantViolation, PreconditionError
@@ -161,59 +164,61 @@ def _connected_spanning(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
         for u, v in pairs:
             if (reach >> u | reach >> v) & 1:
                 reach |= 1 << u | 1 << v
+        if reach == (1 << n) - 1:
+            return True
         if reach == before:
-            return reach == (1 << n) - 1
+            return False
 
 
-def _degree_sorting_orders(n: int, deg: list[int]) -> Iterator[tuple[int, ...]]:
-    """Vertex orders listing degrees nondecreasingly (all tie rearrangements)."""
-    by_deg = sorted(range(n), key=lambda v: (deg[v], v))
-    blocks: list[list[int]] = []
-    for v in by_deg:
-        if blocks and deg[blocks[-1][0]] == deg[v]:
-            blocks[-1].append(v)
-        else:
-            blocks.append([v])
-    for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        yield tuple(v for blk in choice for v in blk)
+def _degree_sorting_orders(
+    n: int, deg: tuple[int, ...], index: dict[tuple[int, int], int]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The relabel table of a sorted degree sequence.
 
-
-def _relabel_pairs(
-    pairs: tuple[tuple[int, int], ...], pos: list[int]
-) -> tuple[tuple[int, int], ...]:
-    out = []
-    for u, v in pairs:
-        a, b = pos[u], pos[v]
-        out.append((a, b) if a <= b else (b, a))
-    out.sort()
-    return tuple(out)
-
-
-def _canonical_automorphisms(n: int, pairs: tuple[tuple[int, int], ...], deg: list[int]):
-    """The automorphisms of the pair multiset, or None when ``pairs`` is
-    not its own canonical form.
-
-    The canonical form is the lex-least relabeling among degree-sorted
-    orders.  ``deg`` is sorted, so the identity is one of those orders and
-    the canonical form is at most ``pairs``: ``pairs`` is canonical unless
-    some order relabels it lex-smaller, and the scan stops at the first
-    that does.  Otherwise the orders that relabel it to itself are
-    returned as vertex->position maps.
+    One row per vertex order but the identity that lists ``deg``
+    nondecreasingly (every rearrangement of tied degrees): the order as
+    a vertex -> position map, and the permutation it induces on the
+    indices of ``index``, the lex-ordered pairs.
     """
-    maps: list[tuple[int, ...]] = []
-    for order in _degree_sorting_orders(n, deg):
+    blocks = [[v for v in range(n) if deg[v] == d] for d in sorted(set(deg))]
+    rows = []
+    for choice in itertools.product(*map(itertools.permutations, blocks)):
         pos = [0] * n
-        for i, v in enumerate(order):
+        for i, v in enumerate(itertools.chain.from_iterable(choice)):
             pos[v] = i
-        cand = _relabel_pairs(pairs, pos)
-        if cand < pairs:
+        perm = tuple(index[min(pos[u], pos[v]), max(pos[u], pos[v])] for u, v in index)
+        rows.append((tuple(pos), perm))
+    return rows[1:]  # the first order is the identity
+
+
+def _canonical_automorphisms(
+    x: tuple[int, ...], table: list[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> list[tuple[int, ...]] | None:
+    """The automorphisms of a pair multiset but the identity, or None
+    when it is not its own canonical form.
+
+    ``x`` is the multiset as sorted pair indices and ``table`` the
+    relabel table of its sorted degree sequence.  The canonical form is
+    the lex-least relabeling among degree-sorted orders, and the
+    identity is one of them, so ``x`` is canonical unless some row
+    relabels it lex-smaller; the scan stops at the first that does.
+    Otherwise the rows that relabel it to itself are returned as
+    vertex->position maps.
+    """
+    xs = list(x)
+    maps = []
+    for pos, perm in table:
+        cand = sorted(map(perm.__getitem__, x))
+        if cand < xs:
             return None
-        if cand == pairs:
-            maps.append(tuple(pos))
+        if cand == xs:
+            maps.append(pos)
     return maps
 
 
-def _degree_sorted_multisets(n: int, m: int) -> Iterator[tuple[tuple[int, int], ...]]:
+def _degree_sorted_multisets(
+    n: int, m: int, deg: list[int] | None = None
+) -> Iterator[tuple[tuple[int, int], ...]]:
     """Multisets of m vertex pairs on n vertices whose degrees are sorted.
 
     Yields the tuples of ``combinations_with_replacement`` over the
@@ -224,18 +229,17 @@ def _degree_sorted_multisets(n: int, m: int) -> Iterator[tuple[tuple[int, int], 
     those degrees are final and must already be sorted.  The remaining r
     pairs bring 2r degree units, so the shortfall of the other vertices
     below the running maximum of the degrees before them must be at most
-    2r.
+    2r.  A caller's ``deg``, n zeros, holds each yielded multiset's
+    degrees while it is current.
     """
     all_pairs = [(u, v) for u in range(n) for v in range(u, n)]
-    deg = [0] * n
+    if deg is None:
+        deg = [0] * n
     chosen: list[tuple[int, int]] = []
-
-    def extend(start: int, r: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        if r == 0:
-            yield tuple(chosen)
-            return
-        r -= 1
-        for i in range(start, len(all_pairs)):
+    at: list[int] = []  # the index in all_pairs of each chosen pair
+    i = 0
+    while True:
+        while i < len(all_pairs):
             u, v = pair = all_pairs[i]
             deg[u] += 1
             deg[v] += 1
@@ -246,19 +250,98 @@ def _degree_sorted_multisets(n: int, m: int) -> Iterator[tuple[tuple[int, int], 
                 elif w < u:
                     # a final degree is out of order, and a later pair
                     # has a first endpoint >= u, so none can repair it
-                    deg[u] -= 1
-                    deg[v] -= 1
-                    return
+                    i = len(all_pairs)
+                    break
                 else:
                     short += top - d
-            if short <= 2 * r:
-                chosen.append(pair)
-                yield from extend(i, r)
-                chosen.pop()
+            else:
+                if short <= 2 * (m - 1 - len(chosen)):
+                    chosen.append(pair)
+                    if len(chosen) < m:
+                        at.append(i)  # one level deeper, from this same pair
+                        continue
+                    yield tuple(chosen)
+                    chosen.pop()
             deg[u] -= 1
             deg[v] -= 1
+            i += 1
+        if not at:
+            return
+        # no pair is left at this depth: step back
+        i = at.pop() + 1
+        u, v = chosen.pop()
+        deg[u] -= 1
+        deg[v] -= 1
 
-    return extend(0, m)
+
+def _signature_rule(
+    n: int, pairs: tuple[tuple[int, int], ...], auts: list[tuple[int, ...]]
+) -> tuple[list[tuple[int, int, int, int]], Callable[[tuple[int, ...]], bool] | None]:
+    """The groups of ``pairs`` and the filter of their candidate digits.
+
+    Returns (steps, kept): per group (u, v, c, flip), the pair, its
+    multiplicity and, at a pivot, the side of u to switch, else 0; and
+    the predicate a candidate must pass to be the lex-first of its
+    class, or None when every candidate is.  See ``_signature_classes``.
+    """
+    comp = [1 << v for v in range(n)]  # vertex mask of each vertex's component
+    steps = []
+    ties = []  # (j, c / 2, flip) at each pivot j with an even c
+    for (u, v), c in Counter(pairs).items():
+        flip = comp[u]
+        if flip >> v & 1:
+            flip = 0
+        else:
+            joined = flip | comp[v]
+            for w in range(n):
+                if joined >> w & 1:
+                    comp[w] = joined
+            if c % 2 == 0:
+                ties.append((len(steps), c // 2, flip))
+        steps.append((u, v, c, flip))
+    images = []
+    if auts:
+        # x[a(j)] at each group j is x's image under a's inverse, also in auts
+        index = {(u, v): j for j, (u, v, _, _) in enumerate(steps)}
+        moved = {tuple(index[min(a[u], a[v]), max(a[u], a[v])] for u, v, _, _ in steps)
+                 for a in auts}
+        moved.discard(tuple(range(len(steps))))
+        images = [itemgetter(*src) for src in moved]
+    if not ties and not images:
+        return steps, None
+    last = len(steps)
+
+    def below(y: tuple[int, ...], x: tuple[int, ...], j: int, s: int) -> bool:
+        # whether a switching of y that agrees with s before group j and
+        # keeps y least is lex-smaller than x, where it equals x before
+        # j: a pivot's digit fixes its flip, or tries both on a tie with x
+        for j in range(j, last):
+            u, v, c, flip = steps[j]
+            e = c - y[j] if (s >> u ^ s >> v) & 1 else y[j]
+            if flip and 2 * e >= c:
+                if 2 * e > c:
+                    e = c - e
+                    s ^= flip
+                elif e == x[j]:
+                    return below(y, x, j + 1, s) or below(y, x, j + 1, s ^ flip)
+            if e != x[j]:
+                return e < x[j]
+        return False
+
+    def kept(x: tuple[int, ...]) -> bool:
+        # a switching of x itself can be smaller only by flipping a
+        # tied pivot, before which it equals x; an image equal to x has
+        # no other switchings than x's own
+        for j, h, flip in ties:
+            if x[j] == h and below(x, x, j + 1, flip):
+                return False
+        for image in images:
+            y = image(x)
+            if y != x and below(y, x, 0, 0):
+                return False
+        return True
+
+    return steps, kept
 
 
 def _signature_classes(
@@ -278,58 +361,16 @@ def _signature_classes(
     switching-least iff d <= c - d at every pivot and no switching that
     flips only tied pivots (2d = c) makes x smaller.  Only such digits
     are generated; a candidate with a tie is compared with its tie
-    flips, and each automorphism image of it with the least of that
-    image's switching class.  ``auts`` is the automorphism group, as
-    vertex -> position maps.
+    flips, and each automorphism image of it other than itself with the
+    least of that image's switching class.  With no tie and no
+    automorphism every candidate is a class.  ``auts`` holds
+    automorphisms, as vertex -> position maps; the identity may be among
+    them.
     """
-    groups = list(dict.fromkeys(pairs))
-    comp = [1 << v for v in range(n)]  # vertex mask of each vertex's component
-    steps = []  # (u, v, c, flip): at a pivot, the side of u to switch, else 0
-    for u, v in groups:
-        flip = 0
-        if not comp[u] >> v & 1:
-            flip = comp[u]
-            joined = flip | comp[v]
-            comp = [joined if joined >> w & 1 else k for w, k in enumerate(comp)]
-        steps.append((u, v, pairs.count((u, v)), flip))
-    ties = [(j, c // 2) for j, (_, _, c, flip) in enumerate(steps) if flip and c % 2 == 0]
-    # x[a(j)] at each group j is x's image under a's inverse, also in auts
-    moved = set()
-    if len(auts) > 1:
-        index = {p: j for j, p in enumerate(groups)}
-        moved = {tuple(index[min(a[u], a[v]), max(a[u], a[v])] for u, v in groups) for a in auts}
-        moved.discard(tuple(range(len(groups))))
-    images = [itemgetter(*src) for src in moved]
-
-    def below(y: tuple[int, ...], x: tuple[int, ...]) -> bool:
-        # whether a switching of y is lex-smaller than x; live holds the
-        # switchings that keep y least and equal to x so far: a pivot's
-        # digit fixes its flip, or doubles them when it ties
-        live = [0]
-        for (u, v, c, flip), d, want in zip(steps, y, x):
-            keep = []
-            for s in live:
-                e = c - d if (s >> u ^ s >> v) & 1 else d
-                if flip and 2 * e > c:
-                    e, s = c - e, s ^ flip
-                if e < want:
-                    return True
-                if e == want:
-                    keep += (s, s ^ flip) if flip and 2 * e == c else (s,)
-            if not keep:
-                return False
-            live = keep
-        return False
-
-    for x in itertools.product(*(range(c // 2 + 1 if flip else c + 1)
-                                 for _, _, c, flip in steps)):
-        if ties and any(x[j] == h for j, h in ties) and below(x, x):
-            continue
-        for image in images:
-            if below(image(x), x):
-                break
-        else:
-            yield x
+    steps, kept = _signature_rule(n, pairs, auts)
+    candidates = itertools.product(*(range(c // 2 + 1 if flip else c + 1)
+                                     for _, _, c, flip in steps))
+    return candidates if kept is None else filter(kept, candidates)
 
 
 def enumerate_signed_graphs(
@@ -344,13 +385,20 @@ def enumerate_signed_graphs(
 
     Only edge lists with nondecreasing vertex degrees (a loop counting
     2) are generated (``_degree_sorted_multisets``), since a canonical
-    form has them; one is kept if it is its own canonical form.  Its
-    signatures are the lex-first of each class: at every pivot, a pair
-    joining two components of the pairs before it, at most half the
-    parallel edges are positive.  One with a pivot at exactly half is
-    kept only if no switching of its tied pivots gives a lex-smaller
-    signature, and, where the edge list has automorphisms, only if no
-    automorphism image switches to one (``_signature_classes``).
+    form has them.  One is kept if it is its own canonical form: each
+    degree sequence gets a relabel table once per call, one pair-index
+    permutation per degree-sorting vertex order, and an edge list
+    passes if no row relabels it lex-smaller
+    (``_canonical_automorphisms``).  Its signatures are the lex-first of
+    each class: at every pivot, a pair joining two components of the
+    pairs before it, at most half the parallel edges are positive.  One
+    with a pivot at exactly half is kept only if no switching of its
+    tied pivots gives a lex-smaller signature, and, where the edge list
+    has automorphisms, only if no automorphism image switches to one
+    (``_signature_classes``).  An edge list with neither ties nor
+    automorphisms has every candidate as a class and skips both checks.
+    Edge tuples are built group by group, each candidate's from its
+    prefix over the groups before the last.
     """
     bounds = (("max_v", max_v, MAX_ENUM_VERTICES), ("max_e", max_e, MAX_ENUM_EDGES))
     for name, bound, top in bounds:
@@ -359,23 +407,41 @@ def enumerate_signed_graphs(
     # Edge is frozen, so every graph shares one object per (u, v, sign)
     edge = {(u, v, s): Edge(u, v, s)
             for u in range(max_v) for v in range(u, max_v) for s in (-1, 1)}
+    run_of: dict[tuple[int, int, int, int], list[tuple[Edge, ...]]] = {}
     for n in range(1, max_v + 1):
+        index = {p: i for i, p in enumerate((u, v) for u in range(n) for v in range(u, n))}
+        tables: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+        deg = [0] * n
         for m in range(max(1, n - 1), max_e + 1):
-            for pairs in _degree_sorted_multisets(n, m):
+            for pairs in _degree_sorted_multisets(n, m, deg):
                 if not _connected_spanning(n, pairs):
                     continue
-                deg = [0] * n
-                for u, v in pairs:
-                    deg[u] += 1
-                    deg[v] += 1
-                auts = _canonical_automorphisms(n, pairs, deg)
+                key = tuple(deg)
+                table = tables.get(key)
+                if table is None:
+                    table = tables[key] = _degree_sorting_orders(n, key, index)
+                auts = _canonical_automorphisms(tuple(map(index.__getitem__, pairs)), table)
                 if auts is None:
                     continue
-                # per group and digit d, its edges: c - d negative, then d positive
-                runs = [[(edge[u, v, -1],) * (c - d) + (edge[u, v, 1],) * d
-                         for d in range(c + 1)] for (u, v), c in Counter(pairs).items()]
-                for digits in _signature_classes(n, pairs, auts):
-                    yield SignedGraph(n, sum(map(getitem, runs, digits), ()))
+                steps, kept = _signature_rule(n, pairs, auts)
+                runs = []
+                for u, v, c, flip in steps:
+                    shape = u, v, c, c // 2 + 1 if flip else c + 1
+                    run = run_of.get(shape)
+                    if run is None:
+                        # per digit d, the group's edges: c - d negative, then d positive
+                        run = run_of[shape] = [(edge[u, v, -1],) * (c - d) + (edge[u, v, 1],) * d
+                                               for d in range(shape[3])]
+                    runs.append(run)
+                heads = [()]
+                for run in runs[:-1]:
+                    heads = [h + r for h in heads for r in run]
+                candidates = (h + r for h in heads for r in runs[-1])
+                if kept is not None:
+                    candidates = itertools.compress(candidates, map(kept, itertools.product(
+                        *(range(len(run)) for run in runs))))
+                for edges in candidates:
+                    yield SignedGraph(n, edges)
 
 
 def random_signed_graph(

@@ -250,6 +250,32 @@ def _is_positive_dipath(
     )
 
 
+def _ditrail_reachable(state: ConversionState, x: int, y: int) -> bool:
+    """Whether a directed walk, edges reusable, leaves x through an
+    outward half-edge and ends at y through an outward half-edge.
+
+    A plain search over states (vertex, tau the next half-edge must
+    have), each expanded once: O(n + m)."""
+    g = state.graph
+    inc = g.incidence
+    dirs = state.dirs
+    seen = {(x, 1)}
+    todo = [(x, 1)]
+    while todo:
+        v, need = todo.pop()
+        for eid, end in inc[v]:
+            if dirs[eid][end] != need:
+                continue
+            w = g.edges[eid].endpoint(1 - end)
+            arr = dirs[eid][1 - end]
+            if w == y and arr == 1:
+                return True
+            if (w, -arr) not in seen:
+                seen.add((w, -arr))
+                todo.append((w, -arr))
+    return False
+
+
 def find_negative_ditrail(
     state: ConversionState,
     x: int,
@@ -260,11 +286,24 @@ def find_negative_ditrail(
     half-edge, or None when provably none exists.
 
     x == y asks for a closed negative ditrail (at least one edge).
-    Depth-first, edges tried in ascending id order; the first hit is
-    returned.
+    First a reachability check over states (vertex, tau the next
+    half-edge must have) with edges reusable: a ditrail is such a walk
+    that repeats no edge, so when y cannot be reached that way none
+    exists, and None is exact, in O(n + m) and with no search step
+    spent.  Otherwise a depth-first search, edges tried in ascending id
+    order, returns its first hit, or None once it has tried every trail.
     """
-    g = state.graph
     budget = _Budget(cap, "negative ditrail search")
+    if not _ditrail_reachable(state, x, y):
+        return None
+    return _negative_ditrail_search(state, x, y, budget)
+
+
+def _negative_ditrail_search(
+    state: ConversionState, x: int, y: int, budget: _Budget
+) -> Optional[tuple[int, ...]]:
+    """``find_negative_ditrail``'s depth-first search, one step per edge tried."""
+    g = state.graph
     used = [False] * g.num_edges
     path: list[int] = []
     inc = g.incidence

@@ -36,5 +36,5 @@ def corpus_4_6():
 @pytest.fixture(scope="session")
 def corpus_full():
     # every class up to 5 vertices / 8 edges (35,330); built once per
-    # session, ~1.5 s on 2 cores
+    # session, ~0.25 s on 2 cores
     return list(enumerate_signed_graphs(5, 8))

@@ -28,7 +28,10 @@ from signedflow.transform import (
     ConversionState,
     _Budget,
     _dipath_reach,
+    _ditrail_reachable,
+    _negative_ditrail_search,
     _validate_tadpole,
+    find_negative_ditrail,
     find_tadpole,
     normalize_circular_flow,
 )
@@ -217,6 +220,20 @@ def test_tadpole_splice_matches_exhaustive_search(case):
     if tp is not None:
         assert tp.tail_end == x
         assert _validate_tadpole(state, tp)
+
+
+@given(conversion_states(), st.data())
+@settings(deadline=None, max_examples=400)
+def test_unreachable_ditrail_target_has_no_ditrail(case, data):
+    # a ditrail is a walk that repeats no edge, so a target that no walk
+    # reaches has none: the search, run alone with a generous cap, agrees,
+    # and with the check in front the answer is the search's own
+    state, x = case
+    y = data.draw(st.integers(0, state.graph.num_vertices - 1))
+    found = _negative_ditrail_search(state, x, y, _Budget(10**7, "test"))
+    if not _ditrail_reachable(state, x, y):
+        assert found is None
+    assert find_negative_ditrail(state, x, y) == found
 
 
 @given(signed_graphs(max_v=4, max_e=5))

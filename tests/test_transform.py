@@ -1,6 +1,7 @@
 """Conversion machinery, decompositions, grid normalization."""
 
 import copy
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,20 @@ from signedflow.core import (
     check_flow,
     parse_graph,
 )
-from signedflow.corpus import signed_petersen, g_family, g_family_circular_witness, w5_all_signatures
+from signedflow.corpus import (
+    g_family,
+    g_family_circular_witness,
+    random_signed_graph,
+    signed_petersen,
+    w5_all_signatures,
+)
 from signedflow.errors import (
     InvariantViolation,
     PreconditionError,
     ResourceCapExceeded,
 )
 from signedflow.solve import find_nz_k_flow, find_nz_zk_flow
+from signedflow.structure import find_long_barbell, is_flow_admissible
 from signedflow.transform import (
     ConversionState,
     EulerianDecomposition,
@@ -287,6 +295,29 @@ def test_conversion_is_deterministic(petersen):
     assert a == b
 
 
+# Dense barbell-free graphs past the corpus whose conversion asks for
+# negative ditrails between sources that no walk joins: a depth-first
+# search spent its whole default cap proving each "none".  Each journal
+# digest is the one the search finds with its cap raised far enough.
+DENSE_CONVERSION_JOURNALS = [
+    ((1, 12, 40), "e788f7e9039d215487dcec5976cd5febe5459553bddd9544f57f774ac24a21da"),
+    ((6, 12, 40), "072d31b7b75230653be102894ea176c052cd1bf168e1303104ca04bec709fd71"),
+    ((4, 14, 50), "f52873975059905dba08153c5dc46fb05e2bdcb1d5d510ba5b60d4716b7b7d59"),
+]
+
+
+@pytest.mark.parametrize("params,journal_digest", DENSE_CONVERSION_JOURNALS)
+def test_dense_conversion_answers_none_without_searching(params, journal_digest):
+    g = random_signed_graph(*params, 0.05)
+    assert is_flow_admissible(g) and find_long_barbell(g) is None
+    fa = find_nz_zk_flow(g, 3)
+    out, state = run_modflow_conversion(g, fa, 3)
+    assert check_flow(g, out, FlowKind.integer(3)).ok
+    assert out.orientation == fa.orientation
+    assert all((a - b) % 3 == 0 for a, b in zip(out.values, fa.values))
+    assert hashlib.sha256(repr(state.journal).encode()).hexdigest() == journal_digest
+
+
 # ---------------------------------------------------------------------------
 # sum of 2-flows
 
@@ -388,7 +419,6 @@ def test_eulerian_preconditions():
 def test_members_reclassify(corpus_3_4):
     from signedflow.structure import classify_signed_circuit
     from signedflow.core import is_eulerian
-    from signedflow.structure import find_long_barbell, is_flow_admissible
 
     for g in corpus_3_4:
         if not (
