@@ -9,8 +9,7 @@ one relabel table per degree sequence: every degree-sorting vertex order
 as a permutation of pair indices.  Signatures come in a pivot normal
 form: at each pivot (a pair joining two components of the pairs before
 it) at most half the parallel edges are positive, and only a tie at a
-pivot or an automorphism costs a comparison (``_signature_rule``); an
-edge list with neither takes every candidate as it comes.
+pivot or an automorphism costs a comparison (``_signature_rule``).
 """
 
 from __future__ import annotations
@@ -216,9 +215,7 @@ def _canonical_automorphisms(
     return maps
 
 
-def _degree_sorted_multisets(
-    n: int, m: int, deg: list[int] | None = None
-) -> Iterator[tuple[tuple[int, int], ...]]:
+def _degree_sorted_multisets(n: int, m: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """Multisets of m vertex pairs on n vertices whose degrees are sorted.
 
     Yields the tuples of ``combinations_with_replacement`` over the
@@ -229,12 +226,10 @@ def _degree_sorted_multisets(
     those degrees are final and must already be sorted.  The remaining r
     pairs bring 2r degree units, so the shortfall of the other vertices
     below the running maximum of the degrees before them must be at most
-    2r.  A caller's ``deg``, n zeros, holds each yielded multiset's
-    degrees while it is current.
+    2r.
     """
     all_pairs = [(u, v) for u in range(n) for v in range(u, n)]
-    if deg is None:
-        deg = [0] * n
+    deg = [0] * n
     chosen: list[tuple[int, int]] = []
     at: list[int] = []  # the index in all_pairs of each chosen pair
     i = 0
@@ -276,13 +271,13 @@ def _degree_sorted_multisets(
 
 def _signature_rule(
     n: int, pairs: tuple[tuple[int, int], ...], auts: list[tuple[int, ...]]
-) -> tuple[list[tuple[int, int, int, int]], Callable[[tuple[int, ...]], bool] | None]:
+) -> tuple[list[tuple[int, int, int, int]], Callable[[tuple[int, ...]], bool]]:
     """The groups of ``pairs`` and the filter of their candidate digits.
 
     Returns (steps, kept): per group (u, v, c, flip), the pair, its
     multiplicity and, at a pivot, the side of u to switch, else 0; and
     the predicate a candidate must pass to be the lex-first of its
-    class, or None when every candidate is.  See ``_signature_classes``.
+    class.  See ``_signature_classes``.
     """
     comp = [1 << v for v in range(n)]  # vertex mask of each vertex's component
     steps = []
@@ -307,8 +302,6 @@ def _signature_rule(
                  for a in auts}
         moved.discard(tuple(range(len(steps))))
         images = [itemgetter(*src) for src in moved]
-    if not ties and not images:
-        return steps, None
     last = len(steps)
 
     def below(y: tuple[int, ...], x: tuple[int, ...], j: int, s: int) -> bool:
@@ -362,15 +355,14 @@ def _signature_classes(
     flips only tied pivots (2d = c) makes x smaller.  Only such digits
     are generated; a candidate with a tie is compared with its tie
     flips, and each automorphism image of it other than itself with the
-    least of that image's switching class.  With no tie and no
-    automorphism every candidate is a class.  ``auts`` holds
+    least of that image's switching class.  ``auts`` holds
     automorphisms, as vertex -> position maps; the identity may be among
     them.
     """
     steps, kept = _signature_rule(n, pairs, auts)
     candidates = itertools.product(*(range(c // 2 + 1 if flip else c + 1)
                                      for _, _, c, flip in steps))
-    return candidates if kept is None else filter(kept, candidates)
+    return filter(kept, candidates)
 
 
 def enumerate_signed_graphs(
@@ -395,10 +387,8 @@ def enumerate_signed_graphs(
     with a pivot at exactly half is kept only if no switching of its
     tied pivots gives a lex-smaller signature, and, where the edge list
     has automorphisms, only if no automorphism image switches to one
-    (``_signature_classes``).  An edge list with neither ties nor
-    automorphisms has every candidate as a class and skips both checks.
-    Edge tuples are built group by group, each candidate's from its
-    prefix over the groups before the last.
+    (``_signature_classes``).  Edge tuples are built group by group,
+    each candidate's from its prefix over the groups before the last.
     """
     bounds = (("max_v", max_v, MAX_ENUM_VERTICES), ("max_e", max_e, MAX_ENUM_EDGES))
     for name, bound, top in bounds:
@@ -411,11 +401,14 @@ def enumerate_signed_graphs(
     for n in range(1, max_v + 1):
         index = {p: i for i, p in enumerate((u, v) for u in range(n) for v in range(u, n))}
         tables: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-        deg = [0] * n
         for m in range(max(1, n - 1), max_e + 1):
-            for pairs in _degree_sorted_multisets(n, m, deg):
+            for pairs in _degree_sorted_multisets(n, m):
                 if not _connected_spanning(n, pairs):
                     continue
+                deg = [0] * n
+                for u, v in pairs:
+                    deg[u] += 1
+                    deg[v] += 1
                 key = tuple(deg)
                 table = tables.get(key)
                 if table is None:
@@ -437,10 +430,8 @@ def enumerate_signed_graphs(
                 for run in runs[:-1]:
                     heads = [h + r for h in heads for r in run]
                 candidates = (h + r for h in heads for r in runs[-1])
-                if kept is not None:
-                    candidates = itertools.compress(candidates, map(kept, itertools.product(
-                        *(range(len(run)) for run in runs))))
-                for edges in candidates:
+                flags = map(kept, itertools.product(*(range(len(run)) for run in runs)))
+                for edges in itertools.compress(candidates, flags):
                     yield SignedGraph(n, edges)
 
 
