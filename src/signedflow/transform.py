@@ -117,6 +117,7 @@ class ConversionState:
         self.bnd: list[int] = []
         self.eta = 0
         self.sources: tuple[int, ...] = ()
+        self.moves: list[tuple[list[tuple[int, int, int]], ...]] = []
         self.refresh()
 
     @classmethod
@@ -159,9 +160,16 @@ class ConversionState:
     # -- derived views ---------------------------------------------------
 
     def refresh(self) -> None:
-        bnd = self.bnd = _boundary(self.graph, self.dirs, self.values)
+        g, dirs = self.graph, self.dirs
+        bnd = self.bnd = _boundary(g, dirs, self.values)
         self.eta = sum(abs(b) for b in bnd)
         self.sources = tuple(v for v, b in enumerate(bnd) if b > 0)
+        # moves[v][need > 0]: (edge, far end, tau there) for each
+        # half-edge at v whose tau is need, in incidence order
+        moves = self.moves = [([], []) for _ in range(g.num_vertices)]
+        for eid, (e, (t0, t1)) in enumerate(zip(g.edges, dirs)):
+            moves[e.u][t0 > 0].append((eid, e.v, t1))
+            moves[e.v][t1 > 0].append((eid, e.u, t0))
 
     def assert_invariants(self) -> None:
         k = self.k
@@ -193,7 +201,10 @@ class ConversionState:
 # A walk departs a vertex through a half-edge with tau = +1 and at every
 # intermediate vertex the arriving and departing half-edges must have
 # opposite tau.  The walk is "negative" when its final half-edge also
-# points out (tau = +1) and "positive" when it points in.
+# points out (tau = +1) and "positive" when it points in.  The searches
+# read their steps off the state's move table: a walk that must leave v
+# through tau = need takes a move (edge, w, arr) of moves[v][need > 0]
+# and must leave w through -arr.  The validators below read dirs.
 
 
 def _walk_chain(
@@ -256,18 +267,12 @@ def _ditrail_reachable(state: ConversionState, x: int, y: int) -> bool:
 
     A plain search over states (vertex, tau the next half-edge must
     have), each expanded once: O(n + m)."""
-    g = state.graph
-    inc = g.incidence
-    dirs = state.dirs
+    moves = state.moves
     seen = {(x, 1)}
     todo = [(x, 1)]
     while todo:
         v, need = todo.pop()
-        for eid, end in inc[v]:
-            if dirs[eid][end] != need:
-                continue
-            w = g.edges[eid].endpoint(1 - end)
-            arr = dirs[eid][1 - end]
+        for _, w, arr in moves[v][need > 0]:
             if w == y and arr == 1:
                 return True
             if (w, -arr) not in seen:
@@ -303,19 +308,15 @@ def _negative_ditrail_search(
     state: ConversionState, x: int, y: int, budget: _Budget
 ) -> Optional[tuple[int, ...]]:
     """``find_negative_ditrail``'s depth-first search, one step per edge tried."""
-    g = state.graph
-    used = [False] * g.num_edges
+    used = [False] * state.graph.num_edges
     path: list[int] = []
-    inc = g.incidence
-    dirs = state.dirs
+    moves = state.moves
 
     def rec(v: int, need: int) -> bool:
-        for eid, end in inc[v]:
-            if used[eid] or dirs[eid][end] != need:
+        for eid, w, arr in moves[v][need > 0]:
+            if used[eid]:
                 continue
             budget.tick()
-            w = g.edges[eid].endpoint(1 - end)
-            arr = dirs[eid][1 - end]
             used[eid] = True
             path.append(eid)
             if w == y and arr == 1:
@@ -337,34 +338,28 @@ def _positive_dipath_search(
     y: int,
     budget: _Budget,
     forbid_edge: Optional[int] = None,
-) -> Optional[tuple[int, ...]]:
+) -> Optional[tuple[tuple[int, int], ...]]:
     """Vertex-simple directed walk from x arriving at y through an inward
-    half-edge.  Entering y any other way is a dead branch: the path
-    could never end there afterwards."""
+    half-edge, as its (edge, vertex reached) steps.  Entering y any other
+    way is a dead branch: the path could never end there afterwards."""
     if x == y:
         return ()
-    g = state.graph
-    inc = g.incidence
-    dirs = state.dirs
+    moves = state.moves
     visited = {x}
-    path: list[int] = []
+    path: list[tuple[int, int]] = []
 
     def rec(v: int, need: int) -> bool:
-        for eid, end in inc[v]:
-            if eid == forbid_edge or dirs[eid][end] != need:
-                continue
-            w = g.edges[eid].endpoint(1 - end)
-            if w in visited:
+        for eid, w, arr in moves[v][need > 0]:
+            if eid == forbid_edge or w in visited:
                 continue
             budget.tick()
-            arr = dirs[eid][1 - end]
             if w == y:
                 if arr == -1:
-                    path.append(eid)
+                    path.append((eid, w))
                     return True
                 continue
             visited.add(w)
-            path.append(eid)
+            path.append((eid, w))
             if rec(w, -arr):
                 return True
             visited.discard(w)
@@ -381,22 +376,16 @@ def _dipath_reach(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """(Y+, Y-): vertices reachable from x by a positive / only by a
     negative vertex-simple directed walk."""
-    g = state.graph
-    inc = g.incidence
-    dirs = state.dirs
+    moves = state.moves
     pos = {x}
     neg: set[int] = set()
     visited = {x}
 
     def rec(v: int, need: int) -> None:
-        for eid, end in inc[v]:
-            if dirs[eid][end] != need:
-                continue
-            w = g.edges[eid].endpoint(1 - end)
+        for _, w, arr in moves[v][need > 0]:
             if w in visited:
                 continue
             budget.tick()
-            arr = dirs[eid][1 - end]
             (pos if arr == -1 else neg).add(w)
             visited.add(w)
             rec(w, -arr)
@@ -443,22 +432,6 @@ def _validate_tadpole(state: ConversionState, tp: Tadpole) -> bool:
     return True
 
 
-def _all_positive_adjacency(state: ConversionState) -> list[list[tuple[int, int]]]:
-    """Per-vertex (edge, target) lists over currently-positive edges,
-    traversable only from their outward (+1) end."""
-    g = state.graph
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
-    for eid, e in enumerate(g.edges):
-        t0, t1 = state.dirs[eid]
-        if t0 * t1 != -1:
-            continue
-        if t0 == 1:
-            adj[e.u].append((eid, e.v))
-        else:
-            adj[e.v].append((eid, e.u))
-    return adj
-
-
 def find_tadpole(
     state: ConversionState, x: int, cap: Optional[int] = None
 ) -> Optional[Tadpole]:
@@ -493,28 +466,25 @@ def find_tadpole(
 def _tadpole_by_splicing(
     state: ConversionState, x: int, budget: _Budget
 ) -> Optional[Tadpole]:
-    g = state.graph
-    adj = _all_positive_adjacency(state)
-    # BFS over the positive digraph; parents give shortest tails
+    # BFS over the positive moves (arrival tau -1); parents give shortest
+    # tails.  The sink edge is the first move arriving through tau +1,
+    # vertices in BFS order.
     parent: dict[int, tuple[int, int]] = {}
     order = [x]
     seen = {x}
-    for v in order:
-        for eid, w in adj[v]:
-            if w not in seen:
+    for u1 in order:
+        out = state.moves[u1][True]
+        sink = next(((eid, w) for eid, w, arr in out if arr == 1), None)
+        if sink is not None:
+            break
+        for eid, w, arr in out:
+            if arr == -1 and w not in seen:
                 seen.add(w)
-                parent[w] = (v, eid)
+                parent[w] = (u1, eid)
                 order.append(w)
-    sink_at: dict[int, int] = {}
-    for eid, e in enumerate(g.edges):
-        if state.dirs[eid][0] == 1 and state.dirs[eid][1] == 1:
-            for v in (e.u, e.v):
-                if v in seen and (v not in sink_at or eid < sink_at[v]):
-                    sink_at[v] = eid
-    u1 = next((v for v in order if v in sink_at), None)
-    if u1 is None:
+    else:
         return None
-    t_edge = sink_at[u1]
+    t_edge, u2 = sink
     p_prime: list[int] = []
     vseq = [u1]
     v = u1
@@ -524,27 +494,20 @@ def _tadpole_by_splicing(
         vseq.append(v)
     p_prime.reverse()
     vseq.reverse()  # x .. u1 along the tail candidate
-    e = g.edges[t_edge]
-    u2 = e.other(u1) if e.u != e.v else u1
-    p_second = _positive_dipath_search(state, x, u2, budget, forbid_edge=t_edge)
-    if p_second is None:
+    steps = _positive_dipath_search(state, x, u2, budget, forbid_edge=t_edge)
+    if steps is None:
         raise InvariantViolation(
             f"no positive dipath from {x} to {u2}, yet {x} reaches {u2} negatively "
             f"through sink edge {t_edge}, so with Y-({x}) empty, find_tadpole's "
             "precondition, it reaches it along a positive dipath too"
         )
+    p_second = [eid for eid, _ in steps]
     shared = set(p_prime) & set(p_second)
     if not shared:
         head = tuple(p_prime) + (t_edge,) + tuple(reversed(p_second))
         return Tadpole((), head, x, x)
     s = max(i for i, eid in enumerate(p_second) if eid in shared)
-    chain = _walk_chain(state, x, p_second)
-    if chain is None:
-        raise InvariantViolation(
-            "positive dipath does not chain, yet the search that found it "
-            "never takes a loop and chains every edge it takes"
-        )
-    x_s = chain[0][s + 1]
+    x_s = steps[s][1]
     if x_s not in vseq:
         raise InvariantViolation(
             "splice vertex is off the tail candidate, yet it is an end of "
@@ -797,7 +760,7 @@ def decompose_into_2_flows(
 
 
 def _decompose_rec(
-    g: SignedGraph, f: list[int], k: int, orient: Orientation, cap: int = TRANSFORM_SEARCH_CAP
+    g: SignedGraph, f: list[int], k: int, orient: Orientation, cap: int
 ) -> list[list[int]]:
     """Recursive split of a non-negative k-flow (values under orient);
     each conversion at an even level stops after cap steps."""

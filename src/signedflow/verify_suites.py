@@ -25,6 +25,7 @@ from .core import (
 )
 from .errors import InvariantViolation, PreconditionError, ResourceCapExceeded
 from .structure import (
+    DEFAULT_SEARCH_CAP,
     find_long_barbell,
     is_flow_admissible,
     three_edge_coloring,
@@ -319,7 +320,7 @@ def _cubic_item(g: SignedGraph, cap: Optional[int]):
     failures = []
     notes: dict = {}
     z4 = solve.find_nz_zk_flow(g, 4, cap=cap)
-    coloring = three_edge_coloring(g)
+    coloring = three_edge_coloring(g, solve._resolve_cap(cap, DEFAULT_SEARCH_CAP))
     if (z4 is None) != (coloring is None):
         failures.append(
             _fail(g, f"Z_4 {'yes' if z4 else 'no'} but 3-edge-coloring "

@@ -12,6 +12,10 @@ with each of its rules a mode that can be left off: the kernel must walk
 the same tree node for node.  Its last_slot mode adds the kernel's two
 last-slot refusals as plain per-candidate tests, found by scanning the
 positions still to come where the kernel reads them from a table.
+search_modulo_reference is the modulo kernel's search as a plain
+recursion that counts each end's unassigned slots by scanning the
+positions still to come, and closes a last slot by trying every value:
+the kernel must walk the same tree node for node.
 subset_component_table and nowhere_zero_zk_flow_count count nowhere-zero
 Z_k-flows by Beck and Zaslavsky's inclusion-exclusion over edge subsets,
 the oracle for "no Z_k-flow" that shares no code with any search.
@@ -498,6 +502,67 @@ def _unapply(bnd, typ, va, ca, vb, cb, pos, values):
         bnd[vb[pos]] -= cb[pos] * val
     elif t == 1:
         bnd[va[pos]] -= ca[pos] * val
+
+
+def search_modulo_reference(m, n, typ, va, ca, vb, cb, k, cap):
+    """The modulo kernel's search, stated plainly: the oracle for
+    signedflow._solver_py.search_modulo, same arguments and statuses.
+
+    Positions are assigned in order, every value 1..k-1 tried in turn at
+    each (a positive loop only 1), one node each; a nonzero cap ends the
+    search at node cap + 1.  A value is refused when it leaves an end
+    of its position unclosable (_closable_mod).  Returns (status,
+    values, nodes), the values a witness only when the status is FOUND."""
+    values = [0] * m
+    bnd = [0] * n
+    nodes = 0
+
+    def rec(pos: int) -> Optional[int]:
+        nonlocal nodes
+        if pos == m:
+            return FOUND
+        t = typ[pos]
+        ends = ((va[pos], ca[pos]), (vb[pos], cb[pos])) if t == 0 else ((va[pos], ca[pos]),)
+        for val in (1,) if t == 2 else range(1, k):
+            nodes += 1
+            if cap and nodes > cap:
+                return CAPPED
+            values[pos] = val
+            if t == 2:
+                ok = True
+            else:
+                for v, c in ends:
+                    bnd[v] += c * val
+                ok = all(_closable_mod(bnd, typ, va, ca, vb, cb, pos, v, k) for v, _ in ends)
+            if ok:
+                status = rec(pos + 1)
+                if status is not None:
+                    return status
+            if t != 2:
+                for v, c in ends:
+                    bnd[v] -= c * val
+        return None
+
+    status = rec(0)
+    return (EXHAUSTED if status is None else status), values, nodes
+
+
+def _closable_mod(bnd, typ, va, ca, vb, cb, pos, v, k):
+    """Whether v can still reach boundary 0 mod k once positions up to
+    pos are assigned, judged only when at most one of v's slots is left
+    (positive loops aside): with none, its boundary must be 0 mod k;
+    with one, some value 1..k-1 on that slot must make it so."""
+    slots = []  # v's coefficient on each of its unassigned slots
+    for q in range(pos + 1, len(typ)):
+        if typ[q] == 0:
+            slots += [c for w, c in ((va[q], ca[q]), (vb[q], cb[q])) if w == v]
+        elif typ[q] == 1 and va[q] == v:
+            slots.append(ca[q])
+    if not slots:
+        return bnd[v] % k == 0
+    if len(slots) > 1:
+        return True
+    return any((bnd[v] + slots[0] * f) % k == 0 for f in range(1, k))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from signedflow.core import (
     FlowKind,
     Orientation,
     SignedGraph,
+    check_flow,
     parse_graph,
     serialize_graph,
 )
@@ -213,6 +214,19 @@ def test_flow_number_certificate_verifies():
     g = cycle(3)
     cert = make_flow_number_certificate(g, flow_numbers(g))
     assert cert.verdict == "phi_i=2;phi_c=2"
+    out = verify_certificate(Certificate.from_json(cert.to_json()))
+    assert out.ok, out.reason
+
+
+def test_flow_numbers_past_k_max_certify_phi_c_alone(petersen):
+    # signed Petersen has no 5-flow, so below k_max = 6 the integer flow
+    # number is None; the circular one is still found and certified
+    numbers = flow_numbers(petersen, k_max=5)
+    assert (numbers.phi_i, numbers.phi_c) == (None, 6)
+    assert set(numbers.witnesses) == {"phi_c"}
+    assert check_flow(petersen, numbers.witnesses["phi_c"], FlowKind.circular(Fraction(6))).ok
+    cert = make_flow_number_certificate(petersen, numbers)
+    assert cert.verdict == "phi_c=6"
     out = verify_certificate(Certificate.from_json(cert.to_json()))
     assert out.ok, out.reason
 

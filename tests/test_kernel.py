@@ -12,9 +12,12 @@ with and without the root rule, and with and without the last-slot
 rules, the status and the witness are the same; an exhausted search
 without the root rule walks twice the root's subtrees, and the
 last-slot rules never add a node.
-search_modulo has no node-for-node reference yet, so its statuses and
-node counts on Petersen and g_family(3) are pinned, run on the kernel
-directly (the finder decides k = 2 on these graphs without it).
+search_modulo must walk the same tree as its reference, which counts
+each vertex's unassigned slots by scanning ahead: same status, same
+node count (the cap included), and the same witness when it finds a
+flow.  Its statuses and node counts on Petersen and g_family(3) are
+pinned too, run on the kernel directly (the finder decides k = 2 on
+these graphs without it).
 """
 
 import pytest
@@ -26,7 +29,7 @@ from signedflow.corpus import g_family, random_signed_graph
 from signedflow.errors import ResourceCapExceeded
 from signedflow.solve import _search_layout, find_nz_zk_flow
 
-from bruteforce import search_integer_reference
+from bruteforce import search_integer_reference, search_modulo_reference
 
 
 def _arrays(g):
@@ -38,6 +41,16 @@ def _agree(g, k, cap):
     args = _arrays(g)
     want = search_integer_reference(*args, k, cap, root_positive=True, last_slot=True)
     got = _solver_py.search_integer(*args, k, cap)
+    assert got[0] == want[0] and got[2] == want[2], (g.edges, k, cap, got, want)
+    if want[0] == _solver_py.FOUND:
+        assert got[1] == want[1], (g.edges, k, cap)
+    return got
+
+
+def _agree_modulo(g, k, cap):
+    args = _arrays(g)
+    want = search_modulo_reference(*args, k, cap)
+    got = _solver_py.search_modulo(*args, k, cap)
     assert got[0] == want[0] and got[2] == want[2], (g.edges, k, cap, got, want)
     if want[0] == _solver_py.FOUND:
         assert got[1] == want[1], (g.edges, k, cap)
@@ -214,6 +227,16 @@ def test_kernel_matches_reference_on_random_graphs(seed, num_vertices, extra, k,
     g = random_signed_graph(seed, num_vertices, max(num_vertices - 1, 1) + extra)
     _agree(g, k, cap)
     _rule_identity(g, k)
+    _agree_modulo(g, k, cap)
+
+
+def test_modulo_kernel_matches_reference_on_corpus(corpus_4_6):
+    statuses = set()
+    for g in corpus_4_6:
+        for k in range(2, 7):
+            for cap in (0, 1, 7):
+                statuses.add(_agree_modulo(g, k, cap)[0])
+    assert statuses == {_solver_py.FOUND, _solver_py.EXHAUSTED, _solver_py.CAPPED}
 
 
 @pytest.mark.parametrize(
@@ -233,11 +256,10 @@ def test_kernel_matches_reference_on_random_graphs(seed, num_vertices, extra, k,
 )
 def test_modulo_kernel_pinned(petersen, fresh, name, k, found, nodes):
     g = fresh(petersen if name == "petersen" else g_family(3))
-    args = _arrays(g)
-    status, _, walked = _solver_py.search_modulo(*args, k, 0)
+    status, _, walked = _agree_modulo(g, k, 0)
     assert (status == _solver_py.FOUND, walked) == (found, nodes)
     # a cap just short of the full count stops exactly one node past it
-    assert _solver_py.search_modulo(*args, k, nodes - 1)[::2] == (_solver_py.CAPPED, nodes)
+    assert _agree_modulo(g, k, nodes - 1)[::2] == (_solver_py.CAPPED, nodes)
     stats = {}
     za = find_nz_zk_flow(g, k, stats=stats)
     assert (za is not None) == found

@@ -16,9 +16,9 @@ from signedflow.core import (
     is_balanced,
     switch,
 )
-from signedflow.errors import PreconditionError
+from signedflow.errors import PreconditionError, ResourceCapExceeded
 from signedflow.corpus import enumerate_signed_graphs, g_family, random_signed_graph, signed_petersen
-from signedflow.solve import find_nz_k_flow, flow_numbers
+from signedflow.solve import find_nz_k_flow, find_nz_zk_flow, flow_numbers
 from signedflow.verify_suites import SUITES, run_suite
 from signedflow.structure import (
     classify_signed_circuit,
@@ -441,6 +441,19 @@ def test_k4_three_edge_colorable():
 
 def test_petersen_not_three_edge_colorable():
     assert three_edge_coloring(signed_petersen()) is None
+
+
+def test_cubic_suite_bounds_the_coloring_by_its_cap(monkeypatch):
+    # with the Z_4 answer already recorded on g, only the colouring
+    # searches, and the suite's cap bounds it too
+    monkeypatch.delenv("SG_RESOURCE_CAP", raising=False)
+    g = signed_petersen()
+    assert find_nz_zk_flow(g, 4) is None
+    with pytest.raises(ResourceCapExceeded, match="coloring") as exc:
+        run_suite("cubic-z4", [g], cap=100)
+    assert (exc.value.cap, exc.value.spent) == (100, 101)
+    report = run_suite("cubic-z4", [g])
+    assert report.ok and (report.checked, report.notes) == (1, {"uncolorable": 1})
 
 
 def test_non_cubic_rejected():

@@ -363,7 +363,9 @@ def test_decompose_barbell_guard_and_failure():
     with pytest.raises(PreconditionError):
         decompose_into_2_flows(g, fa, 3)
     with pytest.raises(InvariantViolation):
-        transform._decompose_rec(g, [int(v) for v in fa.values], 3, fa.orientation)
+        transform._decompose_rec(
+            g, [int(v) for v in fa.values], 3, fa.orientation, transform.TRANSFORM_SEARCH_CAP
+        )
 
 
 @pytest.mark.parametrize(
