@@ -7,30 +7,27 @@ tracer wraps these functions by name and reads their returned tuple.
 Edge positions follow the caller's assignment order; per position the
 arrays give
 
-  typ: 0 ordinary edge, 1 negative loop, 2 positive loop
+  typ: 0 ordinary edge, 1 negative loop
   va, ca: first affected vertex and its boundary coefficient
   vb, cb: second affected vertex/coefficient (ordinary edges only)
 
-A positive loop never constrains any boundary, so its value is pinned to
-the first candidate without branching; trying alternatives could never
-repair a failure elsewhere.
+A positive loop adds nothing to any boundary, so the caller leaves it
+out of the arrays and gives it the value 1.
 
 search_integer prunes with three exact rules.  The slack window: each
 touched vertex keeps |partial boundary| within the largest swing its
-unassigned edges can still produce.  The root rule: the first position
-that is not a positive loop tries only the positive values 1..k-1,
-since negating every value of a flow gives a flow.  The last-slot rules
-(R1, R2): a candidate is refused when it leaves a touched vertex with
-one unassigned slot that no nonzero value can close.  Each rule cuts
-only subtrees that hold no flow and is unchanged when every value is
-negated, so the status and the first witness are those of the plain
-search.
+unassigned edges can still produce.  The root rule: position 0 tries
+only the positive values 1..k-1, since negating every value of a flow
+gives a flow.  The last-slot rules (R1, R2): a candidate is refused when
+it leaves a touched vertex with one unassigned slot that no nonzero
+value can close.  Each rule cuts only subtrees that hold no flow and is
+unchanged when every value is negated, so the status and the first
+witness are those of the plain search.
 
 Node accounting: each candidate value tried at a position is one node,
-kept or refused, and each pinned positive loop is one node.  A nonzero
-cap ends a search with status 2 and nodes == cap + 1 at the first node
-past the cap; a cap of 0 means none, and a negative cap is passed by
-the first node.
+kept or refused.  A nonzero cap ends a search with status 2 and nodes
+== cap + 1 at the first node past the cap; a cap of 0 means none, and a
+negative cap is passed by the first node.
 
 Statuses: 0 witness found, 1 search space exhausted (an exactness
 claim), 2 node cap hit before either.
@@ -49,21 +46,20 @@ def search_integer(m, n, typ, va, ca, vb, cb, k, cap):
     Candidates at a position are tried in the order 1, -1, 2, -2, ...,
     one node each: a candidate is applied, then refused if it breaks the
     slack window at either end or a last-slot rule, and kept otherwise.
-    The root, the first position that is not a positive loop, tries
-    only 1, 2, ..., k-1.  This is exact: the negation of a flow whose
-    root value is -c is a flow with root value +c, and every rule is the
-    same for both, so the subtree under -c mirrors the one under +c.
-    The status and the first witness are those of trying both signs,
-    and an exhausted search counts p + (N - p) / 2 nodes for the N of
-    trying both signs, p the positive loops before the root.
+    The root, position 0, tries only 1, 2, ..., k-1.  This is exact:
+    the negation of a flow whose root value is -c is a flow with root
+    value +c, and every rule is the same for both, so the subtree under
+    -c mirrors the one under +c.  The status and the first witness are
+    those of trying both signs, and an exhausted search counts N / 2
+    nodes for the N of trying both signs.
     Returns (status, values, nodes), the same as
     tests/bruteforce.search_integer_reference with both rules on.
 
     Last slots.  Call v an endpoint of the current position and B(v)
     its boundary once the candidate is applied, and suppose v has
-    exactly one unassigned slot left (positive loops do not count).
-    Which slot that is depends only on the assignment order, so one
-    backward pass records it at v's second-to-last position.
+    exactly one unassigned slot left.  Which slot that is depends only
+    on the assignment order, so one backward pass records it at v's
+    second-to-last position.
       R1: an ordinary half-edge of e = (v, w).  Zero boundary at v
           forces e's value to f = -c_v(e) B(v), so the candidate is
           refused when B(v) = 0, or when w's other unassigned edges
@@ -84,8 +80,6 @@ def search_integer(m, n, typ, va, ca, vb, cb, k, cap):
     last = [-1] * n
     for pos in range(m - 1, -1, -1):
         t = typ[pos]
-        if t == 2:
-            continue
         r = k1 if t == 0 else 2 * k1
         for v in (va[pos], vb[pos]) if t == 0 else (va[pos],):
             slack[v] += r
@@ -102,29 +96,17 @@ def search_integer(m, n, typ, va, ca, vb, cb, k, cap):
         cap = 1 << 62 if cap == 0 else 0  # none, or passed by the first node
     signed = [c for v in range(1, k) for c in (v, -v)]
     positive = range(1, k)
-    root = 0
-    while root < m and typ[root] == 2:
-        root += 1
     idx = [0] * m  # the index of the candidate each position holds
     nodes = 0
     pos = 0
     while True:
         t = typ[pos]
-        if t == 2:
-            nodes += 1
-            if nodes > cap:
-                return CAPPED, values, cap + 1
-            values[pos] = 1
-            pos += 1
-            if pos == m:
-                return FOUND, values, nodes
-            continue
         a = va[pos]
         b = vb[pos]
         c_a = ca[pos]
         c_b = cb[pos]
         r = k1 if t == 0 else 2 * k1  # the slack each end gives up
-        cands = positive if pos == root else signed
+        cands = positive if pos == 0 else signed
         i = idx[pos]
         if i == 0:  # a fresh position
             slack[a] -= r
@@ -150,16 +132,14 @@ def search_integer(m, n, typ, va, ca, vb, cb, k, cap):
             i += 1
         else:
             # every candidate refused: give the slack back, step back to
-            # the last branching position and move it to its next candidate
-            if pos == root:
+            # the previous position and move it to its next candidate
+            if pos == 0:
                 return EXHAUSTED, values, nodes
             slack[a] += r
             if t == 0:
                 slack[b] += r
             idx[pos] = 0
             pos -= 1
-            while typ[pos] == 2:  # stops at the root at the latest
-                pos -= 1
             _unapply(bnd, typ, va, ca, vb, cb, pos, values)
             idx[pos] += 1
             continue
@@ -180,13 +160,10 @@ def _last_slots_ok(bnd, slack, tail, k1):
 
 
 def _unapply(bnd, typ, va, ca, vb, cb, pos, values):
-    t = typ[pos]
     val = values[pos]
-    if t == 0:
-        bnd[va[pos]] -= ca[pos] * val
+    bnd[va[pos]] -= ca[pos] * val
+    if typ[pos] == 0:
         bnd[vb[pos]] -= cb[pos] * val
-    elif t == 1:
-        bnd[va[pos]] -= ca[pos] * val
 
 
 def search_modulo(m, n, typ, va, ca, vb, cb, k, cap):
@@ -201,12 +178,7 @@ def search_modulo(m, n, typ, va, ca, vb, cb, k, cap):
     rem_ord = [0] * n
     rem_neg = [0] * n
     for i in range(m):
-        t = typ[i]
-        if t == 0:
-            rem_ord[va[i]] += 1
-            rem_ord[vb[i]] += 1
-        elif t == 1:
-            rem_neg[va[i]] += 1
+        _res_mod(rem_ord, rem_neg, typ, va, vb, i)
     if m == 0:
         return FOUND, values, 0
     idx = [0] * (m + 1)
@@ -215,9 +187,7 @@ def search_modulo(m, n, typ, va, ca, vb, cb, k, cap):
     _rel_mod(rem_ord, rem_neg, typ, va, vb, 0)
     while True:
         i = idx[pos]
-        t = typ[pos]
-        limit = 1 if t == 2 else k - 1
-        if i >= limit:
+        if i >= k - 1:
             _res_mod(rem_ord, rem_neg, typ, va, vb, pos)
             idx[pos] = 0
             pos -= 1
@@ -226,21 +196,16 @@ def search_modulo(m, n, typ, va, ca, vb, cb, k, cap):
             _unapply(bnd, typ, va, ca, vb, cb, pos, values)
             idx[pos] += 1
             continue
-        val = 1 if t == 2 else i + 1
+        val = i + 1
         nodes += 1
         if cap and nodes > cap:
             return CAPPED, values, nodes
         values[pos] = val
-        ok = True
-        if t == 0:
-            bnd[va[pos]] += ca[pos] * val
+        bnd[va[pos]] += ca[pos] * val
+        ok = _mod_vertex_ok(bnd, rem_ord, rem_neg, va[pos], k)
+        if typ[pos] == 0:
             bnd[vb[pos]] += cb[pos] * val
-            ok = _mod_vertex_ok(bnd, rem_ord, rem_neg, va[pos], k) and _mod_vertex_ok(
-                bnd, rem_ord, rem_neg, vb[pos], k
-            )
-        elif t == 1:
-            bnd[va[pos]] += ca[pos] * val
-            ok = _mod_vertex_ok(bnd, rem_ord, rem_neg, va[pos], k)
+            ok = ok and _mod_vertex_ok(bnd, rem_ord, rem_neg, vb[pos], k)
         if ok:
             pos += 1
             if pos == m:
@@ -252,20 +217,18 @@ def search_modulo(m, n, typ, va, ca, vb, cb, k, cap):
 
 
 def _rel_mod(rem_ord, rem_neg, typ, va, vb, pos):
-    t = typ[pos]
-    if t == 0:
+    if typ[pos] == 0:
         rem_ord[va[pos]] -= 1
         rem_ord[vb[pos]] -= 1
-    elif t == 1:
+    else:
         rem_neg[va[pos]] -= 1
 
 
 def _res_mod(rem_ord, rem_neg, typ, va, vb, pos):
-    t = typ[pos]
-    if t == 0:
+    if typ[pos] == 0:
         rem_ord[va[pos]] += 1
         rem_ord[vb[pos]] += 1
-    elif t == 1:
+    else:
         rem_neg[va[pos]] += 1
 
 

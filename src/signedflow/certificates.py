@@ -88,6 +88,20 @@ def _value_for_kind(s, kind: FlowKind):
     return str_to_fraction(s)
 
 
+def _int(raw, what: str) -> int:
+    """A JSON integer; bools and floats are refused."""
+    if type(raw) is not int:
+        raise PreconditionError(f"malformed certificate: {what} must be an integer, not {raw!r}")
+    return raw
+
+
+def _ids(raw, what: str) -> list[int]:
+    """A JSON list of integers: every id list a certificate holds."""
+    if not isinstance(raw, list):
+        raise PreconditionError(f"malformed certificate: {what} must be a list, not {raw!r}")
+    return [_int(i, what) for i in raw]
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -223,9 +237,9 @@ def _payload_flow(
     payload: dict, num_edges: int, kind: Optional[FlowKind] = None
 ) -> FlowAssignment:
     try:
-        rev = frozenset(map(int, payload["orientation"]))
+        rev = frozenset(_ids(payload["orientation"], "orientation"))
         raw = payload["values"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed flow payload: {exc}") from exc
     if not isinstance(raw, list):
         raise PreconditionError("malformed flow payload: values must be a list")
@@ -411,7 +425,7 @@ def _verify_flow_number(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
         return VerifyOutcome(False, "flow-number certificate claims no flow number")
     phi_i = None
     if "phi_i" in payload:
-        k = int(payload["phi_i"])
+        k = _int(payload["phi_i"], "phi_i")
         fa = _payload_flow(payload["witness_phi_i"], g.num_edges, FlowKind.integer(k))
         res = check_flow(g, fa, FlowKind.integer(k))
         if not res.ok:
@@ -439,7 +453,7 @@ def _verify_conversion(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
     converter switches only sinks and zero-boundary vertices and ends on a
     minus step, so a switch at a source or at the end is rejected; an
     inert switch inside a journal is still not detected."""
-    k = int(cert.payload["k"])
+    k = _int(cert.payload["k"], "k")
     fa_in = _payload_flow(cert.payload["input"], g.num_edges, FlowKind.modulo(k))
     fa_out = _payload_flow(cert.payload["output"], g.num_edges, FlowKind.integer(k))
     res = check_flow(g, fa_in, FlowKind.modulo(k))
@@ -454,12 +468,12 @@ def _verify_conversion(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
     op = None
     for op, items in cert.payload["journal"]:
         if op == "switch":
-            vs = [int(i) for i in items]
+            vs = _ids(items, "journal items")
             if sources := sorted(set(vs) & set(state.sources)):
                 return VerifyOutcome(False, f"journal switches sources {sources}")
             state.switch_at(vs)
         elif op == "minus":
-            state.minus(int(i) for i in items)
+            state.minus(_ids(items, "journal items"))
         else:
             return VerifyOutcome(False, f"unknown journal op {op!r}")
     if op == "switch":
@@ -475,7 +489,7 @@ def _verify_conversion(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
 
 
 def _verify_decomposition(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
-    k = int(cert.payload["k"])
+    k = _int(cert.payload["k"], "k")
     fa = _payload_flow(cert.payload["input"], g.num_edges, FlowKind.integer(k))
     parts = [_payload_flow(p, g.num_edges, FlowKind.integer(2)) for p in cert.payload["parts"]]
     if len(parts) != k - 1:
@@ -500,18 +514,20 @@ def _verify_decomposition(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
 def _verify_eulerian(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
     def split(circuits, path):
         # each circuit's edge set, and the path's, free of walking order
-        return sorted(sorted(int(i) for i in c) for c in circuits), sorted(int(i) for i in path)
+        return sorted(map(sorted, circuits)), sorted(path)
 
     members = cert.payload["members"]
     used: list[int] = []
     for idx, mem in enumerate(members):
-        ids = [int(i) for c in mem["circuits"] for i in c] + [int(i) for i in mem["path"]]
+        circuits = [_ids(c, "circuit") for c in mem["circuits"]]
+        path = _ids(mem["path"], "path")
+        ids = [i for c in circuits for i in c] + path
         w = classify_signed_circuit(g, ids)
         if w is None or w.kind != mem["kind"]:
             return VerifyOutcome(False, f"member {idx} is not a {mem['kind']}")
         if mem["kind"] == "long-barbell":
             return VerifyOutcome(False, f"member {idx} is a long barbell")
-        if split(mem["circuits"], mem["path"]) != split(w.circuits, w.path or ()):
+        if split(circuits, path) != split(w.circuits, w.path or ()):
             return VerifyOutcome(False, f"member {idx} states a split that is not its {w.kind}'s")
         used.extend(ids)
     if sorted(used) != list(range(g.num_edges)):
@@ -520,16 +536,16 @@ def _verify_eulerian(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
 
 
 def _verify_normalization(cert: Certificate, g: SignedGraph) -> VerifyOutcome:
-    p = int(cert.payload["p"])
-    q = int(cert.payload["q"])
+    p = _int(cert.payload["p"], "p")
+    q = _int(cert.payload["q"], "q")
     fa_in = _payload_flow(cert.payload["input"], g.num_edges)
     state = normalize_circular_flow(g, fa_in, p, q)
     if state.flow != _payload_flow(cert.payload["final"], g.num_edges):
         return VerifyOutcome(False, "re-normalization reaches a different flow")
-    if sorted(state.off_grid) != [int(i) for i in cert.payload["off_grid"]]:
+    if sorted(state.off_grid) != _ids(cert.payload["off_grid"], "off_grid"):
         return VerifyOutcome(False, "off-grid set mismatch")
     recorded = [
-        (tuple(int(i) for i in sup), int(d), str_to_fraction(eps))
+        (tuple(_ids(sup, "push support")), _int(d, "push direction"), str_to_fraction(eps))
         for sup, d, eps in cert.payload["pushes"]
     ]
     if list(state.pushes) != recorded:
@@ -571,7 +587,7 @@ def verify_certificate(cert: Certificate) -> VerifyOutcome:
     for name, want in _FIELD_TYPES:
         if not isinstance(getattr(cert, name), want):
             return VerifyOutcome(False, f"malformed certificate: {name} is not a {want.__name__}")
-    if cert.schema_version != SCHEMA_VERSION:
+    if type(cert.schema_version) is not int or cert.schema_version != SCHEMA_VERSION:
         return VerifyOutcome(False, f"unsupported schema {cert.schema_version}")
     handler = _VERIFIERS.get(cert.claim)
     if handler is None:

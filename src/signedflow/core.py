@@ -145,8 +145,9 @@ class SignedGraph:
 
     @cached_property
     def search_layout(self):
-        """Cached ``solve._search_layout``: the search kernels' assignment
-        order and per-position arrays, which do not depend on k."""
+        """Cached ``solve._search_layout``: every edge but the positive
+        loops, in the order the kernels, the circular search and the
+        3-edge-colouring assign them, and the kernels' per-position arrays."""
         from .solve import _search_layout
 
         return _search_layout(self)

@@ -83,10 +83,12 @@ def _search_layout(g: SignedGraph):
     The order lists edge ids in DFS discovery order.  Vertices are
     explored depth-first from the lowest id, smallest neighbour first;
     when a vertex is first visited, its not yet discovered incident edges
-    are appended in ascending id order.  Those are its loops and its
-    edges to unvisited vertices, since an edge is discovered with the
+    are appended in ascending id order.  Those are its negative loops and
+    its edges to unvisited vertices, since an edge is discovered with the
     first of its ends visited.  Clustering edges around vertices this way
-    lets the kernel's slack prune close boundaries early.
+    lets the kernel's slack prune close boundaries early.  A positive
+    loop adds nothing to any boundary, so no search decides it: it is
+    left out, and the searches give it the value 1.
 
     Per position, the typ/va/ca/vb/cb arrays (see _solver_py) describe
     that edge under the reference orientation.  Returns
@@ -110,10 +112,9 @@ def _search_layout(g: SignedGraph):
             for eid, end in incidence[v]:
                 e = edges[eid]
                 if e.u == e.v:
-                    if end == 0:  # a loop lists both its half-edges at v
+                    if end == 0 and e.sign < 0:  # a loop lists both its half-edges at v
                         order.append(eid)
-                        # a negative loop's half-edges both point out
-                        rows.append((1, v, 2, 0, 0) if e.sign < 0 else (2, v, 0, 0, 0))
+                        rows.append((1, v, 2, 0, 0))  # both half-edges point out
                     continue
                 w = e.v if end == 0 else e.u
                 if not visited[w]:
@@ -134,6 +135,7 @@ def _search(
 ) -> Optional[list[int]]:
     """Run the ``kind`` kernel over g's arrays; per-edge values under the
     reference orientation, or None when the search space is exhausted.
+    Positive loops, which the layout leaves out, get the value 1.
 
     At k = 2 a graph with a vertex of odd degree is answered None with no
     search: ``stats["nodes"]`` is 0 and ``stats["decided"]`` is
@@ -172,7 +174,7 @@ def _search(
     if vals is None:
         return None
     order = g.search_layout[0]
-    per_edge = [0] * g.num_edges
+    per_edge = [1] * g.num_edges
     for pos, eid in enumerate(order):
         per_edge[eid] = vals[pos]
     return per_edge
@@ -548,7 +550,8 @@ def _circular_flow_number(
         )
     counts = {} if stats is None else stats
     counts.update(lp_calls=0, tie_skips=0)
-    lp_edges = [i for i, e in enumerate(g.edges) if not (e.u == e.v and e.sign > 0)]
+    layout, (typ, va, ca, vb, cb) = g.search_layout
+    lp_edges = sorted(layout)  # every edge but the positive loops
     if not lp_edges:
         # only positive loops (or no edges at all): every value may be 1
         fa = FlowAssignment(Orientation.reference(), (1,) * g.num_edges)
@@ -559,16 +562,14 @@ def _circular_flow_number(
             return FlowNumbers(phi_c=Fraction(2), witnesses={"phi_c": fa2})
     mlp = len(lp_edges)
     pos_of = {eid: pos for pos, eid in enumerate(lp_edges)}
-    layout, (typ, va, ca, vb, cb) = g.search_layout
-    order = [pos_of[eid] for eid in layout if eid in pos_of]
+    order = [pos_of[eid] for eid in layout]
     # per LP edge, its (vertex, coefficient) pairs under the reference
     # orientation: the kernels' row of a non-loop (typ 0) or a negative
     # loop (typ 1); reversing the edge negates them
     ref: list[tuple[tuple[int, int], ...]] = [()] * mlp
     for i, eid in enumerate(layout):
-        if eid in pos_of:
-            pairs = ((va[i], ca[i]), (vb[i], cb[i]))
-            ref[pos_of[eid]] = pairs if typ[i] == 0 else pairs[:1]
+        pairs = ((va[i], ca[i]), (vb[i], cb[i]))
+        ref[pos_of[eid]] = pairs if typ[i] == 0 else pairs[:1]
     at: dict[int, list[tuple[int, int]]] = {}  # vertex -> (lp edge, coefficient)
     for pos, pairs in enumerate(ref):
         for v, c0 in pairs:

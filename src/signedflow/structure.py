@@ -645,31 +645,16 @@ def three_edge_coloring(
 ) -> tuple[int, ...] | None:
     """Proper 3-edge-coloring by exhaustive backtracking; signs ignored.
 
-    None is exact: the graph is not 3-edge-colorable."""
+    Edges are coloured in the search kernels' assignment order
+    (``SignedGraph.search_layout``), which clusters them around vertices
+    for early contradictions; a cubic graph has no loops, so it lists
+    every edge.  None is exact: the graph is not 3-edge-colorable."""
     _require_cubic(g)
+    order = g.search_layout[0]
     m = g.num_edges
-    if m == 0:
-        return ()
+    if len(order) != m:
+        raise InvariantViolation("search layout misses an edge of a cubic graph")
     colors = [-1] * m
-    # assign in breadth-first discovery order for early contradictions
-    order: list[int] = []
-    seen_e = [False] * m
-    seen_v = [False] * g.num_vertices
-    for root in range(g.num_vertices):
-        if seen_v[root]:
-            continue
-        queue = [root]
-        seen_v[root] = True
-        while queue:
-            x = queue.pop(0)
-            for eid, _ in g.incidence[x]:
-                if not seen_e[eid]:
-                    seen_e[eid] = True
-                    order.append(eid)
-                y = g.edges[eid].other(x)
-                if not seen_v[y]:
-                    seen_v[y] = True
-                    queue.append(y)
     used_at = [0] * g.num_vertices  # bitmask of colors present at a vertex
     steps = 0
 

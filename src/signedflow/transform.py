@@ -638,21 +638,18 @@ def _step_at_source(
 ) -> bool:
     k = state.k
     for x in sources:
-        budget = _Budget(cap, "reachability scan")
-        for _ in range(state.graph.num_vertices + 2):
-            _, y_minus = _dipath_reach(state, x, budget)
-            if not y_minus:
-                break
-            bad = [y for y in y_minus if state.bnd[y] != 0]
-            if bad:
-                # a source here would admit a negative ditrail from x,
-                # which the pair step just ruled out
-                raise InvariantViolation(
-                    f"negatively-reached vertices {bad} carry boundary"
-                )
-            state.switch_at(y_minus)
-        else:
-            raise InvariantViolation("reachability switching did not stabilize")
+        _, y_minus = _dipath_reach(state, x, _Budget(cap, "reachability scan"))
+        bad = [y for y in y_minus if state.bnd[y] != 0]
+        if bad:
+            # a source here would admit a negative ditrail from x,
+            # which the pair step just ruled out
+            raise InvariantViolation(
+                f"negatively-reached vertices {bad} carry boundary"
+            )
+        # Switching Y (x not in Y) keeps every walk from x a walk and flips
+        # the final polarity of those ending in Y, so after switching
+        # Y = Y-(x) once, x reaches the same vertices, all positively.
+        state.switch_at(y_minus)
         tp = find_tadpole(state, x, cap=cap)
         if tp is None:
             continue

@@ -35,6 +35,9 @@ degree_sorted_multisets_reference is the degree-order prefilter over
 every edge multiset that the corpus's pruned generator replaced.
 decompose_two_regular_reference is the 2-factor splitter the cubic tools
 used before they shared the package's circuit peel.
+three_edge_colorable_reference decides 3-edge-colourability by trying
+all 3^m colourings, the oracle for the colouring search's answer;
+is_proper_edge_coloring checks a colouring at every vertex.
 classify_signed_circuit_reference is the signed-circuit classifier with
 its own forced-walk tracer, as it was before it classified on the peel.
 flow_admissibility_reference is the admissibility check as it was
@@ -48,7 +51,8 @@ integer kernel alone, over the layout of search_layout_reference.
 search_layout_reference is the search kernels' assignment order and
 per-position arrays as they were built before the one-pass
 solve._search_layout: a DFS that tracks discovered edges and neighbour
-sets, then a second pass over the order for the arrays.
+sets, then a second pass over the order for the arrays; positive loops,
+which no search decides, are dropped from the order.
 value_for_kind_reference is the certificate value decoder as it was
 before plain integer literals skipped Fraction.
 integer_none_outcome_reference is the certificate verifier's outcome on
@@ -793,6 +797,22 @@ def enumerate_signed_graphs_reference(max_v: int, max_e: int) -> Iterator[Signed
                     )
 
 
+def is_proper_edge_coloring(g: SignedGraph, colors: Sequence[int]) -> bool:
+    """No two half-edges at a vertex share a colour; signs ignored."""
+    return all(
+        len({colors[eid] for eid, _ in g.incidence[v]}) == g.degree(v) for v in range(g.num_vertices)
+    )
+
+
+def three_edge_colorable_reference(g: SignedGraph) -> bool:
+    """Whether some proper 3-edge-colouring exists: a product over all 3^m
+    colourings, each tested at every vertex."""
+    return any(
+        is_proper_edge_coloring(g, colors)
+        for colors in itertools.product(range(3), repeat=g.num_edges)
+    )
+
+
 def decompose_two_regular_reference(
     g: SignedGraph, edge_ids
 ) -> Optional[list[tuple[int, ...]]]:
@@ -1115,9 +1135,14 @@ def _kernel_arrays_reference(g: SignedGraph, order: list[int]):
 
 
 def search_layout_reference(g: SignedGraph):
-    """solve._search_layout by two passes: (order, (typ, va, ca, vb, cb))."""
-    order = _assignment_order_reference(g)
+    """solve._search_layout by two passes: (order, (typ, va, ca, vb, cb)),
+    positive loops left out."""
+    order = [eid for eid in _assignment_order_reference(g) if not _is_positive_loop(g.edges[eid])]
     return tuple(order), tuple(tuple(a) for a in _kernel_arrays_reference(g, order))
+
+
+def _is_positive_loop(e) -> bool:
+    return e.is_loop and e.sign > 0
 
 
 def find_nz_k_flow_reference(
@@ -1125,8 +1150,9 @@ def find_nz_k_flow_reference(
 ) -> Optional[FlowAssignment]:
     """find_nz_k_flow by the integer kernel alone, with no Z_k search first
     and no rule deciding k = 2, over the reference layout of g; no answer
-    recorded on g stands in for it.  The cap and its exception are those
-    of the package's integer search."""
+    recorded on g stands in for it.  Positive loops, which the layout
+    leaves out, get the value 1.  The cap and its exception are those of
+    the package's integer search."""
     if not (isinstance(k, int) and k >= 2):
         raise PreconditionError("k must be an integer >= 2")
     cap = _resolve_cap(cap)
@@ -1138,7 +1164,7 @@ def find_nz_k_flow_reference(
         raise ResourceCapExceeded("k-flow search", cap=cap, spent=nodes)
     if status == EXHAUSTED:
         return None
-    per_edge = [0] * g.num_edges
+    per_edge = [1 if _is_positive_loop(e) else 0 for e in g.edges]
     for pos, eid in enumerate(order):
         per_edge[eid] = vals[pos]
     return FlowAssignment.from_signed(per_edge)

@@ -339,7 +339,7 @@ def test_malformed_certificate_rejected_not_raised(mutate):
         (lambda p: p["values"].__setitem__(0, float("-inf")),
          "OverflowError: cannot convert Infinity to integer ratio"),
         (lambda p: p["orientation"].append(float("inf")),
-         "OverflowError: cannot convert float infinity to integer"),
+         "orientation must be an integer, not inf"),
         (lambda p: p.update(flow_kind="circular:1/0"), "ZeroDivisionError: Fraction(1, 0)"),
     ],
     ids=["infinite-value", "infinite-edge-id", "zero-denominator-kind"],
@@ -748,6 +748,75 @@ def test_each_verifier_rejection_fires(request, make, mutate, reason):
     cert = request.getfixturevalue(make) if isinstance(make, str) else make()
     out = verify_certificate(retamper(cert, mutate))
     assert out == VerifyOutcome(False, reason)
+
+
+def _loop_pair_flow_cert():
+    # two negative loops at one vertex: the 3-flow reverses edge 1
+    g = SignedGraph(1, (Edge(0, 0, -1), Edge(0, 0, -1)))
+    cert = make_flow_certificate(g, FlowKind.integer(3), find_nz_k_flow(g, 3))
+    assert cert.payload["orientation"] == [1]
+    return cert
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(raw):
+        node = raw
+        for step in path:
+            node = node[step]
+        node[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "make,mutate,reason",
+    [
+        (_loop_pair_flow_cert, _set("payload", "orientation", "1"),
+         "orientation must be a list, not '1'"),
+        (_loop_pair_flow_cert, _set("payload", "orientation", [True]),
+         "orientation must be an integer, not True"),
+        (_loop_pair_flow_cert, _set("payload", "orientation", [1.0]),
+         "orientation must be an integer, not 1.0"),
+        ("conversion_cert", _set("payload", "journal", 1, 1, "0"),
+         "journal items must be a list, not '0'"),
+        ("conversion_cert", _set("payload", "journal", 0, 1, "345"),
+         "journal items must be a list, not '345'"),
+        ("conversion_cert", _set("payload", "k", 3.0), "k must be an integer, not 3.0"),
+        (_decomposition_cert, _set("payload", "k", "4"), "k must be an integer, not '4'"),
+        (_flow_number_cert, _set("payload", "phi_i", 3.0), "phi_i must be an integer, not 3.0"),
+        (_eulerian_cert, _set("payload", "members", 0, "circuits", 0, ["0", "2"]),
+         "circuit must be an integer, not '0'"),
+        (_eulerian_cert, _set("payload", "members", 0, "path", ""), "path must be a list, not ''"),
+        ("normalization_cert", _set("payload", "off_grid", ""), "off_grid must be a list, not ''"),
+        ("normalization_cert", _set("payload", "pushes", 0, 0, "012"),
+         "push support must be a list, not '012'"),
+        ("normalization_cert", _set("payload", "pushes", 0, 1, -1.0),
+         "push direction must be an integer, not -1.0"),
+        ("normalization_cert", _set("payload", "p", True), "p must be an integer, not True"),
+        ("normalization_cert", _set("payload", "q", 1.0), "q must be an integer, not 1.0"),
+    ],
+    ids=[
+        "orientation-string", "orientation-bool", "orientation-float", "journal-minus-string",
+        "journal-switch-string", "conversion-k-float", "decomposition-k-string",
+        "phi-i-float", "circuit-strings", "path-string", "off-grid-string",
+        "push-support-string", "push-direction-float", "p-bool", "q-float",
+    ],
+)
+def test_ids_and_integers_must_have_json_integer_type(request, make, mutate, reason):
+    # every id list must be a JSON list of integers, and k, p, q, phi_i
+    # and push directions integers, bools refused; int(...) read most of
+    # these forms as the honest value
+    cert = request.getfixturevalue(make) if isinstance(make, str) else make()
+    assert verify_certificate(cert).ok
+    out = verify_certificate(retamper(cert, mutate))
+    assert out == VerifyOutcome(False, f"malformed certificate: {reason}")
+
+
+def test_bool_schema_version_refused():
+    cert = _loop_pair_flow_cert()
+    out = verify_certificate(retamper(cert, lambda raw: raw.update(schema_version=True)))
+    assert out == VerifyOutcome(False, "unsupported schema True")
 
 
 def test_tampered_eulerian_kind_detected():

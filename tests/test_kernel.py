@@ -1,13 +1,12 @@
 """The search kernels against their references.
 
 search_integer tries each candidate in turn, one node each, only
-positive values at the root (the first position that is not a positive
-loop), and refuses a candidate that breaks the slack window or leaves a
-touched vertex a last slot no value can close (the last-slot rules R1
-and R2), read from a table built once per search.  It must walk the
-same tree as the reference, which scans ahead for the last slots: same
-status, same node count (the cap included), and the same witness when
-it finds a flow.  The reference's modes must agree with each other:
+positive values at the root (position 0), and refuses a candidate that
+breaks the slack window or leaves a touched vertex a last slot no value
+can close (the last-slot rules R1 and R2), read from a table built once
+per search.  It must walk the same tree as the reference, which scans
+ahead for the last slots: same status, same node count (the cap
+included), and the same witness when it finds a flow.  The reference's modes must agree with each other:
 with and without the root rule, and with and without the last-slot
 rules, the status and the witness are the same; an exhausted search
 without the root rule walks twice the root's subtrees, and the
@@ -18,6 +17,8 @@ node count (the cap included), and the same witness when it finds a
 flow.  Its statuses and node counts on Petersen and g_family(3) are
 pinned too, run on the kernel directly (the finder decides k = 2 on
 these graphs without it).
+Positive loops are no positions of the layout: adding them changes no
+search's status, witness or node count, and the finders give them 1.
 """
 
 import pytest
@@ -27,7 +28,7 @@ from signedflow import _solver_py
 from signedflow.core import Edge, FlowKind, SignedGraph, check_flow
 from signedflow.corpus import g_family, random_signed_graph
 from signedflow.errors import ResourceCapExceeded
-from signedflow.solve import _search_layout, find_nz_zk_flow
+from signedflow.solve import _search_layout, find_nz_k_flow, find_nz_zk_flow
 
 from bruteforce import search_integer_reference, search_modulo_reference
 
@@ -61,8 +62,8 @@ def _mirror_identity(g, k, last_slot=False):
     """Negating a flow keeps it a flow, and the root's subtree under -c
     mirrors the one under +c, with or without the last-slot rules: the
     root rule keeps the status and the first witness, and an exhausted
-    search without it counts N = 2 N' - p nodes, p the positive loops
-    pinned before the root.  Returns the search with the root rule."""
+    search without it counts twice the nodes.  Returns the search with
+    the root rule."""
     args = _arrays(g)
     full = search_integer_reference(*args, k, 0, last_slot=last_slot)
     half = search_integer_reference(*args, k, 0, root_positive=True, last_slot=last_slot)
@@ -70,8 +71,7 @@ def _mirror_identity(g, k, last_slot=False):
     if full[0] == _solver_py.FOUND:
         assert half[1] == full[1] and half[2] <= full[2], (g.edges, k)
     else:
-        p = next((pos for pos, t in enumerate(args[2]) if t != 2), args[0])
-        assert full[2] == 2 * half[2] - p, (g.edges, k, full[2], half[2])
+        assert full[2] == 2 * half[2], (g.edges, k, full[2], half[2])
     return full, half
 
 
@@ -131,30 +131,22 @@ def _graph(n, *edges):
 @pytest.mark.parametrize(
     "g,status,nodes,plain_nodes",
     [
-        # a positive loop at position 0, so the root is position 1; the
-        # triangle's one negative edge leaves no flow
+        # a positive loop as edge 0 is no position, so the root is the
+        # triangle's first edge; its one negative edge leaves no flow
         pytest.param(
             _graph(3, (0, 0, 1), (0, 1, 1), (1, 2, 1), (2, 0, -1)),
             _solver_py.EXHAUSTED,
-            22,
-            40,
+            21,
+            39,
             id="loop-before-root-none",
         ),
         # the same loop ahead of a balanced triangle
         pytest.param(
             _graph(3, (0, 0, 1), (0, 1, 1), (1, 2, 1), (2, 0, 1)),
             _solver_py.FOUND,
-            4,
-            4,
+            3,
+            3,
             id="loop-before-root-found",
-        ),
-        # only positive loops: no position branches, every value pinned
-        pytest.param(
-            _graph(2, (0, 0, 1), (0, 0, 1), (1, 1, 1)),
-            _solver_py.FOUND,
-            3,
-            3,
-            id="only-positive-loops",
         ),
         # a negative loop is the root: two of them joined by an edge, and
         # one with a pendant edge, whose last slot R1 closes for no value
@@ -188,8 +180,8 @@ def _graph(n, *edges):
         pytest.param(
             _graph(2, (0, 0, -1), (0, 0, -1), (0, 1, -1), (1, 1, -1), (1, 1, 1)),
             _solver_py.FOUND,
-            11,
-            17,
+            10,
+            16,
             id="rule-refusal-inside-jump",
         ),
         # three parallel negative edges and a negative loop at 1: at the
@@ -212,6 +204,45 @@ def test_kernel_root_rule_edge_cases(g, status, nodes, plain_nodes):
     assert _rule_identity(g, k)[1][2] == plain_nodes
     for cap in range(1, nodes):
         assert _agree(g, k, cap)[::2] == (_solver_py.CAPPED, cap + 1)
+
+
+def test_only_positive_loops_need_no_search():
+    # no position is left to decide: every value is 1, with no node walked
+    g = _graph(2, (0, 0, 1), (0, 0, 1), (1, 1, 1))
+    assert _arrays(g) == (0, 2, (), (), (), (), ())
+    for k in range(2, 7):
+        for finder in (find_nz_k_flow, find_nz_zk_flow):
+            stats = {}
+            fa = finder(SignedGraph(g.num_vertices, g.edges), k, stats=stats)
+            assert fa.signed_values() == (1, 1, 1) and stats["nodes"] == 0, (finder, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10**9),
+    num_vertices=st.integers(1, 5),
+    extra=st.integers(0, 3),
+    loops=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 8)), min_size=1, max_size=3),
+    k=st.integers(2, 6),
+)
+def test_positive_loops_change_no_search(seed, num_vertices, extra, loops, k):
+    # each (v, i) inserts a positive loop at vertex v as edge i; g's own
+    # edges keep their order, so both kernels walk the same tree on h
+    g = random_signed_graph(seed, num_vertices, max(num_vertices - 1, 1) + extra)
+    edges = [(e, i) for i, e in enumerate(g.edges)]  # each edge with its id in g
+    for v, i in loops:
+        edges.insert(min(i, len(edges)), (Edge(v % num_vertices, v % num_vertices, 1), None))
+    h = SignedGraph(num_vertices, tuple(e for e, _ in edges))
+    for kernel in (_solver_py.search_integer, _solver_py.search_modulo):
+        got = kernel(*_arrays(h), k, 0)
+        assert got == kernel(*_arrays(g), k, 0), (h.edges, k)
+    for finder in (find_nz_k_flow, find_nz_zk_flow):
+        sg, sh = {}, {}
+        fg, fh = finder(g, k, stats=sg), finder(h, k, stats=sh)
+        assert sh == sg and (fh is None) == (fg is None), (h.edges, k)
+        if fg is not None:
+            want = fg.signed_values()
+            assert fh.signed_values() == tuple(1 if i is None else want[i] for _, i in edges)
 
 
 @settings(max_examples=300, deadline=None)

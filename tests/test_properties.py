@@ -209,6 +209,18 @@ def conversion_states(draw, max_v=6, max_e=9):
 
 @given(conversion_states())
 @settings(deadline=None, max_examples=400)
+def test_switching_the_negatively_reached_set_once_empties_it(case):
+    # the conversion switches Y-(x) once before its tadpole search: every
+    # walk from x keeps its vertices, and those ending in Y-(x) turn
+    # positive, so nothing is left reached only negatively
+    state, x = case
+    y_plus, y_minus = _dipath_reach(state, x, _Budget(None, "test"))
+    state.switch_at(y_minus)
+    assert _dipath_reach(state, x, _Budget(None, "test")) == (y_plus | y_minus, frozenset())
+
+
+@given(conversion_states())
+@settings(deadline=None, max_examples=400)
 def test_tadpole_splice_matches_exhaustive_search(case):
     # find_tadpole's precondition: nothing is reached from x only
     # negatively (the conversion switches that set away first)

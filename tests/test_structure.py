@@ -16,7 +16,7 @@ from signedflow.core import (
     is_balanced,
     switch,
 )
-from signedflow.errors import PreconditionError, ResourceCapExceeded
+from signedflow.errors import InvariantViolation, PreconditionError, ResourceCapExceeded
 from signedflow.corpus import enumerate_signed_graphs, g_family, random_signed_graph, signed_petersen
 from signedflow.solve import find_nz_k_flow, find_nz_zk_flow, flow_numbers
 from signedflow.verify_suites import SUITES, run_suite
@@ -441,6 +441,38 @@ def test_k4_three_edge_colorable():
 
 def test_petersen_not_three_edge_colorable():
     assert three_edge_coloring(signed_petersen()) is None
+    # the exhaustive search in the layout order tries 231 colours
+    with pytest.raises(ResourceCapExceeded, match="coloring") as exc:
+        three_edge_coloring(signed_petersen(), cap=230)
+    assert exc.value.spent == 231
+
+
+def _graph(n, pairs):
+    return SignedGraph(n, tuple(Edge(u, v, 1) for u, v in pairs))
+
+
+def test_coloring_matches_the_product_over_all_colourings(corpus_full):
+    # every loopless cubic class of the corpus (none has 5 vertices), then
+    # K_{3,3} and the triangular prism
+    cubic = [
+        g for g in corpus_full
+        if not any(e.is_loop for e in g.edges) and all(g.degree(v) == 3 for v in range(g.num_vertices))
+    ]
+    assert len(cubic) == 9
+    k33 = _graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    prism = _graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+    for g in cubic + [k33, prism]:
+        col = three_edge_coloring(g)
+        assert (col is not None) == bruteforce.three_edge_colorable_reference(g), g.edges
+        assert col is None or bruteforce.is_proper_edge_coloring(g, col), (g.edges, col)
+
+
+def test_coloring_refuses_a_layout_that_misses_an_edge():
+    g = k4()
+    order, arrays = g.search_layout
+    g.__dict__["search_layout"] = (order[1:], arrays)  # the cached value
+    with pytest.raises(InvariantViolation, match="layout"):
+        three_edge_coloring(g)
 
 
 def test_cubic_suite_bounds_the_coloring_by_its_cap(monkeypatch):

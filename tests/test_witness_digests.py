@@ -46,7 +46,9 @@ EULERIAN_DIGEST = "327bcd045f4602ffe88c880d5d4906d1fc4eb7a2a66a3efcba6d78418f3af
 EULERIAN_MEMBERS_DIGEST = "495cf46229a98c21f518cb6a9ba467eaaee7e878c570159372147f1754feb7bf"
 NORMALIZATION_DIGEST = "bb8b0813bdf9fe6757229a86c187e54e481cd3e9f5636738ed712de84b47d23d"
 INTEGER_WITNESS_DIGEST = "28313aa1f8be7afc537bd739ed45ce0d01c55686f92d6a82cc2a726ab276a2f8"
-FLOW_CERTIFICATE_DIGEST = "9a13d4c258bd8a80c65ef3f60033ce477456a440f7c643eb922a5915947a2552"
+# re-pinned when positive loops left the search layout: 1,895 of the 4,120
+# certificates, each on a class with a positive loop, count fewer nodes
+FLOW_CERTIFICATE_DIGEST = "0af222d3f478a2bae9529bb390e1f55bd9d512a8c5d81cab5ec1475d9fbe7124"
 CONVERSION_DIGEST = "3e089b318317e7639a78125137d0dc45e5bcb5aeea80422d82cc971fb0cc9d30"
 TWO_FLOW_DIGEST = "fb1f6f65432465cbf0cae2ceebd6067f244cdaa5b77f07a158293dc93be6ee00"
 
