@@ -349,13 +349,18 @@ class FlowKind:
 
     @classmethod
     def parse(cls, text: str) -> "FlowKind":
-        m = re.fullmatch(r"(integer|modulo|circular):(.+)", text)
-        if not m:
-            raise ValueError(f"bad flow kind {text!r}")
-        kind, param = m.group(1), m.group(2)
-        if kind == "circular":
-            return cls.circular(Fraction(param))
-        return cls(kind, int(param))
+        """The kind whose ``str`` is ``text``, or ValueError.
+
+        Only the canonical text parses: for k ASCII digits with no sign
+        or leading zero, for r ``str(Fraction)``.  A zero denominator
+        raises ZeroDivisionError, as Fraction does.
+        """
+        m = re.fullmatch(r"(integer|modulo):([0-9]+)|circular:(-?[0-9]+(?:/[0-9]+)?)", text)
+        if m:
+            kind = cls(m[1], int(m[2])) if m[1] else cls.circular(Fraction(m[3]))
+            if str(kind) == text:
+                return kind
+        raise ValueError(f"bad flow kind {text!r}")
 
     def __str__(self) -> str:
         return f"{self.kind}:{self.param}"

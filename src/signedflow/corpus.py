@@ -4,9 +4,10 @@ The exhaustive enumerator emits one representative per equivalence class
 under relabeling x switching.  Everything the suites measure is invariant
 under both, so collapsing classes loses no coverage and keeps desk-scale
 runs fast; class soundness is tested pairwise on small runs.  Edge lists
-are walked with sorted vertex degrees only, and the canonical test reads
-one relabel table per degree sequence: every degree-sorting vertex order
-as a permutation of pair indices.  Signatures come in a pivot normal
+are walked once per vertex count, connected and with sorted vertex
+degrees only, and the canonical test reads one relabel table per degree
+sequence: every degree-sorting vertex order as a permutation of pair
+indices.  Signatures come in a pivot normal
 form: at each pivot (a pair joining two components of the pairs before
 it) at most half the parallel edges are positive, and only a tie at a
 pivot or an automorphism costs a comparison (``_signature_rule``).
@@ -156,29 +157,17 @@ def w5_all_signatures() -> list[SignedGraph]:
 # exhaustive enumeration
 
 
-def _connected_spanning(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
-    reach = 1  # vertex mask reached from vertex 0; pairs are grown until stable
-    while True:
-        before = reach
-        for u, v in pairs:
-            if (reach >> u | reach >> v) & 1:
-                reach |= 1 << u | 1 << v
-        if reach == (1 << n) - 1:
-            return True
-        if reach == before:
-            return False
-
-
 def _degree_sorting_orders(
-    n: int, deg: tuple[int, ...], index: dict[tuple[int, int], int]
+    n: int, deg: tuple[int, ...]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The relabel table of a sorted degree sequence.
 
     One row per vertex order but the identity that lists ``deg``
     nondecreasingly (every rearrangement of tied degrees): the order as
     a vertex -> position map, and the permutation it induces on the
-    indices of ``index``, the lex-ordered pairs.
+    indices of the lex-ordered pairs.
     """
+    index = {p: i for i, p in enumerate((u, v) for u in range(n) for v in range(u, n))}
     blocks = [[v for v in range(n) if deg[v] == d] for d in sorted(set(deg))]
     rows = []
     for choice in itertools.product(*map(itertools.permutations, blocks)):
@@ -215,27 +204,36 @@ def _canonical_automorphisms(
     return maps
 
 
-def _degree_sorted_multisets(n: int, m: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Multisets of m vertex pairs on n vertices whose degrees are sorted.
+def _connected_multisets(n: int, max_e: int) -> list[list[tuple[tuple, ...]]]:
+    """The connected multisets of at most max_e pairs on n vertices with
+    sorted degrees, per size.
 
-    Yields the tuples of ``combinations_with_replacement`` over the
-    lex-ordered pairs (loops included) that list vertex degrees, a loop
-    counting 2, in nondecreasing order, in the same order, but grows them
-    depth first and never builds the others.  Pairs come in lex order, so
-    no later pair touches a vertex below the last pair's first endpoint:
-    those degrees are final and must already be sorted.  The remaining r
-    pairs bring 2r degree units, so the shortfall of the other vertices
-    below the running maximum of the degrees before them must be at most
-    2r.
+    Entry m lists, in the order of ``combinations_with_replacement``
+    over the lex-ordered pairs (loops included), the multisets of m
+    pairs that span all n vertices and list vertex degrees, a loop
+    counting 2, in nondecreasing order: each as its pairs, its pair
+    indices and its degrees.  One depth-first walk grows them for every
+    m and never builds the others.  Pairs come in lex order, so no later
+    pair touches a vertex below the current pair's first endpoint u:
+    those degrees are final and must already be sorted, and a component
+    lying wholly below u can never join the rest.  The remaining r pairs
+    bring 2r degree units, so the shortfall of the other vertices below
+    the running maximum of the degrees before them must be at most 2r.
     """
     all_pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    full = (1 << n) - 1
+    found: list[list[tuple[tuple, ...]]] = [[] for _ in range(max_e + 1)]
     deg = [0] * n
-    chosen: list[tuple[int, int]] = []
+    comp = tuple(1 << v for v in range(n))  # vertex mask of each vertex's component
     at: list[int] = []  # the index in all_pairs of each chosen pair
+    saved: list[tuple[int, ...]] = []  # comp before each chosen pair
     i = 0
     while True:
         while i < len(all_pairs):
-            u, v = pair = all_pairs[i]
+            u, v = all_pairs[i]
+            if u == v and u and not comp[u - 1] >> u:
+                # u - 1 is newly final and its component lies below u
+                break
             deg[u] += 1
             deg[v] += 1
             top = short = 0
@@ -250,23 +248,31 @@ def _degree_sorted_multisets(n: int, m: int) -> Iterator[tuple[tuple[int, int], 
                 else:
                     short += top - d
             else:
-                if short <= 2 * (m - 1 - len(chosen)):
-                    chosen.append(pair)
-                    if len(chosen) < m:
+                if short <= 2 * (max_e - 1 - len(at)):
+                    joined = comp[u] | comp[v]
+                    new = comp if joined == comp[u] else tuple(
+                        joined if c & joined else c for c in comp)
+                    if not short and new[0] == full:
+                        idx = (*at, i)
+                        found[len(idx)].append(
+                            (tuple(map(all_pairs.__getitem__, idx)), idx, tuple(deg)))
+                    if len(at) + 1 < max_e:
                         at.append(i)  # one level deeper, from this same pair
+                        saved.append(comp)
+                        comp = new
                         continue
-                    yield tuple(chosen)
-                    chosen.pop()
             deg[u] -= 1
             deg[v] -= 1
             i += 1
         if not at:
-            return
+            return found
         # no pair is left at this depth: step back
-        i = at.pop() + 1
-        u, v = chosen.pop()
+        i = at.pop()
+        comp = saved.pop()
+        u, v = all_pairs[i]
         deg[u] -= 1
         deg[v] -= 1
+        i += 1
 
 
 def _signature_rule(
@@ -375,12 +381,13 @@ def enumerate_signed_graphs(
     list) order; signatures per graph stream lex-first.  Loops and
     parallel edges are included; the edgeless one-vertex graph is not.
 
-    Only edge lists with nondecreasing vertex degrees (a loop counting
-    2) are generated (``_degree_sorted_multisets``), since a canonical
-    form has them.  One is kept if it is its own canonical form: each
-    degree sequence gets a relabel table once per call, one pair-index
-    permutation per degree-sorting vertex order, and an edge list
-    passes if no row relabels it lex-smaller
+    Only connected edge lists with nondecreasing vertex degrees (a loop
+    counting 2) are generated, by one walk per vertex count that hands
+    each over with its pair indices and degrees (``_connected_multisets``),
+    since a canonical form has sorted degrees.  One is kept if it is its
+    own canonical form: each degree sequence gets a relabel table once
+    per call, one pair-index permutation per degree-sorting vertex order,
+    and an edge list passes if no row relabels it lex-smaller
     (``_canonical_automorphisms``).  Its signatures are the lex-first of
     each class: at every pivot, a pair joining two components of the
     pairs before it, at most half the parallel edges are positive.  One
@@ -399,21 +406,13 @@ def enumerate_signed_graphs(
             for u in range(max_v) for v in range(u, max_v) for s in (-1, 1)}
     run_of: dict[tuple[int, int, int, int], list[tuple[Edge, ...]]] = {}
     for n in range(1, max_v + 1):
-        index = {p: i for i, p in enumerate((u, v) for u in range(n) for v in range(u, n))}
         tables: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-        for m in range(max(1, n - 1), max_e + 1):
-            for pairs in _degree_sorted_multisets(n, m):
-                if not _connected_spanning(n, pairs):
-                    continue
-                deg = [0] * n
-                for u, v in pairs:
-                    deg[u] += 1
-                    deg[v] += 1
-                key = tuple(deg)
+        for found in _connected_multisets(n, max_e):
+            for pairs, at, key in found:
                 table = tables.get(key)
                 if table is None:
-                    table = tables[key] = _degree_sorting_orders(n, key, index)
-                auts = _canonical_automorphisms(tuple(map(index.__getitem__, pairs)), table)
+                    table = tables[key] = _degree_sorting_orders(n, key)
+                auts = _canonical_automorphisms(at, table)
                 if auts is None:
                     continue
                 steps, kept = _signature_rule(n, pairs, auts)

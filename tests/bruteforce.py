@@ -381,11 +381,10 @@ def search_integer_reference(
     node each; a branch is pruned when some touched vertex has
     |partial boundary| larger than the largest swing its unassigned
     edges can still produce.  With root_positive the first position
-    that is not a positive loop tries only 1, 2, ..., k-1, and with
-    last_slot a candidate is also refused when it leaves a touched
-    vertex one unassigned slot that no value can close (see
-    _last_slot_ok); search_integer follows both rules.  Returns
-    (status, values, nodes)."""
+    tries only 1, 2, ..., k-1, and with last_slot a candidate is also
+    refused when it leaves a touched vertex one unassigned slot that no
+    value can close (see _last_slot_ok); search_integer follows both
+    rules.  Returns (status, values, nodes)."""
     values = [0] * m
     bnd = [0] * n
     slack = [0] * n
@@ -397,7 +396,7 @@ def search_integer_reference(
         elif t == 1:
             slack[va[i]] += 2 * (k - 1)
     num_vals = 2 * (k - 1)
-    root = next((pos for pos in range(m) if typ[pos] != 2), m) if root_positive else m
+    root = 0 if root_positive else m
     idx = [0] * (m + 1)
     nodes = 0
     pos = 0
@@ -408,7 +407,7 @@ def search_integer_reference(
     while True:
         i = idx[pos]
         t = typ[pos]
-        limit = 1 if t == 2 else k - 1 if pos == root else num_vals
+        limit = k - 1 if pos == root else num_vals
         if i >= limit:
             # undo slack release and step back
             _restore(slack, typ, va, ca, vb, cb, pos, k)
@@ -419,9 +418,7 @@ def search_integer_reference(
             _unapply(bnd, typ, va, ca, vb, cb, pos, values)
             idx[pos] += 1
             continue
-        if t == 2:
-            val = 1
-        elif pos == root:
+        if pos == root:
             val = i + 1
         else:
             val = (i // 2 + 1) * (1 if i % 2 == 0 else -1)
@@ -442,7 +439,7 @@ def search_integer_reference(
             if abs(bnd[a]) > slack[a]:
                 ok = False
         if ok and last_slot:
-            ends = (va[pos],) if t == 1 else (va[pos], vb[pos]) if t == 0 else ()
+            ends = (va[pos],) if t == 1 else (va[pos], vb[pos])
             ok = all(_last_slot_ok(bnd, slack, typ, va, ca, vb, cb, pos, v, k) for v in ends)
         if ok:
             pos += 1
@@ -456,10 +453,10 @@ def search_integer_reference(
 
 def _last_slot_ok(bnd, slack, typ, va, ca, vb, cb, pos, v, k):
     """False when positions up to pos are assigned and v's only unassigned
-    slot (positive loops aside) cannot be given a nonzero value: an
-    ordinary edge (v, w) would need f = -c_v * bnd[v], which is zero or
-    leaves w a boundary its other unassigned edges cannot absorb, or a
-    negative loop would need 2f = -bnd[v], with bnd[v] zero or odd."""
+    slot cannot be given a nonzero value: an ordinary edge (v, w) would
+    need f = -c_v * bnd[v], which is zero or leaves w a boundary its
+    other unassigned edges cannot absorb, or a negative loop would need
+    2f = -bnd[v], with bnd[v] zero or odd."""
     rest = [
         q
         for q in range(pos + 1, len(typ))
@@ -513,10 +510,10 @@ def search_modulo_reference(m, n, typ, va, ca, vb, cb, k, cap):
     signedflow._solver_py.search_modulo, same arguments and statuses.
 
     Positions are assigned in order, every value 1..k-1 tried in turn at
-    each (a positive loop only 1), one node each; a nonzero cap ends the
-    search at node cap + 1.  A value is refused when it leaves an end
-    of its position unclosable (_closable_mod).  Returns (status,
-    values, nodes), the values a witness only when the status is FOUND."""
+    each, one node each; a nonzero cap ends the search at node cap + 1.
+    A value is refused when it leaves an end of its position unclosable
+    (_closable_mod).  Returns (status, values, nodes), the values a
+    witness only when the status is FOUND."""
     values = [0] * m
     bnd = [0] * n
     nodes = 0
@@ -527,24 +524,19 @@ def search_modulo_reference(m, n, typ, va, ca, vb, cb, k, cap):
             return FOUND
         t = typ[pos]
         ends = ((va[pos], ca[pos]), (vb[pos], cb[pos])) if t == 0 else ((va[pos], ca[pos]),)
-        for val in (1,) if t == 2 else range(1, k):
+        for val in range(1, k):
             nodes += 1
             if cap and nodes > cap:
                 return CAPPED
             values[pos] = val
-            if t == 2:
-                ok = True
-            else:
-                for v, c in ends:
-                    bnd[v] += c * val
-                ok = all(_closable_mod(bnd, typ, va, ca, vb, cb, pos, v, k) for v, _ in ends)
-            if ok:
+            for v, c in ends:
+                bnd[v] += c * val
+            if all(_closable_mod(bnd, typ, va, ca, vb, cb, pos, v, k) for v, _ in ends):
                 status = rec(pos + 1)
                 if status is not None:
                     return status
-            if t != 2:
-                for v, c in ends:
-                    bnd[v] -= c * val
+            for v, c in ends:
+                bnd[v] -= c * val
         return None
 
     status = rec(0)
@@ -553,9 +545,9 @@ def search_modulo_reference(m, n, typ, va, ca, vb, cb, k, cap):
 
 def _closable_mod(bnd, typ, va, ca, vb, cb, pos, v, k):
     """Whether v can still reach boundary 0 mod k once positions up to
-    pos are assigned, judged only when at most one of v's slots is left
-    (positive loops aside): with none, its boundary must be 0 mod k;
-    with one, some value 1..k-1 on that slot must make it so."""
+    pos are assigned, judged only when at most one of v's slots is left:
+    with none, its boundary must be 0 mod k; with one, some value 1..k-1
+    on that slot must make it so."""
     slots = []  # v's coefficient on each of its unassigned slots
     for q in range(pos + 1, len(typ)):
         if typ[q] == 0:
@@ -1117,14 +1109,10 @@ def _kernel_arrays_reference(g: SignedGraph, order: list[int]):
     cb = [0] * m
     for pos, eid in enumerate(order):
         e = g.edges[eid]
-        if e.u == e.v:
-            if e.sign < 0:
-                typ[pos] = 1
-                va[pos] = e.u
-                ca[pos] = 2  # both half-edges point out
-            else:
-                typ[pos] = 2
-                va[pos] = e.u
+        if e.u == e.v:  # a negative loop: layouts hold no positive one
+            typ[pos] = 1
+            va[pos] = e.u
+            ca[pos] = 2  # both half-edges point out
         else:
             typ[pos] = 0
             va[pos] = e.u

@@ -813,6 +813,20 @@ def test_ids_and_integers_must_have_json_integer_type(request, make, mutate, rea
     assert out == VerifyOutcome(False, f"malformed certificate: {reason}")
 
 
+@pytest.mark.parametrize(
+    "kind",
+    ["integer: 3", "integer:+3", "integer:0_3", "integer:03", "integer:\uff13", "circular:6.0"],
+    ids=["space", "plus", "underscore", "leading-zero", "fullwidth-digit", "decimal-point"],
+)
+def test_non_canonical_flow_kind_refused(kind):
+    # int() and Fraction() read each of these as an honest kind, so the
+    # tampered certificate used to verify; only str(kind) itself parses
+    cert = _loop_pair_flow_cert()
+    assert verify_certificate(cert).ok
+    out = verify_certificate(retamper(cert, _set("payload", "flow_kind", kind)))
+    assert out == VerifyOutcome(False, f"malformed certificate: ValueError: bad flow kind {kind!r}")
+
+
 def test_bool_schema_version_refused():
     cert = _loop_pair_flow_cert()
     out = verify_certificate(retamper(cert, lambda raw: raw.update(schema_version=True)))

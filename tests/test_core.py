@@ -307,6 +307,18 @@ def test_flow_kind_parse_round_trip():
         FlowKind.parse("gaussian:2")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["integer:-3", "integer:3 ", "integer:3\n", "modulo:+3", "modulo:03", "modulo:\u0663",
+     "modulo:", "circular:10/4", "circular:5/1", "circular:-0", "circular:2.5", "circular: 5/2",
+     "circular:5/+2"],
+)
+def test_flow_kind_parse_takes_only_canonical_text(text):
+    # each names an honest kind to int() or Fraction(), but is not its str
+    with pytest.raises(ValueError, match="bad flow kind"):
+        FlowKind.parse(text)
+
+
 # ---------------------------------------------------------------------------
 # balance
 

@@ -1,5 +1,6 @@
 """Named instances, exhaustive enumeration, dedup soundness."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import (
     _canonical_pairs,
+    _connected_spanning,
     _pair_automorphisms,
     degree_sorted_multisets_reference,
     enumerate_signed_graphs_reference,
@@ -18,7 +20,7 @@ from signedflow.corpus import (
     MAX_ENUM_EDGES,
     MAX_ENUM_VERTICES,
     CorpusSpec,
-    _degree_sorted_multisets,
+    _connected_multisets,
     _signature_classes,
     enumerate_signed_graphs,
     g_family,
@@ -115,6 +117,13 @@ FROZEN_COUNTS = [
     (5, 8, 35330),
 ]
 
+# sha256 of a whole stream's serialize_graph texts, concatenated (each
+# ends in a newline); the full reference comparison below is the oracle
+FROZEN_STREAM_SHA256 = [
+    (4, 7, "680ddadfefa9b8b6f5b18a873af6cc498ff211142e4ef22dc92d0558f53b7091"),
+    (5, 8, "82bdfc57a512323ef41881c3651b41c3b5d9949201706b3418f0bb427b14371c"),
+]
+
 
 @pytest.mark.parametrize("mv,me,count", FROZEN_COUNTS)
 def test_enumeration_counts(mv, me, count, request):
@@ -128,6 +137,12 @@ def test_enumeration_counts(mv, me, count, request):
 @pytest.fixture(scope="module")
 def full_stream(corpus_full):
     return [(g.num_vertices, g.num_edges, serialize_graph(g)) for g in corpus_full]
+
+
+@pytest.mark.parametrize("mv,me,digest", FROZEN_STREAM_SHA256)
+def test_enumeration_stream_pinned(mv, me, digest, full_stream):
+    texts = (text for n, m, text in full_stream if n <= mv and m <= me)
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
 
 
 def test_full_stream_matches_reference(full_stream):
@@ -156,9 +171,19 @@ def test_smaller_bounds_filter_the_full_stream(mv, me, full_stream):
     [(n, m) for n in range(1, 6) for m in range(1, 9)] + [(6, m) for m in range(1, 7)],
 )
 def test_degree_sorted_multisets_match_filter(n, m):
-    # the pruned generator gives exactly the multisets the filter keeps,
-    # in the same order; n = 6, m = 6 alone walks 230,230 multisets
-    assert list(_degree_sorted_multisets(n, m)) == list(degree_sorted_multisets_reference(n, m))
+    # the pruned walk gives exactly the multisets that the degree filter
+    # and a union-find connectivity check keep, in the same order, each
+    # with its own pair indices and degrees; n = 6, m = 6 alone filters
+    # 230,230 multisets.  The sizes below m that a walk lists on the way
+    # are those of a walk stopping there, so every size is checked.
+    index = {p: i for i, p in enumerate((u, v) for u in range(n) for v in range(u, n))}
+    walk = _connected_multisets(n, m)
+    want = [p for p in degree_sorted_multisets_reference(n, m) if _connected_spanning(n, p)]
+    assert [pairs for pairs, _, _ in walk[m]] == want
+    for pairs, at, key in walk[m]:
+        assert at == tuple(index[p] for p in pairs)
+        assert key == tuple(sum((u == w) + (v == w) for u, v in pairs) for w in range(n))
+    assert walk[:m] == _connected_multisets(n, m - 1)
 
 
 def test_two_vertex_classes_by_hand():
