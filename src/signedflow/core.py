@@ -352,8 +352,11 @@ class FlowKind:
         """The kind whose ``str`` is ``text``, or ValueError.
 
         Only the canonical text parses: for k ASCII digits with no sign
-        or leading zero, for r ``str(Fraction)``.  A zero denominator
-        raises ZeroDivisionError, as Fraction does.
+        or leading zero, for r ``str(Fraction)``.  The pattern admits
+        ASCII digits only and no sign on k (``integer:-3`` is its own
+        ``str``); the round trip then refuses leading zeros and any r
+        not in lowest terms.  A zero denominator raises
+        ZeroDivisionError, as Fraction does.
         """
         m = re.fullmatch(r"(integer|modulo):([0-9]+)|circular:(-?[0-9]+(?:/[0-9]+)?)", text)
         if m:

@@ -32,7 +32,9 @@ w5_all_signatures_reference is the 5-wheel's signature sweep as it was
 before it used that step: every sign vector, each new one marking its
 switching orbit.
 degree_sorted_multisets_reference is the degree-order prefilter over
-every edge multiset that the corpus's pruned generator replaced.
+every edge multiset that the corpus's pruned generator replaced; kept
+to those _connected_spanning accepts, it is the oracle for the
+corpus's connected walk.
 decompose_two_regular_reference is the 2-factor splitter the cubic tools
 used before they shared the package's circuit peel.
 three_edge_colorable_reference decides 3-edge-colourability by trying
@@ -712,9 +714,10 @@ def degree_sorted_multisets_reference(n: int, m: int) -> Iterator[tuple[tuple[in
     """Every multiset of m vertex pairs on n vertices, filtered by degree order.
 
     The walk the corpus enumerator made before it generated only the
-    multisets whose vertex degrees (a loop counting 2) are nondecreasing:
-    the oracle for signedflow.corpus._degree_sorted_multisets, which must
-    give the same tuples in the same order.
+    multisets whose vertex degrees (a loop counting 2) are nondecreasing.
+    Filtered by _connected_spanning, it is the oracle for
+    signedflow.corpus._connected_multisets, which must give the same
+    tuples in the same order.
     """
     all_pairs = [(u, v) for u in range(n) for v in range(u, n)]
     for pairs in itertools.combinations_with_replacement(all_pairs, m):
